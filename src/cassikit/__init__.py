@@ -16,14 +16,14 @@ from .errors import (CassikitError, DivergenceError, FormatError,
                      NumericalError, OperatorError, OracleCapError,
                      ParameterError, ShapeError)
 from .hqs import (InitState, LnltSettings, ReconConfig, ReconResult,
-                  StageState, data_fidelity, data_step, init_estimate,
-                  run_hqs, trace_csv)
+                  StageState, data_step, init_estimate, run_hqs,
+                  trace_csv)
 from .metrics import charbonnier, psnr, sam, ssim
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom
 from .priors import total_variation, tv_denoise
 from .selftest import run_selftest
-from .tensor import Graph, Tensor, backward, fd_gradcheck
+from .tensor import Graph, Tensor, backward, fd_gradcheck, no_grad
 from .train import TrainConfig, charbonnier_loss, lr_at, train_overfit
 
 __version__ = "0.1.0"

@@ -9,10 +9,12 @@ Subcommands:
 Exit codes:
   0  success
   1  selftest failure
-  2  file/argument format error
+  2  file/argument format error (and any other CassikitError)
   3  shape or structural mismatch
   4  missing dependency (e.g. learned denoiser without a checkpoint)
   5  training divergence
+  6  numerical failure (NaN/Inf or a degenerate denominator)
+  7  internal error (any exception that is not a CassikitError)
 
 All commands accept `--config FILE` with `key = value` lines (# comments
 allowed); precedence is command line > config file > built-in defaults.
@@ -33,13 +35,13 @@ from . import fileio, metrics
 from .cassi import (HsiCube, Mask2D, Measurement, NoiseConfig, SensingOperator,
                     forward_measure, random_binary_mask)
 from .errors import (CassikitError, DivergenceError, FormatError,
-                     MissingParamsError, OperatorError, ParameterError,
-                     ShapeError)
+                     MissingParamsError, NumericalError, OperatorError,
+                     ParameterError, ShapeError)
 from .hqs import LnltSettings, ReconConfig, run_hqs, trace_csv
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom
 from .selftest import format_report, run_selftest
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .train import TrainConfig, curve_csv, train_overfit
 
 EXIT_OK = 0
@@ -48,6 +50,8 @@ EXIT_FORMAT = 2
 EXIT_SHAPE = 3
 EXIT_MISSING_DEP = 4
 EXIT_DIVERGED = 5
+EXIT_NUMERICAL = 6
+EXIT_INTERNAL = 7
 
 
 def _read_env_threads() -> None:
@@ -196,7 +200,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         params = fileio.read_params(args.params)
     truth = HsiCube(Tensor(_load_cube(args.truth))) if args.truth else None
 
-    result = run_hqs(y, op, cfg, params=params, truth=truth)
+    # inference only: without no_grad the shared learned weights (loaded with
+    # requires_grad=True) would keep every stage's backward graph alive
+    with no_grad():
+        result = run_hqs(y, op, cfg, params=params, truth=truth)
     fileio.write_cube(args.out, result.z.numpy())
     print(f"reconstruction {op.h}x{op.w}x{op.n_bands} -> {args.out}")
     if truth is not None:
@@ -358,9 +365,15 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except CassikitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

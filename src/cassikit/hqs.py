@@ -34,11 +34,11 @@ import numpy as np
 
 from . import metrics
 from .cassi import (HsiCube, Measurement, SensingOperator, adjoint_apply,
-                    phi_gram_diag, shift_cube)
+                    forward_measure, phi_gram_diag, shift_cube)
 from .errors import MissingParamsError, NumericalError, ParameterError, ShapeError
 from .params import ParamStore
 from .priors import tv_denoise
-from .tensor import Tensor, as_tensor, div, mul, reduce_sum, sub
+from .tensor import Tensor, as_tensor, div, mul, no_grad, reduce_sum, sub
 
 DENOISERS = ("identity", "tv", "lnlt")
 INIT_MODES = ("adjoint", "normalized-adjoint")
@@ -126,23 +126,6 @@ class ReconResult:
         return rows
 
 
-def _forward_np(z: np.ndarray, mask: np.ndarray, step: int) -> np.ndarray:
-    """Noiseless numpy forward pass for diagnostics (no graph recording)."""
-    h, w, n = z.shape
-    wp = mask.shape[1]
-    y = np.zeros((h, wp))
-    for band in range(n):
-        d = step * band
-        y[:, d:d + w] += mask[:, d:d + w, band] * z[:, :, band]
-    return y
-
-
-def data_fidelity(x: HsiCube, y: Measurement, op: SensingOperator) -> float:
-    """0.5 * ||y - Phi x||^2 on detached values."""
-    resid = y.data.data - _forward_np(x.data.data, op.shifted_mask.data, op.step)
-    return 0.5 * float(np.sum(resid * resid))
-
-
 def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu) -> HsiCube:
     """Closed-form x-update; `mu` is a positive scalar (float or Tensor)."""
     mu_t = as_tensor(mu)
@@ -179,6 +162,12 @@ def init_estimate(y: Measurement, op: SensingOperator, mode: str = "normalized-a
     return adjoint_apply(Measurement(div(y.data, eps + gram)), op)
 
 
+def _residual_norm(y: Measurement, z: HsiCube, op: SensingOperator) -> float:
+    """||y - Phi z|| for the trace; records no graph even while training."""
+    with no_grad():
+        return float(np.linalg.norm(y.data.data - forward_measure(z, op).data.data))
+
+
 def _mu_schedule(cfg: ReconConfig, k: int) -> float:
     """Geometric continuation; k is 1-based."""
     return cfg.mu_start * cfg.mu_growth ** (k - 1)
@@ -208,11 +197,10 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
                 f"per-stage parameter list has {len(stage_params)} entries for {cfg.stages} stages")
 
     truth_np = truth.numpy() if truth is not None else None
-    y_np = y.data.data
 
     z = init_estimate(y, op, cfg.init, cfg.init_eps)
     z0_np = z.numpy()
-    init_resid = float(np.linalg.norm(y_np - _forward_np(z0_np, op.shifted_mask.data, op.step)))
+    init_resid = _residual_norm(y, z, op)
     init_psnr = metrics.psnr(z0_np, truth_np) if truth_np is not None else None
     init_state = InitState(z0=z0_np, residual_norm=init_resid, psnr_vs_truth=init_psnr)
 
@@ -244,7 +232,7 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
         eta_f = float(as_tensor(eta_k).data.reshape(()))
         if mu_f <= 0 or eta_f <= 0:
             raise NumericalError(f"non-positive mu/eta at stage {k}: mu={mu_f}, eta={eta_f}")
-        resid = float(np.linalg.norm(y_np - _forward_np(z_np, phi_k.shifted_mask.data, op.step)))
+        resid = _residual_norm(y, z, phi_k)
         stage_psnr = metrics.psnr(z_np, truth_np) if truth_np is not None else None
         stages.append(StageState(stage=k, x=x.numpy(), z=z.numpy(), mu=mu_f, eta=eta_f,
                                  residual_norm=resid, psnr_vs_truth=stage_psnr))

@@ -7,10 +7,14 @@ value is NaN or Inf; silent propagation of non-finite values is a bug by
 policy.
 
 A computation graph is recorded implicitly whenever an op consumes a tensor
-that requires gradients (directly or transitively).  `backward` walks the
-graph in reverse topological order, visiting each node exactly once, and
-returns a gradient per leaf parameter.  `fd_gradcheck` verifies analytic
-gradients against central finite differences.
+that requires gradients (directly or transitively), unless the op runs
+inside a `no_grad()` block: there every op returns an untracked tensor with
+the same values, and no parents or backward closures are kept.  Inference
+uses it so that weights loaded with `requires_grad=True` do not pin a
+backward graph for every stage.  `backward` walks the graph in reverse
+topological order, visiting each node exactly once, and returns a gradient
+per leaf parameter.  `fd_gradcheck` verifies analytic gradients against
+central finite differences.
 
 The op set is deliberately small: exactly what the learned degradation
 estimator and the windowed-attention denoiser need, plus reductions for
@@ -24,6 +28,8 @@ with constants sqrt(2/pi) = 0.7978845608028654 and 0.044715.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -140,14 +146,37 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _GradMode(threading.local):
+    recording = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Run the enclosed ops without recording a graph (per thread, nestable).
+
+    Values are unchanged; only the parent links and backward closures are
+    dropped.  The previous mode is restored on exit, also on an exception.
+    """
+    previous = _grad_mode.recording
+    _grad_mode.recording = False
+    try:
+        yield
+    finally:
+        _grad_mode.recording = previous
+
+
 def _make(op: str, out: np.ndarray, parents: Sequence[Tensor], bwd) -> Tensor:
-    """Wrap an op result, recording the graph edge if any parent is tracked."""
+    """Wrap an op result, recording the graph edge if any parent is tracked
+    and recording is on."""
     _check_finite(out, op)
     t = Tensor.__new__(Tensor)
     t.data = out
     t.requires_grad = False
     t._op = op
-    if any(p._tracked() for p in parents):
+    if _grad_mode.recording and any(p._tracked() for p in parents):
         t._parents = tuple(parents)
         t._bwd = bwd
     else:

@@ -14,9 +14,14 @@ import sys
 import numpy as np
 import pytest
 
-from cassikit import fileio
+from cassikit import cli, fileio
+from cassikit.cassi import (Measurement, SensingOperator, forward_measure,
+                            random_binary_mask)
 from cassikit.errors import FormatError, ShapeError
+from cassikit.hqs import LnltSettings, ReconConfig, run_hqs, trace_csv
 from cassikit.params import ParamStore
+from cassikit.phantom import generate_phantom
+from cassikit.tensor import Tensor
 
 from conftest import make_rng
 
@@ -370,6 +375,66 @@ def test_divergent_training_exits_5(workbench, tmp_path):
                    "--window", 1, "--grid", 1, "--out", tmp_path / "w.dprm")
     assert proc.returncode == 5
     assert "step" in proc.stderr
+
+
+def _learned_inputs(tmp_path, weight_scale=1.0):
+    """32x32x4 measurement, its sheared mask and a C=8 checkpoint on disk."""
+    op = SensingOperator.from_mask(random_binary_mask(32, 32, 11), 4, 2)
+    files = {k: tmp_path / f"{k}.hsic" for k in ("meas", "mask")}
+    files["ckpt"] = tmp_path / "ckpt.dprm"
+    fileio.write_cube(str(files["meas"]),
+                      forward_measure(generate_phantom(32, 32, 4, seed=10), op).numpy())
+    fileio.write_cube(str(files["mask"]), op.shifted_mask.data)
+    store = cli.init_pipeline_params(4, LnltSettings(base_channels=8, local_window=4,
+                                                     nonlocal_grid=4), seed=12)
+    for _, t in store.items():
+        t._assign(t.data * weight_scale)
+    fileio.write_params(str(files["ckpt"]), store)
+    return files
+
+
+LEARNED_ARGS = ("--denoiser", "lnlt", "--use-den", "true", "--stages", 2,
+                "--channels", 8, "--window", 4, "--grid", 4)
+
+
+def test_learned_reconstruct_matches_tracked_in_process_run(tmp_path):
+    files = _learned_inputs(tmp_path)
+    out, trace = tmp_path / "recon.hsic", tmp_path / "trace.csv"
+    proc = run_cli("reconstruct", "--measurement", files["meas"], "--mask", files["mask"],
+                   "--params", files["ckpt"], *LEARNED_ARGS, "--out", out, "--trace", trace)
+    assert proc.returncode == 0, proc.stderr
+
+    # the same files through the recurrence with tracked weights, graph recorded
+    y = Measurement(Tensor(fileio.read_plane(str(files["meas"]))))
+    op = SensingOperator(Tensor(fileio.read_cube(str(files["mask"]))), 2)
+    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True,
+                      lnlt=LnltSettings(base_channels=8, local_window=4, nonlocal_grid=4))
+    result = run_hqs(y, op, cfg, params=fileio.read_params(str(files["ckpt"])))
+    assert result.z.data._tracked()
+    assert out.read_bytes() == fileio.cube_bytes(result.z.numpy())
+    assert trace.read_text() == trace_csv(result)
+
+
+def test_numerical_failure_exits_6(tmp_path):
+    files = _learned_inputs(tmp_path, weight_scale=1e200)
+    proc = run_cli("reconstruct", "--measurement", files["meas"], "--mask", files["mask"],
+                   "--params", files["ckpt"], *LEARNED_ARGS, "--out", tmp_path / "out.hsic")
+    assert proc.returncode == 6
+    assert "error: non-finite values produced by op" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_internal_error_exits_7(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    # a defect outside the toolkit's error types cannot be provoked from the
+    # command line, so this one runs in-process with the phantom generator broken
+    monkeypatch.setattr(cli, "generate_phantom", broken)
+    code = cli.main(["phantom", "--height", "4", "--width", "4", "--bands", "1",
+                     "--out", str(tmp_path / "p.hsic")])
+    assert code == 7
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_tiny_training_run_writes_checkpoint_and_curve(tmp_path):

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from cassikit import tensor as T
+from cassikit.cassi import HsiCube, SensingOperator, random_binary_mask
+from cassikit.degradation import den_forward, den_weights, register_den_params
 from cassikit.errors import (GraphStateError, NumericalError, ParameterError,
                              ShapeError)
 from cassikit.params import Initializer, ParamStore
-from cassikit.tensor import Graph, Tensor, backward, fd_gradcheck
+from cassikit.tensor import Graph, Tensor, backward, fd_gradcheck, no_grad
+from cassikit.transformer import (LnltConfig, _block_weights, _register_block,
+                                  block_forward)
 
 from conftest import make_rng
 
@@ -376,6 +380,62 @@ def test_backward_seed_shape_checked():
     out = T.mul(a, a)
     with pytest.raises(ShapeError):
         backward(Graph.from_output(out), seed=np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# graph-free evaluation
+# ---------------------------------------------------------------------------
+
+def test_no_grad_ops_on_tracked_parents_return_untracked_tensors():
+    a = leaf(make_rng(28).normal(size=(2, 3)))
+    b = leaf(make_rng(29).normal(size=(3, 2)))
+    with no_grad():
+        out = T.reduce_sum(T.gelu(T.matmul(a, b)))
+    assert not out._tracked()
+    assert out._parents == () and out._bwd is None
+    with pytest.raises(GraphStateError):
+        Graph.from_output(out)
+    assert T.matmul(a, b)._tracked()  # recording resumes after the block
+
+
+def test_no_grad_restores_recording_after_exception_and_nesting():
+    a = leaf(np.ones(3))
+    with pytest.raises(NumericalError):
+        with no_grad():
+            T.div(a, 0.0)
+    assert T.mul(a, 2.0)._tracked()
+    with no_grad():
+        with no_grad():
+            assert not T.mul(a, 2.0)._tracked()
+        assert not T.mul(a, 2.0)._tracked()  # leaving the inner block keeps the outer one
+    assert T.mul(a, 2.0)._tracked()
+
+
+def test_no_grad_values_are_bit_identical_to_the_tracked_forward():
+    cfg = LnltConfig(base_channels=8, heads=(2, 2, 4), local_window=4, nonlocal_grid=2)
+    store = ParamStore()
+    _register_block(Initializer(store, 84), "blk", 8, 2, cfg)
+    w = _block_weights(store, "blk")
+    x = Tensor(make_rng(85).normal(size=(8, 8, 8)))
+    tracked = block_forward(x, w, cfg, heads=2)
+    with no_grad():
+        free = block_forward(x, w, cfg, heads=2)
+    assert tracked._tracked() and not free._tracked()
+    assert free.data.tobytes() == tracked.data.tobytes()
+
+    op = SensingOperator.from_mask(random_binary_mask(6, 6, 2), 3, 2)
+    store = ParamStore()
+    register_den_params(Initializer(store, 86), 3)
+    dw = den_weights(store, 3)
+    z = HsiCube(Tensor(make_rng(87).random(op.scene_shape)))
+    tracked = den_forward(z, op, dw)
+    with no_grad():
+        free = den_forward(z, op, dw)
+    for got, want in [(free.phi_hat.shifted_mask, tracked.phi_hat.shifted_mask),
+                      (free.residual, tracked.residual), (free.mu, tracked.mu),
+                      (free.eta, tracked.eta)]:
+        assert want._tracked() and not got._tracked()
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
