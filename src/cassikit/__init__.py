@@ -15,9 +15,8 @@ from .errors import (CassikitError, DivergenceError, FormatError,
                      GraphStateError, MetricError, MissingParamsError,
                      NumericalError, OperatorError, OracleCapError,
                      ParameterError, ShapeError)
-from .hqs import (InitState, LnltSettings, ReconConfig, ReconResult,
-                  StageState, data_step, init_estimate, run_hqs,
-                  trace_csv)
+from .hqs import (InitState, ReconConfig, ReconResult, StageState, data_step,
+                  init_estimate, run_hqs, trace_csv)
 from .metrics import charbonnier, psnr, sam, ssim
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom
@@ -25,5 +24,6 @@ from .priors import total_variation, tv_denoise
 from .selftest import run_selftest
 from .tensor import Graph, Tensor, backward, fd_gradcheck, no_grad
 from .train import TrainConfig, charbonnier_loss, lr_at, train_overfit
+from .transformer import LnltConfig
 
 __version__ = "0.1.0"

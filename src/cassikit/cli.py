@@ -18,9 +18,6 @@ Exit codes:
 
 All commands accept `--config FILE` with `key = value` lines (# comments
 allowed); precedence is command line > config file > built-in defaults.
-The only recognized environment variable is CASSIKIT_THREADS, reserved for
-capping internal worker pools; current kernels are single-threaded and
-deterministic regardless of its value.
 """
 
 from __future__ import annotations
@@ -34,15 +31,17 @@ import numpy as np
 from . import fileio, metrics
 from .cassi import (HsiCube, Mask2D, Measurement, NoiseConfig, SensingOperator,
                     forward_measure, random_binary_mask)
+from .degradation import register_den_params
 from .errors import (CassikitError, DivergenceError, FormatError,
                      MissingParamsError, NumericalError, OperatorError,
                      ParameterError, ShapeError)
-from .hqs import LnltSettings, ReconConfig, run_hqs, trace_csv
+from .hqs import ReconConfig, run_hqs, trace_csv
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom
 from .selftest import format_report, run_selftest
 from .tensor import Tensor, no_grad
 from .train import TrainConfig, curve_csv, train_overfit
+from .transformer import LnltConfig, register_lnlt_params
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -52,17 +51,6 @@ EXIT_MISSING_DEP = 4
 EXIT_DIVERGED = 5
 EXIT_NUMERICAL = 6
 EXIT_INTERNAL = 7
-
-
-def _read_env_threads() -> None:
-    raw = os.environ.get("CASSIKIT_THREADS")
-    if raw is None:
-        return
-    try:
-        if int(raw) < 1:
-            raise ValueError
-    except ValueError:
-        raise ParameterError(f"CASSIKIT_THREADS must be a positive integer, got {raw!r}")
 
 
 def parse_config_file(path: str) -> dict:
@@ -189,10 +177,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if y.shape != op.measurement_shape:
         raise ShapeError(f"measurement {y.shape} does not match operator {op.measurement_shape}")
 
-    settings = LnltSettings(base_channels=channels, blocks_per_level=blocks,
-                            local_window=window, nonlocal_grid=grid)
+    arch = LnltConfig(base_channels=channels, blocks_per_level=blocks,
+                      local_window=window, nonlocal_grid=grid)
     cfg = ReconConfig(stages=stages, denoiser=denoiser, use_den=use_den,
-                      init=init_mode, lnlt=settings)
+                      init=init_mode, lnlt=arch)
     params = None
     if use_den or denoiser == "lnlt":
         if args.params is None:
@@ -236,11 +224,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     truth = HsiCube(Tensor(_load_cube(args.truth)))
     h, w, n_bands = truth.shape
     op = _build_operator(None, mask_seed, h, w, n_bands, step)
-    settings = LnltSettings(base_channels=channels, blocks_per_level=blocks,
-                            local_window=window, nonlocal_grid=grid)
-    params = init_pipeline_params(n_bands, settings, seed)
-    rcfg = ReconConfig(stages=stages, denoiser="lnlt", use_den=True, lnlt=settings)
-    tcfg = TrainConfig(steps=steps, lr=lr, warmup_steps=warmup, seed=seed)
+    arch = LnltConfig(base_channels=channels, blocks_per_level=blocks,
+                      local_window=window, nonlocal_grid=grid)
+    params = init_pipeline_params(n_bands, arch, seed)
+    rcfg = ReconConfig(stages=stages, denoiser="lnlt", use_den=True, lnlt=arch)
+    tcfg = TrainConfig(steps=steps, lr=lr, warmup_steps=warmup)
     result = train_overfit(truth, op, params, tcfg, rcfg)
     fileio.write_params(args.out, result.params)
     print(f"params ({result.params.n_values} values) -> {args.out}")
@@ -264,14 +252,12 @@ def cmd_phantom(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def init_pipeline_params(n_bands: int, settings: LnltSettings, seed: int) -> ParamStore:
+def init_pipeline_params(n_bands: int, cfg: LnltConfig, seed: int) -> ParamStore:
     """Fresh estimator + denoiser weights in one store (single PCG64 stream)."""
-    from .degradation import register_den_params
-    from .transformer import register_lnlt_params, settings_to_config
     store = ParamStore()
     init = Initializer(store, seed)
     register_den_params(init, n_bands)
-    register_lnlt_params(init, settings_to_config(settings), n_bands)
+    register_lnlt_params(init, cfg, n_bands)
     return store
 
 
@@ -351,8 +337,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _read_env_threads()
-        return args.fn(args)
+        # non-finite results already raise NumericalError (tensor._check_finite);
+        # numpy's RuntimeWarning would only repeat them on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (FormatError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -25,33 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cassi import HsiCube, SensingOperator, shift_cube
-from .errors import ParameterError, ShapeError
-from .params import Initializer, ParamStore
+from .errors import ShapeError
+from .params import Initializer, ParamScope
 from .tensor import (Tensor, add, clamp, concat, conv2d, gelu, matmul, mul,
                      reduce_mean, relu, reshape, slice_lastdim, softplus)
 
 N_BLOCKS = 3
-
-
-@dataclass(frozen=True)
-class ResidualBlockWeights:
-    conv1_w: Tensor
-    conv1_b: Tensor
-    conv2_w: Tensor
-    conv2_b: Tensor
-
-
-@dataclass(frozen=True)
-class DenWeights:
-    entry_w: Tensor
-    entry_b: Tensor
-    blocks: tuple
-    exit_w: Tensor
-    exit_b: Tensor
-    fc1_w: Tensor
-    fc1_b: Tensor
-    fc2_w: Tensor
-    fc2_b: Tensor
 
 
 @dataclass(frozen=True)
@@ -76,59 +55,47 @@ def register_den_params(init: Initializer, n_bands: int) -> None:
     init.linear("den.head.fc2", n_bands, 2)
 
 
-def den_weights(store: ParamStore, n_bands: int) -> DenWeights:
-    """View into a store; raises ParameterError when names are missing."""
-    blocks = tuple(
-        ResidualBlockWeights(
-            conv1_w=store[f"den.block{i}.conv1.w"], conv1_b=store[f"den.block{i}.conv1.b"],
-            conv2_w=store[f"den.block{i}.conv2.w"], conv2_b=store[f"den.block{i}.conv2.b"])
-        for i in range(N_BLOCKS))
-    w = DenWeights(
-        entry_w=store["den.entry.w"], entry_b=store["den.entry.b"], blocks=blocks,
-        exit_w=store["den.exit.w"], exit_b=store["den.exit.b"],
-        fc1_w=store["den.head.fc1.w"], fc1_b=store["den.head.fc1.b"],
-        fc2_w=store["den.head.fc2.w"], fc2_b=store["den.head.fc2.b"])
-    if w.exit_w.shape[3] != n_bands:
-        raise ShapeError(f"estimator exit width {w.exit_w.shape[3]} != {n_bands} bands")
-    return w
-
-
-def residual_block(x: Tensor, w: ResidualBlockWeights) -> Tensor:
+def residual_block(x: Tensor, w: ParamScope) -> Tensor:
     """x + Conv3x3(ReLU(Conv3x3(x))); same-width, padding 1."""
-    t = relu(conv2d(x, w.conv1_w, w.conv1_b, padding=1))
-    return add(x, conv2d(t, w.conv2_w, w.conv2_b, padding=1))
+    t = relu(conv2d(x, w["conv1.w"], w["conv1.b"], padding=1))
+    return add(x, conv2d(t, w["conv2.w"], w["conv2.b"], padding=1))
 
 
-def gap_mlp(residual: Tensor, w: DenWeights) -> tuple:
+def gap_mlp(residual: Tensor, w: ParamScope) -> tuple:
     """Global-average-pool the residual per channel, then a two-layer MLP
     with GELU in between; softplus keeps both outputs strictly positive."""
     n = residual.shape[-1]
-    if w.fc1_w.shape[0] != n:
-        raise ShapeError(f"head expects {w.fc1_w.shape[0]} channels, got {n}")
+    fc1_w = w["fc1.w"]
+    if fc1_w.shape[0] != n:
+        raise ShapeError(f"head expects {fc1_w.shape[0]} channels, got {n}")
     v = reshape(reduce_mean(residual, axis=(0, 1)), (1, n))
-    hidden = gelu(add(matmul(v, w.fc1_w), w.fc1_b))
-    out = softplus(add(matmul(hidden, w.fc2_w), w.fc2_b))
+    hidden = gelu(add(matmul(v, fc1_w), w["fc1.b"]))
+    out = softplus(add(matmul(hidden, w["fc2.w"]), w["fc2.b"]))
     mu = reshape(slice_lastdim(out, 0, 1), ())
     eta = reshape(slice_lastdim(out, 1, 2), ())
     return mu, eta
 
 
-def den_forward(z_prev: HsiCube, op: SensingOperator, w: DenWeights) -> DegradationEstimate:
+def den_forward(z_prev: HsiCube, op: SensingOperator, w: ParamScope) -> DegradationEstimate:
     """Estimate the corrected operator and (mu, eta) for the coming stage."""
+    exit_w = w["exit.w"]
+    if exit_w.shape[3] != op.n_bands:
+        raise ShapeError(f"estimator exit width {exit_w.shape[3]} != {op.n_bands} bands")
     if z_prev.shape != op.scene_shape:
         raise ShapeError(f"estimate {z_prev.shape} does not match operator scene {op.scene_shape}")
-    if 2 * op.n_bands != w.entry_w.shape[2]:
+    entry_w = w["entry.w"]
+    if 2 * op.n_bands != entry_w.shape[2]:
         raise ShapeError(
-            f"estimator entry width {w.entry_w.shape[2]} != 2 * {op.n_bands} bands")
+            f"estimator entry width {entry_w.shape[2]} != 2 * {op.n_bands} bands")
     zs = shift_cube(z_prev.data, op.step)
     feats = concat([zs, op.shifted_mask], axis=2)
-    t = conv2d(feats, w.entry_w, w.entry_b)
-    for blk in w.blocks:
-        t = residual_block(t, blk)
-    raw = conv2d(t, w.exit_w, w.exit_b)
+    t = conv2d(feats, entry_w, w["entry.b"])
+    for i in range(N_BLOCKS):
+        t = residual_block(t, w.scope(f"block{i}"))
+    raw = conv2d(t, exit_w, w["exit.b"])
     support = Tensor(op.support.astype(np.float64))
     residual = mul(raw, support)
     phi_hat_mask = clamp(add(op.shifted_mask, residual), 0.0, 1.5)
     phi_hat = SensingOperator(phi_hat_mask, op.step)
-    mu, eta = gap_mlp(residual, w)
+    mu, eta = gap_mlp(residual, w.scope("head"))
     return DegradationEstimate(phi_hat=phi_hat, residual=residual, mu=mu, eta=eta)

@@ -35,34 +35,27 @@ import numpy as np
 from . import metrics
 from .cassi import (HsiCube, Measurement, SensingOperator, adjoint_apply,
                     forward_measure, phi_gram_diag, shift_cube)
+from .degradation import den_forward
 from .errors import MissingParamsError, NumericalError, ParameterError, ShapeError
 from .params import ParamStore
 from .priors import tv_denoise
 from .tensor import Tensor, as_tensor, div, mul, no_grad, reduce_sum, sub
+from .transformer import LnltConfig, lnlt_denoise
 
 DENOISERS = ("identity", "tv", "lnlt")
 INIT_MODES = ("adjoint", "normalized-adjoint")
 
 
-@dataclass
-class LnltSettings:
-    """Denoiser architecture knobs; mirrored by transformer.LnltConfig."""
-
-    base_channels: int = 32
-    blocks_per_level: int = 1
-    heads: tuple = (1, 2, 4)
-    local_window: int = 8
-    nonlocal_grid: int = 8
+# bench/run.py still imports this name; drop it with the next benchmark change
+LnltSettings = LnltConfig
 
 
 @dataclass
 class ReconConfig:
     """Everything `run_hqs` needs besides the data and the weights.
 
-    `seed` is recorded for provenance; the recurrence itself is
-    deterministic.  The geometric mu schedule and lambda apply only when
-    `use_den` is off; with the estimator on, (mu_k, eta_k) are predicted
-    per stage.
+    The geometric mu schedule and lambda apply only when `use_den` is off;
+    with the estimator on, (mu_k, eta_k) are predicted per stage.
     """
 
     stages: int = 9
@@ -75,8 +68,7 @@ class ReconConfig:
     tv_iters: int = 20
     tv_scale: float = 1.0
     init_eps: float = 1e-8
-    lnlt: LnltSettings = field(default_factory=LnltSettings)
-    seed: int = 0
+    lnlt: LnltConfig = field(default_factory=LnltConfig)
 
     def validate(self) -> None:
         if self.stages < 0:
@@ -208,8 +200,7 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
     for k in range(1, cfg.stages + 1):
         p = stage_params[k - 1]
         if cfg.use_den:
-            from .degradation import den_forward, den_weights
-            est = den_forward(z, op, den_weights(p, op.n_bands))
+            est = den_forward(z, op, p.scope("den"))
             phi_k, mu_k, eta_k = est.phi_hat, est.mu, est.eta
         else:
             phi_k = op
@@ -224,8 +215,7 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
             weight = cfg.tv_scale / float(as_tensor(eta_k).data.reshape(()))
             z = HsiCube(Tensor(tv_denoise(x.data.data, weight, cfg.tv_iters)))
         else:
-            from .transformer import lnlt_denoise, lnlt_weights
-            z = lnlt_denoise(x, eta_k, lnlt_weights(p, cfg.lnlt, op.n_bands), cfg.lnlt)
+            z = lnlt_denoise(x, eta_k, p.scope("lnlt"), cfg.lnlt)
 
         z_np = z.data.data
         mu_f = float(as_tensor(mu_k).data.reshape(()))

@@ -9,8 +9,6 @@ the mean per-pixel spectral angle in degrees.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .errors import MetricError, ParameterError, ShapeError
@@ -124,11 +122,3 @@ def charbonnier(a, b, eps: float = 1e-3) -> float:
         raise ParameterError(f"charbonnier eps must be > 0, got {eps}")
     return float(np.mean(np.sqrt((a - b) ** 2 + eps * eps)))
 
-
-def metrics_csv(rows: list[tuple]) -> str:
-    """Render (scene_id, psnr, ssim, sam) rows as a CSV document."""
-    buf = io.StringIO()
-    buf.write("scene_id,psnr,ssim,sam\n")
-    for scene_id, p, s, m in rows:
-        buf.write(f"{scene_id},{p:.6f},{s:.6f},{m:.6f}\n")
-    return buf.getvalue()

@@ -49,6 +49,10 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._entries)
 
+    def scope(self, prefix: str) -> "ParamScope":
+        """View of the names under `prefix`: scope(p)[n] is self[p + "." + n]."""
+        return ParamScope(self, prefix)
+
     def items(self):
         return self._entries.items()
 
@@ -75,6 +79,22 @@ class ParamStore:
             raise ShapeError(f"parameter name mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
         for name, arr in arrays.items():
             self._entries[name]._assign(np.asarray(arr, dtype=np.float64))
+
+
+class ParamScope:
+    """Prefix-scoped lookup into a store; scopes nest with `scope`."""
+
+    __slots__ = ("_store", "_prefix")
+
+    def __init__(self, store: ParamStore, prefix: str):
+        self._store = store
+        self._prefix = prefix
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self._store[f"{self._prefix}.{name}"]
+
+    def scope(self, prefix: str) -> "ParamScope":
+        return ParamScope(self._store, f"{self._prefix}.{prefix}")
 
 
 class Initializer:

@@ -22,7 +22,7 @@ from . import metrics
 from .cassi import (HsiCube, Measurement, SensingOperator, adjoint_apply,
                     forward_measure, materialize_dense, phi_gram_diag,
                     random_binary_mask, shift_cube, unshift_cube)
-from .degradation import den_forward, den_weights, register_den_params
+from .degradation import den_forward, register_den_params
 from .errors import CassikitError
 from .hqs import ReconConfig, data_step, run_hqs
 from .params import Initializer, ParamStore
@@ -30,8 +30,7 @@ from .phantom import generate_phantom
 from .priors import total_variation, tv_denoise
 from .tensor import (Tensor, fd_gradcheck, layer_norm, mul, reduce_mean,
                      softmax_lastdim)
-from .transformer import (LnltConfig, MsaWeights, _block_weights,
-                          _msa_weights, _register_block, _register_msa,
+from .transformer import (LnltConfig, _register_block, _register_msa,
                           block_forward, local_msa, nonlocal_msa)
 
 
@@ -252,7 +251,7 @@ def _msa_fixture(seed: int, c: int, heads: int, tokens: int) -> tuple:
     for name in store.names():
         if name.endswith(".b"):
             store[name]._assign(rng.normal(size=store[name].shape) * 0.05)
-    return store, _msa_weights(store, "msa")
+    return store, store.scope("msa")
 
 
 def _msa_arrays(store: ParamStore) -> dict:
@@ -288,7 +287,7 @@ def check_grad_block(tamper: Callable | None = None) -> float:
     store = ParamStore()
     init = Initializer(store, 61)
     _register_block(init, "lnlt.enc1.0", 8, 2, cfg)
-    weights = _block_weights(store, "lnlt.enc1.0")
+    weights = store.scope("lnlt.enc1.0")
     x = Tensor(_rng(62).normal(size=(8, 8, 8)) * 0.5)
     probe = Tensor(_rng(63).normal(size=(8, 8, 8)))
 
@@ -304,7 +303,7 @@ def check_grad_den(tamper: Callable | None = None) -> float:
     store = ParamStore()
     init = Initializer(store, 71)
     register_den_params(init, 3)
-    weights = den_weights(store, 3)
+    weights = store.scope("den")
     op = SensingOperator.from_mask(random_binary_mask(6, 6, 5), 3, 1)
     z = HsiCube(Tensor(_rng(72).normal(size=(6, 6, 3)) * 0.3 + 0.5))
     probe = Tensor(_rng(73).normal(size=(6, 8, 3)))

@@ -489,18 +489,19 @@ def _patches(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2D convolution on [H, W, Cin] with kernel [kh, kw, Cin/groups, Cout].
 
-    Group i consumes input channels [i*Cin/g, (i+1)*Cin/g) and produces
-    output channels [i*Cout/g, (i+1)*Cout/g).  Output extents follow
+    `groups` is 1 (dense) or Cin == Cout (depthwise: output channel c sees
+    only input channel c).  Output extents follow
     (H + 2*padding - kh) // stride + 1.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects rank-3 input and rank-4 kernel, got {x.shape}, {w.shape}")
-    if stride < 1 or padding < 0 or groups < 1:
-        raise ParameterError(f"conv2d stride={stride} padding={padding} groups={groups}")
     h, wdt, cin = x.shape
     kh, kw, cin_g, cout = w.shape
-    if cin % groups or cout % groups or cin_g * groups != cin:
+    if stride < 1 or padding < 0 or (groups != 1 and not groups == cin == cout):
+        raise ParameterError(f"conv2d stride={stride} padding={padding} groups={groups} "
+                             f"(Cin {cin}, Cout {cout}; groups must be 1 or Cin == Cout)")
+    if cin_g * groups != cin:
         raise ShapeError(f"conv2d channel mismatch: input {cin}, kernel {w.shape}, groups {groups}")
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wdt + 2 * padding - kw) // stride + 1
@@ -516,16 +517,9 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
 
     if depthwise:
         out = np.einsum("xyklc,klc->xyc", cols, w.data[:, :, 0, :], optimize=True)
-    elif groups == 1:
+    else:
         out = cols.reshape(ho * wo, kh * kw * cin) @ w.data.reshape(kh * kw * cin, cout)
         out = out.reshape(ho, wo, cout)
-    else:
-        out = np.empty((ho, wo, cout))
-        co_g = cout // groups
-        for gi in range(groups):
-            cg = cols[..., gi * cin_g:(gi + 1) * cin_g].reshape(ho * wo, kh * kw * cin_g)
-            wg = w.data[:, :, :, gi * co_g:(gi + 1) * co_g].reshape(kh * kw * cin_g, co_g)
-            out[:, :, gi * co_g:(gi + 1) * co_g] = (cg @ wg).reshape(ho, wo, co_g)
     if bias is not None:
         out = out + bias.data
 
@@ -537,22 +531,11 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
             for i in range(kh):
                 for j in range(kw):
                     dxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += g * w.data[i, j, 0, :]
-        elif groups == 1:
+        else:
             dw = np.einsum("xyklc,xyo->klco", cols, g, optimize=True)
             for i in range(kh):
                 for j in range(kw):
                     dxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += g @ w.data[i, j].T
-        else:
-            dw = np.zeros_like(w.data)
-            co_g = cout // groups
-            for gi in range(groups):
-                gg = g[:, :, gi * co_g:(gi + 1) * co_g]
-                cg = cols[..., gi * cin_g:(gi + 1) * cin_g]
-                dw[:, :, :, gi * co_g:(gi + 1) * co_g] = np.einsum("xyklc,xyo->klco", cg, gg, optimize=True)
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[i:i + stride * ho:stride, j:j + stride * wo:stride,
-                            gi * cin_g:(gi + 1) * cin_g] += gg @ w.data[i, j, :, gi * co_g:(gi + 1) * co_g].T
         dx = dxp[padding:hp - padding, padding:wp - padding] if padding else dxp
         grads = [dx, dw]
         if bias is not None:

@@ -37,7 +37,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     charbonnier_eps: float = 1e-3
     noise: NoiseConfig = field(default_factory=NoiseConfig)
-    seed: int = 0
 
     def validate(self) -> None:
         if self.steps < 1:

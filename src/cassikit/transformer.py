@@ -30,7 +30,7 @@ import numpy as np
 
 from .cassi import HsiCube
 from .errors import ParameterError, ShapeError
-from .params import Initializer, ParamStore
+from .params import Initializer, ParamScope
 from .tensor import (Tensor, add, as_tensor, concat, conv2d, conv_transpose2d,
                      gelu, layer_norm, matmul, mul, reshape, softmax_lastdim,
                      transpose)
@@ -69,83 +69,6 @@ class LnltConfig:
 
     def level_channels(self, level: int) -> int:
         return self.base_channels * (1 << level)
-
-
-def settings_to_config(settings) -> LnltConfig:
-    """Accept either an LnltConfig or the hqs-side settings mirror."""
-    if isinstance(settings, LnltConfig):
-        return settings
-    return LnltConfig(base_channels=settings.base_channels,
-                      blocks_per_level=settings.blocks_per_level,
-                      heads=tuple(settings.heads),
-                      local_window=settings.local_window,
-                      nonlocal_grid=settings.nonlocal_grid)
-
-
-@dataclass(frozen=True)
-class QkvWeights:
-    point_w: Tensor
-    point_b: Tensor
-    depth_w: Tensor
-    depth_b: Tensor
-
-
-@dataclass(frozen=True)
-class MsaWeights:
-    q: QkvWeights
-    k: QkvWeights
-    v: QkvWeights
-    pos: Tensor
-    proj_w: Tensor
-    proj_b: Tensor
-
-
-@dataclass(frozen=True)
-class GdfnWeights:
-    b1_point_w: Tensor
-    b1_point_b: Tensor
-    b1_depth_w: Tensor
-    b1_depth_b: Tensor
-    b2_point_w: Tensor
-    b2_point_b: Tensor
-    b2_depth_w: Tensor
-    b2_depth_b: Tensor
-    proj_w: Tensor
-    proj_b: Tensor
-
-
-@dataclass(frozen=True)
-class BlockWeights:
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    local: MsaWeights
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    nonlocal_: MsaWeights
-    ln3_gamma: Tensor
-    ln3_beta: Tensor
-    gdfn: GdfnWeights
-
-
-@dataclass(frozen=True)
-class LnltWeights:
-    embed_w: Tensor
-    embed_b: Tensor
-    sections: dict
-    down1_w: Tensor
-    down1_b: Tensor
-    down2_w: Tensor
-    down2_b: Tensor
-    up2_w: Tensor
-    up2_b: Tensor
-    fuse2_w: Tensor
-    fuse2_b: Tensor
-    up1_w: Tensor
-    up1_b: Tensor
-    fuse1_w: Tensor
-    fuse1_b: Tensor
-    out_w: Tensor
-    out_b: Tensor
 
 
 _LEVEL_OF_SECTION = {"enc1": 0, "enc2": 1, "mid": 2, "dec2": 1, "dec1": 0}
@@ -197,65 +120,15 @@ def register_lnlt_params(init: Initializer, cfg: LnltConfig, n_bands: int) -> No
     init.conv("lnlt.out", 3, 3, c, n_bands)
 
 
-def _msa_weights(store: ParamStore, prefix: str) -> MsaWeights:
-    def qkv(name):
-        return QkvWeights(point_w=store[f"{prefix}.{name}.point.w"],
-                          point_b=store[f"{prefix}.{name}.point.b"],
-                          depth_w=store[f"{prefix}.{name}.depth.w"],
-                          depth_b=store[f"{prefix}.{name}.depth.b"])
-
-    return MsaWeights(q=qkv("q"), k=qkv("k"), v=qkv("v"), pos=store[f"{prefix}.pos"],
-                      proj_w=store[f"{prefix}.proj.w"], proj_b=store[f"{prefix}.proj.b"])
-
-
-def _block_weights(store: ParamStore, prefix: str) -> BlockWeights:
-    return BlockWeights(
-        ln1_gamma=store[f"{prefix}.ln1.gamma"], ln1_beta=store[f"{prefix}.ln1.beta"],
-        local=_msa_weights(store, f"{prefix}.local"),
-        ln2_gamma=store[f"{prefix}.ln2.gamma"], ln2_beta=store[f"{prefix}.ln2.beta"],
-        nonlocal_=_msa_weights(store, f"{prefix}.nonlocal"),
-        ln3_gamma=store[f"{prefix}.ln3.gamma"], ln3_beta=store[f"{prefix}.ln3.beta"],
-        gdfn=GdfnWeights(
-            b1_point_w=store[f"{prefix}.gdfn.b1.point.w"], b1_point_b=store[f"{prefix}.gdfn.b1.point.b"],
-            b1_depth_w=store[f"{prefix}.gdfn.b1.depth.w"], b1_depth_b=store[f"{prefix}.gdfn.b1.depth.b"],
-            b2_point_w=store[f"{prefix}.gdfn.b2.point.w"], b2_point_b=store[f"{prefix}.gdfn.b2.point.b"],
-            b2_depth_w=store[f"{prefix}.gdfn.b2.depth.w"], b2_depth_b=store[f"{prefix}.gdfn.b2.depth.b"],
-            proj_w=store[f"{prefix}.gdfn.proj.w"], proj_b=store[f"{prefix}.gdfn.proj.b"]))
-
-
-def lnlt_weights(store: ParamStore, settings, n_bands: int) -> LnltWeights:
-    """Build the nested weight view for the given architecture settings."""
-    cfg = settings_to_config(settings)
-    sections = {
-        section: [
-            _block_weights(store, f"lnlt.{section}.{b}")
-            for b in range(cfg.blocks_per_level)
-        ]
-        for section in SECTIONS
-    }
-    w = LnltWeights(
-        embed_w=store["lnlt.embed.w"], embed_b=store["lnlt.embed.b"], sections=sections,
-        down1_w=store["lnlt.down1.w"], down1_b=store["lnlt.down1.b"],
-        down2_w=store["lnlt.down2.w"], down2_b=store["lnlt.down2.b"],
-        up2_w=store["lnlt.up2.w"], up2_b=store["lnlt.up2.b"],
-        fuse2_w=store["lnlt.fuse2.w"], fuse2_b=store["lnlt.fuse2.b"],
-        up1_w=store["lnlt.up1.w"], up1_b=store["lnlt.up1.b"],
-        fuse1_w=store["lnlt.fuse1.w"], fuse1_b=store["lnlt.fuse1.b"],
-        out_w=store["lnlt.out.w"], out_b=store["lnlt.out.b"])
-    if w.embed_w.shape[2] != n_bands + 1:
-        raise ShapeError(f"embed conv expects {w.embed_w.shape[2] - 1} bands, got {n_bands}")
-    return w
-
-
 # ---------------------------------------------------------------------------
 # attention
 # ---------------------------------------------------------------------------
 
-def qkv_project(x: Tensor, w: QkvWeights) -> Tensor:
+def qkv_project(x: Tensor, w: ParamScope) -> Tensor:
     """Pointwise conv then depthwise 3x3 conv (padding 1, shape-preserving)."""
-    t = conv2d(x, w.point_w, w.point_b)
+    t = conv2d(x, w["point.w"], w["point.b"])
     c = t.shape[-1]
-    return conv2d(t, w.depth_w, w.depth_b, padding=1, groups=c)
+    return conv2d(t, w["depth.w"], w["depth.b"], padding=1, groups=c)
 
 
 def _to_windows(t: Tensor, m: int) -> Tensor:
@@ -286,8 +159,7 @@ def _merge_heads(t: Tensor) -> Tensor:
     return reshape(t, (tt, ll, heads * d))
 
 
-def local_msa(x: Tensor, w: MsaWeights, window: int, heads: int,
-              return_attn: bool = False):
+def local_msa(x: Tensor, w: ParamScope, window: int, heads: int) -> Tensor:
     """Per-window multi-head self-attention over pixel tokens.
 
     Attention logits are Q K^T / sqrt(C/heads) plus the learned position
@@ -300,19 +172,17 @@ def local_msa(x: Tensor, w: MsaWeights, window: int, heads: int,
         raise ShapeError(f"extents {(h, wdt)} not divisible by window {m}")
     if c % heads:
         raise ShapeError(f"{c} channels not divisible by {heads} heads")
-    if w.pos.shape != (heads, m * m, m * m):
-        raise ShapeError(f"position bias {w.pos.shape} != {(heads, m * m, m * m)}")
+    pos = w["pos"]
+    if pos.shape != (heads, m * m, m * m):
+        raise ShapeError(f"position bias {pos.shape} != {(heads, m * m, m * m)}")
     d = c // heads
-    q = _split_heads(_to_windows(qkv_project(x, w.q), m), heads)
-    k = _split_heads(_to_windows(qkv_project(x, w.k), m), heads)
-    v = _split_heads(_to_windows(qkv_project(x, w.v), m), heads)
-    logits = add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), w.pos)
+    q = _split_heads(_to_windows(qkv_project(x, w.scope("q")), m), heads)
+    k = _split_heads(_to_windows(qkv_project(x, w.scope("k")), m), heads)
+    v = _split_heads(_to_windows(qkv_project(x, w.scope("v")), m), heads)
+    logits = add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), pos)
     attn = softmax_lastdim(logits)
     mixed = _from_windows(_merge_heads(matmul(attn, v)), h, wdt, m)
-    out = add(conv2d(mixed, w.proj_w, w.proj_b), x)
-    if return_attn:
-        return out, attn.detach().copy_array()
-    return out
+    return add(conv2d(mixed, w["proj.w"], w["proj.b"]), x)
 
 
 def _to_grid_tokens(t: Tensor, n: int) -> Tensor:
@@ -329,8 +199,7 @@ def _from_grid_tokens(t: Tensor, h: int, w: int, c: int, n: int) -> Tensor:
     return reshape(t, (h, w, c))
 
 
-def nonlocal_msa(x: Tensor, w: MsaWeights, grid: int, heads: int,
-                 return_attn: bool = False):
+def nonlocal_msa(x: Tensor, w: ParamScope, grid: int, heads: int) -> Tensor:
     """Multi-head self-attention over grid-cell tokens.
 
     The token count is N^2 independent of image size; token width is
@@ -344,67 +213,52 @@ def nonlocal_msa(x: Tensor, w: MsaWeights, grid: int, heads: int,
     token_width = (h // n) * (wdt // n) * c
     if token_width % heads:
         raise ShapeError(f"token width {token_width} not divisible by {heads} heads")
-    if w.pos.shape != (heads, n * n, n * n):
-        raise ShapeError(f"position bias {w.pos.shape} != {(heads, n * n, n * n)}")
+    pos = w["pos"]
+    if pos.shape != (heads, n * n, n * n):
+        raise ShapeError(f"position bias {pos.shape} != {(heads, n * n, n * n)}")
     d = token_width // heads
     def tokens(proj):
         t = _to_grid_tokens(proj, n)
         t = reshape(t, (n * n, heads, d))
         return transpose(t, (1, 0, 2))
-    q = tokens(qkv_project(x, w.q))
-    k = tokens(qkv_project(x, w.k))
-    v = tokens(qkv_project(x, w.v))
-    logits = add(mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d)), w.pos)
+    q = tokens(qkv_project(x, w.scope("q")))
+    k = tokens(qkv_project(x, w.scope("k")))
+    v = tokens(qkv_project(x, w.scope("v")))
+    logits = add(mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d)), pos)
     attn = softmax_lastdim(logits)
     mixed = transpose(matmul(attn, v), (1, 0, 2))
     mixed = _from_grid_tokens(reshape(mixed, (n * n, token_width)), h, wdt, c, n)
-    out = add(conv2d(mixed, w.proj_w, w.proj_b), x)
-    if return_attn:
-        return out, attn.detach().copy_array()
-    return out
+    return add(conv2d(mixed, w["proj.w"], w["proj.b"]), x)
 
 
-def gdfn(x: Tensor, w: GdfnWeights) -> Tensor:
+def gdfn(x: Tensor, w: ParamScope) -> Tensor:
     """Gated feed-forward: two parallel pointwise+depthwise branches, one
     GELU-gated, multiplied, projected back, plus the input."""
-    c1 = w.b1_point_w.shape[3]
-    b1 = conv2d(conv2d(x, w.b1_point_w, w.b1_point_b), w.b1_depth_w, w.b1_depth_b,
+    c1 = w["b1.point.w"].shape[3]
+    b1 = conv2d(conv2d(x, w["b1.point.w"], w["b1.point.b"]), w["b1.depth.w"], w["b1.depth.b"],
                 padding=1, groups=c1)
-    b2 = conv2d(conv2d(x, w.b2_point_w, w.b2_point_b), w.b2_depth_w, w.b2_depth_b,
+    b2 = conv2d(conv2d(x, w["b2.point.w"], w["b2.point.b"]), w["b2.depth.w"], w["b2.depth.b"],
                 padding=1, groups=c1)
     gated = mul(gelu(b1), b2)
-    return add(conv2d(gated, w.proj_w, w.proj_b), x)
+    return add(conv2d(gated, w["proj.w"], w["proj.b"]), x)
 
 
-def block_forward(x: Tensor, w: BlockWeights, cfg: LnltConfig, heads: int,
-                  collector=None, tag: str = "") -> Tensor:
+def block_forward(x: Tensor, w: ParamScope, cfg: LnltConfig, heads: int) -> Tensor:
     """One denoiser block: LN -> local MSA -> LN -> non-local MSA -> LN -> GDFN."""
-    t = layer_norm(x, w.ln1_gamma, w.ln1_beta)
-    if collector is not None:
-        t, attn = local_msa(t, w.local, cfg.local_window, heads, return_attn=True)
-        collector[f"{tag}.local"] = attn
-    else:
-        t = local_msa(t, w.local, cfg.local_window, heads)
-    u = layer_norm(t, w.ln2_gamma, w.ln2_beta)
-    if collector is not None:
-        u, attn = nonlocal_msa(u, w.nonlocal_, cfg.nonlocal_grid, heads, return_attn=True)
-        collector[f"{tag}.nonlocal"] = attn
-    else:
-        u = nonlocal_msa(u, w.nonlocal_, cfg.nonlocal_grid, heads)
-    s = layer_norm(u, w.ln3_gamma, w.ln3_beta)
-    return gdfn(s, w.gdfn)
+    t = layer_norm(x, w["ln1.gamma"], w["ln1.beta"])
+    t = local_msa(t, w.scope("local"), cfg.local_window, heads)
+    u = layer_norm(t, w["ln2.gamma"], w["ln2.beta"])
+    u = nonlocal_msa(u, w.scope("nonlocal"), cfg.nonlocal_grid, heads)
+    s = layer_norm(u, w["ln3.gamma"], w["ln3.beta"])
+    return gdfn(s, w.scope("gdfn"))
 
 
-def lnlt_denoise(x: HsiCube, eta, weights: LnltWeights, settings,
-                 collect_attention: bool = False):
-    """Denoise a cube conditioned on eta; returns input + predicted residual.
-
-    With `collect_attention=True` also returns {tag: attention array} for
-    every attention module (local: [windows, heads, M^2, M^2]; non-local:
-    [heads, N^2, N^2]).
-    """
-    cfg = settings_to_config(settings)
+def lnlt_denoise(x: HsiCube, eta, w: ParamScope, cfg: LnltConfig) -> HsiCube:
+    """Denoise a cube conditioned on eta; returns input + predicted residual."""
     h, wdt, n_bands = x.shape
+    embed_w = w["embed.w"]
+    if embed_w.shape[2] != n_bands + 1:
+        raise ShapeError(f"embed conv expects {embed_w.shape[2] - 1} bands, got {n_bands}")
     if h % (4 * cfg.local_window) or wdt % (4 * cfg.local_window) \
             or h % (4 * cfg.nonlocal_grid) or wdt % (4 * cfg.nonlocal_grid):
         raise ShapeError(
@@ -413,44 +267,22 @@ def lnlt_denoise(x: HsiCube, eta, weights: LnltWeights, settings,
     eta_t = as_tensor(eta)
     if eta_t.data.size != 1:
         raise ShapeError(f"eta must be a scalar, got shape {eta_t.shape}")
-    collector: dict | None = {} if collect_attention else None
 
     chan = mul(Tensor(np.ones((h, wdt, 1))), eta_t)
-    x0 = conv2d(concat([x.data, chan], axis=2), weights.embed_w, weights.embed_b, padding=1)
+    x0 = conv2d(concat([x.data, chan], axis=2), embed_w, w["embed.b"], padding=1)
 
     def run_section(t, section):
-        level = _LEVEL_OF_SECTION[section]
-        for i, bw in enumerate(weights.sections[section]):
-            t = block_forward(t, bw, cfg, cfg.heads[level], collector, f"{section}.{i}")
+        heads = cfg.heads[_LEVEL_OF_SECTION[section]]
+        for b in range(cfg.blocks_per_level):
+            t = block_forward(t, w.scope(f"{section}.{b}"), cfg, heads)
         return t
 
     e1 = run_section(x0, "enc1")
-    e2 = run_section(conv2d(e1, weights.down1_w, weights.down1_b, stride=2, padding=1), "enc2")
-    m = run_section(conv2d(e2, weights.down2_w, weights.down2_b, stride=2, padding=1), "mid")
-    u2 = conv_transpose2d(m, weights.up2_w, weights.up2_b, stride=2)
-    d2 = run_section(conv2d(concat([u2, e2], axis=2), weights.fuse2_w, weights.fuse2_b), "dec2")
-    u1 = conv_transpose2d(d2, weights.up1_w, weights.up1_b, stride=2)
-    d1 = run_section(conv2d(concat([u1, e1], axis=2), weights.fuse1_w, weights.fuse1_b), "dec1")
-    res = conv2d(d1, weights.out_w, weights.out_b, padding=1)
-    out = HsiCube(add(x.data, res))
-    if collect_attention:
-        return out, collector
-    return out
-
-
-def attention_to_cubes(maps: dict) -> dict:
-    """Reshape collected attention for cube-container dumps.
-
-    Local maps [T, h, L, L] become [L, L, T*h] planes; non-local maps
-    [h, L, L] become [L, L, h].
-    """
-    cubes = {}
-    for tag, arr in maps.items():
-        if arr.ndim == 4:
-            t, heads, l1, l2 = arr.shape
-            cubes[tag] = np.ascontiguousarray(arr.reshape(t * heads, l1, l2).transpose(1, 2, 0))
-        elif arr.ndim == 3:
-            cubes[tag] = np.ascontiguousarray(arr.transpose(1, 2, 0))
-        else:
-            raise ShapeError(f"unexpected attention rank {arr.ndim} for {tag!r}")
-    return cubes
+    e2 = run_section(conv2d(e1, w["down1.w"], w["down1.b"], stride=2, padding=1), "enc2")
+    m = run_section(conv2d(e2, w["down2.w"], w["down2.b"], stride=2, padding=1), "mid")
+    u2 = conv_transpose2d(m, w["up2.w"], w["up2.b"], stride=2)
+    d2 = run_section(conv2d(concat([u2, e2], axis=2), w["fuse2.w"], w["fuse2.b"]), "dec2")
+    u1 = conv_transpose2d(d2, w["up1.w"], w["up1.b"], stride=2)
+    d1 = run_section(conv2d(concat([u1, e1], axis=2), w["fuse1.w"], w["fuse1.b"]), "dec1")
+    res = conv2d(d1, w["out.w"], w["out.b"], padding=1)
+    return HsiCube(add(x.data, res))

@@ -21,17 +21,16 @@ from cassikit import fileio
 from cassikit.cassi import (HsiCube, Measurement, SensingOperator, adjoint_apply,
                             dispersion_support, forward_measure, materialize_dense,
                             phi_gram_diag, random_binary_mask)
-from cassikit.degradation import den_forward, den_weights, register_den_params
-from cassikit.hqs import LnltSettings, ReconConfig, data_step, run_hqs
+from cassikit.degradation import den_forward, register_den_params
+from cassikit.hqs import ReconConfig, data_step, run_hqs
 from cassikit.params import Initializer, ParamStore
 from cassikit.phantom import generate_phantom
 from cassikit.selftest import (_msa_arrays, _msa_fixture, _oracle_local_msa,
                                _oracle_nonlocal_msa, dense_data_step)
 from cassikit.tensor import Tensor, fd_gradcheck, mul, reduce_mean
 from cassikit.train import TrainConfig, train_overfit
-from cassikit.transformer import (LnltConfig, _block_weights, _msa_weights,
-                                  _register_block, _register_msa, block_forward,
-                                  local_msa, nonlocal_msa)
+from cassikit.transformer import (LnltConfig, _register_block, _register_msa,
+                                  block_forward, local_msa, nonlocal_msa)
 
 from conftest import make_rng
 
@@ -153,7 +152,7 @@ def _identity_msa(c: int, heads: int, tokens: int):
     delta[1, 1, 0, :] = 1.0
     store["msa.v.depth.w"]._assign(delta)
     store["msa.proj.w"]._assign(np.eye(c)[None, None])
-    return _msa_weights(store, "msa")
+    return store.scope("msa")
 
 
 def test_05_attention_matches_brute_force_and_uniform_cases(checklist):
@@ -202,7 +201,7 @@ def test_06_analytic_gradients_match_finite_differences(checklist):
     cfg = LnltConfig(base_channels=8, heads=(2, 2, 4), local_window=4, nonlocal_grid=2)
     store = ParamStore()
     _register_block(Initializer(store, 61), "blk", 8, 2, cfg)
-    weights = _block_weights(store, "blk")
+    weights = store.scope("blk")
     x = Tensor(make_rng(62).normal(size=(8, 8, 8)) * 0.5)
     probe = Tensor(make_rng(63).normal(size=(8, 8, 8)))
     block_report = fd_gradcheck(
@@ -211,7 +210,7 @@ def test_06_analytic_gradients_match_finite_differences(checklist):
 
     store2 = ParamStore()
     register_den_params(Initializer(store2, 71), 3)
-    dweights = den_weights(store2, 3)
+    dweights = store2.scope("den")
     op = SensingOperator.from_mask(random_binary_mask(6, 6, 5), 3, 1)
     z = HsiCube(Tensor(make_rng(72).normal(size=(6, 6, 3)) * 0.3 + 0.5))
     dprobe = Tensor(make_rng(73).normal(size=(6, 8, 3)))
@@ -297,11 +296,11 @@ def _reference_training():
     from cassikit.cli import init_pipeline_params
     truth = generate_phantom(32, 32, 4, seed=1)
     op = SensingOperator.from_mask(random_binary_mask(32, 32, 0), 4, 2)
-    settings = LnltSettings(base_channels=8, blocks_per_level=1,
-                            local_window=4, nonlocal_grid=4)
-    params = init_pipeline_params(4, settings, seed=0)
-    rcfg = ReconConfig(stages=3, denoiser="lnlt", use_den=True, lnlt=settings)
-    tcfg = TrainConfig(steps=500, lr=4e-4, warmup_steps=10, seed=0)
+    arch = LnltConfig(base_channels=8, blocks_per_level=1,
+                      local_window=4, nonlocal_grid=4)
+    params = init_pipeline_params(4, arch, seed=0)
+    rcfg = ReconConfig(stages=3, denoiser="lnlt", use_den=True, lnlt=arch)
+    tcfg = TrainConfig(steps=500, lr=4e-4, warmup_steps=10)
     return train_overfit(truth, op, params, tcfg, rcfg)
 
 
@@ -338,7 +337,7 @@ def test_10_degradation_estimates_respect_contracts(checklist):
             if name.endswith(".b"):
                 store[name]._assign(rng.normal(size=store[name].shape) * 0.1)
         z = HsiCube(Tensor(rng.normal(size=(6, 6, 3)) * 0.4 + 0.5))
-        est = den_forward(z, op, den_weights(store, 3))
+        est = den_forward(z, op, store.scope("den"))
         scalars_ok &= float(est.mu.data.reshape(())) > 0
         scalars_ok &= float(est.eta.data.reshape(())) > 0
         for arr in (est.phi_hat.shifted_mask.data, est.residual.data):
@@ -351,7 +350,7 @@ def test_10_degradation_estimates_respect_contracts(checklist):
     store["den.exit.w"]._assign(np.zeros(store["den.exit.w"].shape))
     store["den.exit.b"]._assign(np.zeros(store["den.exit.b"].shape))
     z = HsiCube(Tensor(make_rng(9).random((6, 6, 3))))
-    est = den_forward(z, op, den_weights(store, 3))
+    est = den_forward(z, op, store.scope("den"))
     exact_identity = (np.array_equal(est.phi_hat.shifted_mask.data, op.shifted_mask.data)
                       and not np.any(est.residual.data))
 

@@ -6,8 +6,8 @@ import pytest
 
 from cassikit.cassi import (HsiCube, SensingOperator, random_binary_mask,
                             shift_cube)
-from cassikit.degradation import (N_BLOCKS, den_forward, den_weights,
-                                  gap_mlp, register_den_params)
+from cassikit.degradation import (N_BLOCKS, den_forward, gap_mlp,
+                                  register_den_params)
 from cassikit.errors import ParameterError, ShapeError
 from cassikit.params import Initializer, ParamStore
 from cassikit.tensor import Tensor, fd_gradcheck, mul, reduce_mean
@@ -31,7 +31,7 @@ def estimator_setup():
     n_bands = 3
     op = SensingOperator.from_mask(random_binary_mask(6, 6, 2), n_bands, 2)
     store = build_store(n_bands, seed=5, randomize_biases=True)
-    return op, store, den_weights(store, n_bands)
+    return op, store, store.scope("den")
 
 
 def test_registered_shapes_follow_the_width_convention():
@@ -61,7 +61,7 @@ def test_scalars_at_zero_weights_are_softplus_of_zero():
     op = SensingOperator.from_mask(random_binary_mask(6, 6, 2), n_bands, 2)
     store = build_store(n_bands, seed=5)
     store["den.exit.w"]._assign(np.zeros(store["den.exit.w"].shape))
-    est = den_forward(HsiCube(Tensor(np.zeros(op.scene_shape))), op, den_weights(store, n_bands))
+    est = den_forward(HsiCube(Tensor(np.zeros(op.scene_shape))), op, store.scope("den"))
     np.testing.assert_allclose(float(est.mu.data), np.log(2.0), atol=1e-12)
     np.testing.assert_allclose(float(est.eta.data), np.log(2.0), atol=1e-12)
 
@@ -120,20 +120,32 @@ def test_shape_mismatches_rejected(estimator_setup):
     wrong_bands = SensingOperator.from_mask(random_binary_mask(6, 6, 2), 4, 2)
     with pytest.raises(ShapeError):
         den_forward(HsiCube(Tensor(np.zeros((6, 6, 4)))), wrong_bands, weights)
-    with pytest.raises(ShapeError):
-        den_weights(store, n_bands=5)
-    with pytest.raises(ParameterError):
-        den_weights(ParamStore(), n_bands=3)
+    z = HsiCube(Tensor(np.zeros(op.scene_shape)))
+    with pytest.raises(ParameterError, match="'den.exit.w'"):
+        den_forward(z, op, ParamStore().scope("den"))
+
+
+def test_exit_width_must_match_the_band_count(estimator_setup):
+    """A checkpoint drawn for other bands fails as a shape error, not later
+    as a numpy broadcast error."""
+    op, store, _ = estimator_setup
+    arrays = store.arrays()
+    arrays["den.exit.w"] = np.zeros((1, 1, 6, 5))
+    arrays["den.exit.b"] = np.zeros(5)
+    wide = ParamStore.from_arrays(arrays).scope("den")
+    with pytest.raises(ShapeError, match="estimator exit width 5 != 3 bands"):
+        den_forward(HsiCube(Tensor(np.zeros(op.scene_shape))), op, wide)
 
 
 def test_gap_mlp_pools_then_projects(estimator_setup):
     op, store, weights = estimator_setup
     r = make_rng(49).normal(size=(6, 10, 3))
-    mu, eta = gap_mlp(Tensor(r), weights)
+    head = weights.scope("head")
+    mu, eta = gap_mlp(Tensor(r), head)
     pooled = r.mean(axis=(0, 1), keepdims=False)[None, :]
-    hidden = pooled @ weights.fc1_w.data + weights.fc1_b.data
+    hidden = pooled @ head["fc1.w"].data + head["fc1.b"].data
     hidden = 0.5 * hidden * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (hidden + 0.044715 * hidden ** 3)))
-    out = np.logaddexp(0.0, hidden @ weights.fc2_w.data + weights.fc2_b.data)
+    out = np.logaddexp(0.0, hidden @ head["fc2.w"].data + head["fc2.b"].data)
     np.testing.assert_allclose(float(mu.data), out[0, 0], atol=1e-12)
     np.testing.assert_allclose(float(eta.data), out[0, 1], atol=1e-12)
 

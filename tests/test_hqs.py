@@ -176,12 +176,12 @@ def test_tv_reconstruction_improves_psnr_and_residual():
 
 def test_learned_pipeline_runs_and_traces(square_operator):
     from cassikit.cli import init_pipeline_params
-    from cassikit.hqs import LnltSettings
-    settings = LnltSettings(base_channels=8, local_window=4, nonlocal_grid=4)
-    params = init_pipeline_params(8, settings, seed=0)
+    from cassikit.transformer import LnltConfig
+    arch = LnltConfig(base_channels=8, local_window=4, nonlocal_grid=4)
+    params = init_pipeline_params(8, arch, seed=0)
     truth = generate_phantom(16, 16, 8, seed=2)
     y = forward_measure(truth, square_operator)
-    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True, lnlt=settings)
+    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True, lnlt=arch)
     result = run_hqs(y, square_operator, cfg, params=params, truth=truth)
     assert len(result.stages) == 2
     for stage in result.stages:
@@ -200,12 +200,12 @@ def test_learned_pipeline_requires_params(square_operator):
 
 def test_per_stage_parameter_lists_are_supported(square_operator):
     from cassikit.cli import init_pipeline_params
-    from cassikit.hqs import LnltSettings
-    settings = LnltSettings(base_channels=8, local_window=4, nonlocal_grid=4)
-    params = init_pipeline_params(8, settings, seed=0)
+    from cassikit.transformer import LnltConfig
+    arch = LnltConfig(base_channels=8, local_window=4, nonlocal_grid=4)
+    params = init_pipeline_params(8, arch, seed=0)
     truth = generate_phantom(16, 16, 8, seed=2)
     y = forward_measure(truth, square_operator)
-    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True, lnlt=settings)
+    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True, lnlt=arch)
     shared = run_hqs(y, square_operator, cfg, params=params)
     listed = run_hqs(y, square_operator, cfg, params=[params, params])
     np.testing.assert_array_equal(shared.z.numpy(), listed.z.numpy())

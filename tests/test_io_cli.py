@@ -18,10 +18,11 @@ from cassikit import cli, fileio
 from cassikit.cassi import (Measurement, SensingOperator, forward_measure,
                             random_binary_mask)
 from cassikit.errors import FormatError, ShapeError
-from cassikit.hqs import LnltSettings, ReconConfig, run_hqs, trace_csv
+from cassikit.hqs import ReconConfig, run_hqs, trace_csv
 from cassikit.params import ParamStore
 from cassikit.phantom import generate_phantom
 from cassikit.tensor import Tensor
+from cassikit.transformer import LnltConfig
 
 from conftest import make_rng
 
@@ -197,12 +198,9 @@ def test_corrupt_checkpoint_raises_format_error(tmp_path, kind):
 # command-line interface
 # ---------------------------------------------------------------------------
 
-def run_cli(*argv, env_extra=None):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "cassikit", *map(str, argv)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +353,17 @@ def test_plane_mask_without_bands_exits_2(workbench, tmp_path):
     assert "--bands" in proc.stderr
 
 
+def test_invalid_architecture_flag_exits_2_on_every_route(workbench, tmp_path):
+    # the TV route runs no denoiser network, but its flags are still validated
+    out = tmp_path / "out.hsic"
+    proc = run_cli("reconstruct", "--measurement", workbench["meas"],
+                   "--mask", workbench["mask"], "--denoiser", "tv", "--window", 0,
+                   "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: window sizes must be >= 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [("--denoiser", "lnlt"), ("--use-den", "true")])
 def test_learned_components_without_checkpoint_exit_4(workbench, tmp_path, extra):
     proc = run_cli("reconstruct", "--measurement", workbench["meas"],
@@ -385,8 +394,8 @@ def _learned_inputs(tmp_path, weight_scale=1.0):
     fileio.write_cube(str(files["meas"]),
                       forward_measure(generate_phantom(32, 32, 4, seed=10), op).numpy())
     fileio.write_cube(str(files["mask"]), op.shifted_mask.data)
-    store = cli.init_pipeline_params(4, LnltSettings(base_channels=8, local_window=4,
-                                                     nonlocal_grid=4), seed=12)
+    store = cli.init_pipeline_params(4, LnltConfig(base_channels=8, local_window=4,
+                                                   nonlocal_grid=4), seed=12)
     for _, t in store.items():
         t._assign(t.data * weight_scale)
     fileio.write_params(str(files["ckpt"]), store)
@@ -408,7 +417,7 @@ def test_learned_reconstruct_matches_tracked_in_process_run(tmp_path):
     y = Measurement(Tensor(fileio.read_plane(str(files["meas"]))))
     op = SensingOperator(Tensor(fileio.read_cube(str(files["mask"]))), 2)
     cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True,
-                      lnlt=LnltSettings(base_channels=8, local_window=4, nonlocal_grid=4))
+                      lnlt=LnltConfig(base_channels=8, local_window=4, nonlocal_grid=4))
     result = run_hqs(y, op, cfg, params=fileio.read_params(str(files["ckpt"])))
     assert result.z.data._tracked()
     assert out.read_bytes() == fileio.cube_bytes(result.z.numpy())
@@ -420,8 +429,8 @@ def test_numerical_failure_exits_6(tmp_path):
     proc = run_cli("reconstruct", "--measurement", files["meas"], "--mask", files["mask"],
                    "--params", files["ckpt"], *LEARNED_ARGS, "--out", tmp_path / "out.hsic")
     assert proc.returncode == 6
-    assert "error: non-finite values produced by op" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    # exactly the one error line: no numpy RuntimeWarning ahead of it
+    assert proc.stderr == "error: non-finite values produced by op 'conv2d'\n"
 
 
 def test_internal_error_exits_7(tmp_path, monkeypatch, capsys):
@@ -455,10 +464,3 @@ def test_tiny_training_run_writes_checkpoint_and_curve(tmp_path):
     assert lines[0] == "step,lr,loss"
     assert len(lines) == 3
 
-
-@pytest.mark.parametrize("value,code", [("2", 0), ("0", 2), ("abc", 2)])
-def test_env_thread_cap_validation(tmp_path, value, code):
-    proc = run_cli("phantom", "--height", 4, "--width", 4, "--bands", 1,
-                   "--out", tmp_path / "p.hsic",
-                   env_extra={"CASSIKIT_THREADS": value})
-    assert proc.returncode == code

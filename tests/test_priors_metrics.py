@@ -7,7 +7,7 @@ import pytest
 
 from cassikit.errors import MetricError, ParameterError, ShapeError
 from cassikit.metrics import (PSNR_CAP_DB, SSIM_SIGMA, SSIM_WINDOW,
-                              charbonnier, metrics_csv, psnr, sam, ssim)
+                              charbonnier, psnr, sam, ssim)
 from cassikit.priors import (DUAL_STEP, _div2d, _grad2d, total_variation,
                              tv_denoise)
 
@@ -265,11 +265,3 @@ def test_charbonnier_interpolates_between_l2_and_l1():
     # far below eps the penalty is flat near eps; far above it tracks |diff|
     assert charbonnier(a, tiny) == pytest.approx(1e-3, rel=1e-5)
     assert charbonnier(a, big) == pytest.approx(10.0, rel=1e-7)
-
-
-def test_metrics_csv_layout():
-    text = metrics_csv([("scene01", 32.1234567, 0.95, 3.5), ("scene02", 28.0, 0.9, 7.25)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "scene_id,psnr,ssim,sam"
-    assert lines[1] == "scene01,32.123457,0.950000,3.500000"
-    assert lines[2] == "scene02,28.000000,0.900000,7.250000"

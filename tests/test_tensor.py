@@ -8,13 +8,12 @@ import pytest
 
 from cassikit import tensor as T
 from cassikit.cassi import HsiCube, SensingOperator, random_binary_mask
-from cassikit.degradation import den_forward, den_weights, register_den_params
+from cassikit.degradation import den_forward, register_den_params
 from cassikit.errors import (GraphStateError, NumericalError, ParameterError,
                              ShapeError)
 from cassikit.params import Initializer, ParamStore
 from cassikit.tensor import Graph, Tensor, backward, fd_gradcheck, no_grad
-from cassikit.transformer import (LnltConfig, _block_weights, _register_block,
-                                  block_forward)
+from cassikit.transformer import LnltConfig, _register_block, block_forward
 
 from conftest import make_rng
 
@@ -185,7 +184,6 @@ CONV_CASES = [
     # kh, kw, stride, padding, cin, cout, groups
     (1, 1, 1, 0, 3, 5, 1),
     (3, 3, 1, 1, 4, 4, 1),
-    (3, 3, 2, 1, 4, 6, 2),
     (3, 3, 1, 1, 4, 4, 4),   # depthwise
     (5, 3, 2, 2, 2, 4, 1),
 ]
@@ -211,6 +209,13 @@ def test_conv2d_validates_channels_and_geometry():
         T.conv2d(x, Tensor(np.ones((9, 9, 3, 1))))  # kernel larger than input
     with pytest.raises(ParameterError):
         T.conv2d(x, Tensor(np.ones((1, 1, 3, 1))), stride=0)
+    x4 = Tensor(np.ones((4, 4, 4)))  # groups is 1 (dense) or Cin == Cout (depthwise)
+    with pytest.raises(ParameterError):
+        T.conv2d(x4, Tensor(np.ones((3, 3, 2, 4))), groups=2)
+    with pytest.raises(ParameterError):
+        T.conv2d(x4, Tensor(np.ones((3, 3, 1, 8))), groups=4)  # Cout != Cin
+    with pytest.raises(ParameterError):
+        T.conv2d(x4, Tensor(np.ones((3, 3, 4, 4))), groups=0)
 
 
 def conv_transpose_loops(x, w, b):
@@ -286,7 +291,7 @@ def test_conv_gradients_match_finite_differences():
     rng = make_rng(22)
     x = Tensor(rng.normal(size=(6, 6, 4)))
     store = _store_with({
-        "w1": rng.normal(size=(3, 3, 2, 4)) * 0.3,   # grouped conv, groups=2
+        "w1": rng.normal(size=(3, 3, 4, 4)) * 0.3,   # dense conv
         "b1": rng.normal(size=4) * 0.1,
         "wd": rng.normal(size=(3, 3, 1, 4)) * 0.3,   # depthwise
         "wt": rng.normal(size=(2, 2, 4, 2)) * 0.3,   # transposed, stride 2
@@ -294,7 +299,7 @@ def test_conv_gradients_match_finite_differences():
     })
 
     def f(p):
-        u = T.conv2d(x, p["w1"], p["b1"], stride=1, padding=1, groups=2)
+        u = T.conv2d(x, p["w1"], p["b1"], stride=1, padding=1, groups=1)
         u = T.conv2d(u, p["wd"], None, stride=1, padding=1, groups=4)
         u = T.conv_transpose2d(u, p["wt"], None, stride=2)
         u = T.conv2d(u, Tensor(np.full((2, 2, 2, 2), 0.25)), None, stride=2)
@@ -415,7 +420,7 @@ def test_no_grad_values_are_bit_identical_to_the_tracked_forward():
     cfg = LnltConfig(base_channels=8, heads=(2, 2, 4), local_window=4, nonlocal_grid=2)
     store = ParamStore()
     _register_block(Initializer(store, 84), "blk", 8, 2, cfg)
-    w = _block_weights(store, "blk")
+    w = store.scope("blk")
     x = Tensor(make_rng(85).normal(size=(8, 8, 8)))
     tracked = block_forward(x, w, cfg, heads=2)
     with no_grad():
@@ -426,7 +431,7 @@ def test_no_grad_values_are_bit_identical_to_the_tracked_forward():
     op = SensingOperator.from_mask(random_binary_mask(6, 6, 2), 3, 2)
     store = ParamStore()
     register_den_params(Initializer(store, 86), 3)
-    dw = den_weights(store, 3)
+    dw = store.scope("den")
     z = HsiCube(Tensor(make_rng(87).random(op.scene_shape)))
     tracked = den_forward(z, op, dw)
     with no_grad():
@@ -486,6 +491,17 @@ def test_param_store_rejects_duplicates_and_unknowns():
         store.add("w", np.ones(2))
     with pytest.raises(ParameterError):
         store["missing"]
+
+
+def test_param_store_scopes_resolve_registered_names():
+    store = _store_with({"lnlt.enc1.0.local.q.point.w": np.ones(2), "top": np.zeros(1)})
+    block = store.scope("lnlt").scope("enc1.0")
+    want = store["lnlt.enc1.0.local.q.point.w"]
+    assert block["local.q.point.w"] is want
+    assert block.scope("local").scope("q")["point.w"] is want
+    assert store.scope("lnlt.enc1.0.local")["q.point.w"] is want
+    with pytest.raises(ParameterError, match="'lnlt.enc1.0.local.k.point.w'"):
+        block.scope("local")["k.point.w"]
 
 
 def test_param_store_roundtrip_and_counts():

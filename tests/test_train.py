@@ -8,13 +8,14 @@ import pytest
 
 from cassikit.cassi import SensingOperator, random_binary_mask
 from cassikit.errors import DivergenceError, ParameterError
-from cassikit.hqs import LnltSettings, ReconConfig
+from cassikit.hqs import ReconConfig
 from cassikit.metrics import charbonnier
 from cassikit.params import ParamStore
 from cassikit.phantom import generate_phantom
 from cassikit.tensor import Tensor, add, backward, mul, reduce_sum
 from cassikit.train import (AdamState, TrainConfig, adam_step, charbonnier_loss,
                             clip_global_norm, curve_csv, lr_at, train_overfit)
+from cassikit.transformer import LnltConfig
 
 from conftest import make_rng
 
@@ -23,11 +24,11 @@ def micro_pipeline(steps=8, seed=0):
     truth = generate_phantom(16, 16, 2, seed=3)
     op = SensingOperator.from_mask(random_binary_mask(16, 16, 4), 2, 2)
     from cassikit.cli import init_pipeline_params
-    settings = LnltSettings(base_channels=4, heads=(1, 2, 4),
-                            local_window=4, nonlocal_grid=4)
-    params = init_pipeline_params(2, settings, seed=seed)
-    rcfg = ReconConfig(stages=1, denoiser="lnlt", use_den=True, lnlt=settings)
-    tcfg = TrainConfig(steps=steps, lr=4e-4, warmup_steps=2, seed=seed)
+    arch = LnltConfig(base_channels=4, heads=(1, 2, 4),
+                      local_window=4, nonlocal_grid=4)
+    params = init_pipeline_params(2, arch, seed=seed)
+    rcfg = ReconConfig(stages=1, denoiser="lnlt", use_den=True, lnlt=arch)
+    tcfg = TrainConfig(steps=steps, lr=4e-4, warmup_steps=2)
     return truth, op, params, tcfg, rcfg
 
 

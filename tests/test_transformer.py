@@ -6,16 +6,13 @@ import pytest
 
 from cassikit.cassi import HsiCube
 from cassikit.errors import ParameterError, ShapeError
-from cassikit.hqs import LnltSettings
 from cassikit.params import Initializer, ParamStore
 from cassikit.tensor import Tensor, fd_gradcheck, mul, reduce_mean
 from cassikit.transformer import (GDFN_EXPANSION, LnltConfig, SECTIONS,
-                                  _block_weights, _msa_weights,
                                   _register_block, _register_msa,
-                                  attention_to_cubes, block_forward, gdfn,
-                                  lnlt_denoise, lnlt_weights, local_msa,
-                                  nonlocal_msa, qkv_project,
-                                  register_lnlt_params, settings_to_config)
+                                  block_forward, gdfn, lnlt_denoise,
+                                  local_msa, nonlocal_msa, qkv_project,
+                                  register_lnlt_params)
 
 from conftest import make_rng
 
@@ -34,7 +31,7 @@ def msa_fixture(seed, c, heads, tokens, randomize=True):
         for name in store.names():
             if name.endswith(".b"):
                 store[name]._assign(rng.normal(size=store[name].shape) * 0.05)
-    return store, _msa_weights(store, "msa")
+    return store, store.scope("msa")
 
 
 def msa_arrays(store):
@@ -126,7 +123,7 @@ def identity_msa(c, heads, tokens):
     store["msa.v.point.w"]._assign(eye.copy())
     store["msa.v.depth.w"]._assign(delta)
     store["msa.proj.w"]._assign(eye.copy())
-    return _msa_weights(store, "msa")
+    return store.scope("msa")
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +141,6 @@ def test_config_validation():
     assert [cfg.level_channels(i) for i in range(3)] == [8, 16, 32]
 
 
-def test_settings_mirror_converts():
-    settings = LnltSettings(base_channels=16, local_window=4, nonlocal_grid=2)
-    cfg = settings_to_config(settings)
-    assert cfg.base_channels == 16
-    assert cfg.local_window == 4
-    assert settings_to_config(cfg) is cfg
-
-
 def test_position_biases_start_at_zero():
     store = ParamStore()
     cfg = LnltConfig(base_channels=8, local_window=4, nonlocal_grid=2)
@@ -162,13 +151,13 @@ def test_position_biases_start_at_zero():
         np.testing.assert_array_equal(store[name].data, 0.0)
 
 
-def test_weight_view_checks_band_count():
+def test_denoiser_checks_band_count():
     store = ParamStore()
     cfg = LnltConfig(base_channels=8, local_window=4, nonlocal_grid=2)
     register_lnlt_params(Initializer(store, 3), cfg, n_bands=4)
-    lnlt_weights(store, cfg, n_bands=4)
-    with pytest.raises(ShapeError):
-        lnlt_weights(store, cfg, n_bands=6)
+    lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 4)))), 1.0, store.scope("lnlt"), cfg)
+    with pytest.raises(ShapeError, match="embed conv expects 4 bands, got 6"):
+        lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 6)))), 1.0, store.scope("lnlt"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +168,7 @@ def test_qkv_projection_matches_composition():
     rng = make_rng(60)
     store, w = msa_fixture(61, c=4, heads=2, tokens=16)
     x = rng.normal(size=(6, 6, 4))
-    got = qkv_project(Tensor(x), w.q).data
+    got = qkv_project(Tensor(x), w.scope("q")).data
     arrs = msa_arrays(store)
     np.testing.assert_allclose(got, np_qkv(x, arrs, "q"), atol=1e-12)
 
@@ -230,29 +219,33 @@ def test_uniform_nonlocal_attention_averages_grid_cells():
 
 
 def test_attention_rows_are_distributions():
-    store, w = msa_fixture(68, c=8, heads=2, tokens=16)
-    x = make_rng(69).normal(size=(8, 8, 8))
-    _, attn_l = local_msa(Tensor(x), w, 4, 2, return_attn=True)
-    assert attn_l.shape == (4, 2, 16, 16)  # [windows, heads, M^2, M^2]
-    np.testing.assert_allclose(attn_l.sum(axis=-1), 1.0, atol=1e-12)
-    assert attn_l.min() >= 0.0
-
-    store_nl, w_nl = msa_fixture(70, c=8, heads=2, tokens=4)
-    _, attn_nl = nonlocal_msa(Tensor(x), w_nl, 2, 2, return_attn=True)
-    assert attn_nl.shape == (2, 4, 4)  # [heads, N^2, N^2]
-    np.testing.assert_allclose(attn_nl.sum(axis=-1), 1.0, atol=1e-12)
+    """With identity values, a constant input passes through mixing unchanged
+    only if every attention row sums to one; random Q/K weights and the
+    zero-padded depthwise convs keep the attention itself non-uniform."""
+    c = 8
+    x = np.broadcast_to(make_rng(69).normal(size=c), (8, 8, c)).copy()
+    for seed, tokens, attend in ((68, 16, lambda t, w: local_msa(t, w, 4, 2)),
+                                 (70, 4, lambda t, w: nonlocal_msa(t, w, 2, 2))):
+        store, w = msa_fixture(seed, c=c, heads=2, tokens=tokens)
+        delta = np.zeros((3, 3, 1, c))
+        delta[1, 1, 0, :] = 1.0
+        store["msa.v.point.w"]._assign(np.eye(c)[None, None])
+        store["msa.v.depth.w"]._assign(delta)
+        store["msa.proj.w"]._assign(np.eye(c)[None, None])
+        for name in ("msa.v.point.b", "msa.v.depth.b", "msa.proj.b"):
+            store[name]._assign(np.zeros(c))
+        np.testing.assert_allclose(attend(Tensor(x), w).data, 2.0 * x, atol=1e-12)
 
 
 def test_nonlocal_token_count_is_size_independent():
-    """Doubling the image size must not grow the attention matrices."""
+    """One (heads, N^2, N^2) position table serves every image size."""
     n, heads, c = 2, 2, 4
-    shapes = []
+    store, w = msa_fixture(71, c=c, heads=heads, tokens=n * n)
+    assert w["pos"].shape == (heads, n * n, n * n)
     for hw in (8, 16):
-        store, w = msa_fixture(71, c=c, heads=heads, tokens=n * n)
         x = make_rng(72).normal(size=(hw, hw, c))
-        _, attn = nonlocal_msa(Tensor(x), w, n, heads, return_attn=True)
-        shapes.append(attn.shape)
-    assert shapes[0] == shapes[1] == (heads, n * n, n * n)
+        got = nonlocal_msa(Tensor(x), w, n, heads).data
+        assert np.abs(got - oracle_nonlocal(x, msa_arrays(store), n, heads)).max() <= 1e-5
 
 
 def test_attention_divisibility_checks():
@@ -278,13 +271,7 @@ def gdfn_fixture(seed, c):
     init.conv("g.b2.point", 1, 1, c, e)
     init.conv("g.b2.depth", 3, 3, 1, e)
     init.conv("g.proj", 1, 1, e, c)
-    from cassikit.transformer import GdfnWeights
-    return store, GdfnWeights(
-        b1_point_w=store["g.b1.point.w"], b1_point_b=store["g.b1.point.b"],
-        b1_depth_w=store["g.b1.depth.w"], b1_depth_b=store["g.b1.depth.b"],
-        b2_point_w=store["g.b2.point.w"], b2_point_b=store["g.b2.point.b"],
-        b2_depth_w=store["g.b2.depth.w"], b2_depth_b=store["g.b2.depth.b"],
-        proj_w=store["g.proj.w"], proj_b=store["g.proj.b"])
+    return store, store.scope("g")
 
 
 def test_gdfn_matches_manual_composition():
@@ -308,8 +295,8 @@ def test_gdfn_matches_manual_composition():
 
 def test_gdfn_expansion_width():
     store, w = gdfn_fixture(76, c=8)
-    assert w.b1_point_w.shape == (1, 1, 8, 16)
-    assert w.proj_w.shape == (1, 1, 16, 8)
+    assert w["b1.point.w"].shape == (1, 1, 8, 16)
+    assert w["proj.w"].shape == (1, 1, 16, 8)
 
 
 def test_zeroed_block_passes_normalized_input_through():
@@ -320,7 +307,7 @@ def test_zeroed_block_passes_normalized_input_through():
     for name in store.names():
         if name.endswith(".w"):
             store[name]._assign(np.zeros(store[name].shape))
-    w = _block_weights(store, "blk")
+    w = store.scope("blk")
     x = make_rng(78).normal(size=(8, 8, 4))
     got = block_forward(Tensor(x), w, cfg, heads=2).data
 
@@ -338,7 +325,7 @@ def test_block_gradients_match_finite_differences():
     cfg = LnltConfig(base_channels=8, heads=(2, 2, 4), local_window=4, nonlocal_grid=2)
     store = ParamStore()
     _register_block(Initializer(store, 79), "blk", 8, 2, cfg)
-    w = _block_weights(store, "blk")
+    w = store.scope("blk")
     x = Tensor(make_rng(80).normal(size=(8, 8, 8)) * 0.5)
     probe = Tensor(make_rng(81).normal(size=(8, 8, 8)))
 
@@ -355,74 +342,55 @@ def test_block_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 def denoiser_fixture(n_bands=4, seed=83):
-    settings = LnltSettings(base_channels=8, local_window=4, nonlocal_grid=4)
+    cfg = LnltConfig(base_channels=8, local_window=4, nonlocal_grid=4)
     store = ParamStore()
-    register_lnlt_params(Initializer(store, seed), settings_to_config(settings), n_bands)
-    return settings, store, lnlt_weights(store, settings, n_bands)
+    register_lnlt_params(Initializer(store, seed), cfg, n_bands)
+    return cfg, store, store.scope("lnlt")
 
 
 def test_denoiser_preserves_shape_and_is_finite():
-    settings, store, weights = denoiser_fixture()
+    cfg, store, weights = denoiser_fixture()
     x = HsiCube(Tensor(make_rng(84).random((16, 16, 4)) * 2.0))
-    out = lnlt_denoise(x, 0.7, weights, settings)
+    out = lnlt_denoise(x, 0.7, weights, cfg)
     assert out.shape == (16, 16, 4)
     assert np.isfinite(out.numpy()).all()
 
 
 def test_denoiser_output_is_input_plus_residual():
     """Zeroing the final conv forces the residual, and so the change, to zero."""
-    settings, store, weights = denoiser_fixture()
+    cfg, store, weights = denoiser_fixture()
     store["lnlt.out.w"]._assign(np.zeros(store["lnlt.out.w"].shape))
     store["lnlt.out.b"]._assign(np.zeros(store["lnlt.out.b"].shape))
     x = HsiCube(Tensor(make_rng(85).random((16, 16, 4))))
-    out = lnlt_denoise(x, 0.7, weights, settings)
+    out = lnlt_denoise(x, 0.7, weights, cfg)
     np.testing.assert_array_equal(out.numpy(), x.numpy())
 
 
 def test_denoiser_conditions_on_eta():
-    settings, store, weights = denoiser_fixture()
+    cfg, store, weights = denoiser_fixture()
     x = HsiCube(Tensor(make_rng(86).random((16, 16, 4))))
-    out_lo = lnlt_denoise(x, 0.1, weights, settings).numpy()
-    out_hi = lnlt_denoise(x, 5.0, weights, settings).numpy()
+    out_lo = lnlt_denoise(x, 0.1, weights, cfg).numpy()
+    out_hi = lnlt_denoise(x, 5.0, weights, cfg).numpy()
     assert not np.array_equal(out_lo, out_hi)
-    out_scalar = lnlt_denoise(x, Tensor(np.array(0.1)), weights, settings).numpy()
+    out_scalar = lnlt_denoise(x, Tensor(np.array(0.1)), weights, cfg).numpy()
     np.testing.assert_array_equal(out_lo, out_scalar)
 
 
 def test_denoiser_divisibility_and_eta_shape_checks():
-    settings, store, weights = denoiser_fixture()
+    cfg, store, weights = denoiser_fixture()
     with pytest.raises(ShapeError):
-        lnlt_denoise(HsiCube(Tensor(np.ones((12, 16, 4)))), 1.0, weights, settings)
+        lnlt_denoise(HsiCube(Tensor(np.ones((12, 16, 4)))), 1.0, weights, cfg)
     with pytest.raises(ShapeError):
-        lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 4)))), np.ones(2), weights, settings)
-
-
-def test_denoiser_collects_attention_for_every_section():
-    settings, store, weights = denoiser_fixture()
-    x = HsiCube(Tensor(make_rng(87).random((16, 16, 4))))
-    out, maps = lnlt_denoise(x, 0.7, weights, settings, collect_attention=True)
-    tags = sorted(maps)
-    assert tags == sorted(f"{s}.0.{kind}" for s in SECTIONS for kind in ("local", "nonlocal"))
-    m2 = settings.local_window ** 2
-    n2 = settings.nonlocal_grid ** 2
-    for tag, arr in maps.items():
-        if tag.endswith(".local"):
-            assert arr.ndim == 4 and arr.shape[2:] == (m2, m2)
-        else:
-            assert arr.shape[1:] == (n2, n2)
-        np.testing.assert_allclose(arr.sum(axis=-1), 1.0, atol=1e-12)
-    cubes = attention_to_cubes(maps)
-    for tag, cube in cubes.items():
-        assert cube.ndim == 3 and cube.shape[0] == cube.shape[1]
+        lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 4)))), np.ones(2), weights, cfg)
 
 
 def test_denoiser_gradients_match_finite_differences():
-    settings, store, weights = denoiser_fixture()
+    cfg, store, weights = denoiser_fixture()
     x = HsiCube(Tensor(make_rng(88).random((16, 16, 4))))
     probe = Tensor(make_rng(89).normal(size=(16, 16, 4)))
 
     def f(params):
-        out = lnlt_denoise(x, 0.7, weights, settings)
+        out = lnlt_denoise(x, 0.7, weights, cfg)
         return reduce_mean(mul(out.data, probe))
 
     report = fd_gradcheck(f, store, n_samples=20, seed=90)
