@@ -15,8 +15,8 @@ from .errors import (CassikitError, DivergenceError, FormatError,
                      GraphStateError, MetricError, MissingParamsError,
                      NumericalError, OperatorError, OracleCapError,
                      ParameterError, ShapeError)
-from .hqs import (InitState, ReconConfig, ReconResult, StageState, data_step,
-                  init_estimate, run_hqs, trace_csv)
+from .hqs import (ReconConfig, ReconResult, TraceRow, data_step, init_estimate,
+                  run_hqs, trace_csv)
 from .metrics import charbonnier, psnr, sam, ssim
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom

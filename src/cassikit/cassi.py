@@ -48,10 +48,6 @@ class HsiCube:
     def numpy(self) -> np.ndarray:
         return self.data.copy_array()
 
-    @classmethod
-    def from_array(cls, arr) -> "HsiCube":
-        return cls(Tensor(arr))
-
 
 @dataclass(frozen=True)
 class Mask2D:

@@ -97,10 +97,6 @@ def _bool_flag(raw: str) -> bool:
     return raw.lower() == "true"
 
 
-def _load_cube(path: str) -> np.ndarray:
-    return fileio.read_cube(path)
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -129,7 +125,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if config:
         raise FormatError(f"unknown config keys: {sorted(config)}")
 
-    truth = HsiCube(Tensor(_load_cube(args.truth)))
+    truth = HsiCube(Tensor(fileio.read_cube(args.truth)))
     h, w, n_bands = truth.shape
     op = _build_operator(args.mask, mask_seed, h, w, n_bands, step)
     noise = NoiseConfig(kind=noise_kind, bits=bits, seed=seed)
@@ -145,7 +141,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _operator_from_mask_file(path: str, step: int, bands: int | None) -> SensingOperator:
-    cube = _load_cube(path)
+    cube = fileio.read_cube(path)
     if cube.shape[2] == 1:
         if bands is None:
             raise ParameterError("--bands is required with a single-plane mask file")
@@ -169,7 +165,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if config:
         raise FormatError(f"unknown config keys: {sorted(config)}")
 
-    y_arr = _load_cube(args.measurement)
+    y_arr = fileio.read_cube(args.measurement)
     if y_arr.shape[2] != 1:
         raise ShapeError(f"measurement must be a single plane, got {y_arr.shape[2]}")
     y = Measurement(Tensor(y_arr[:, :, 0]))
@@ -186,7 +182,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         if args.params is None:
             raise MissingParamsError("learned components need --params CHECKPOINT")
         params = fileio.read_params(args.params)
-    truth = HsiCube(Tensor(_load_cube(args.truth))) if args.truth else None
+    truth = HsiCube(Tensor(fileio.read_cube(args.truth))) if args.truth else None
 
     # inference only: without no_grad the shared learned weights (loaded with
     # requires_grad=True) would keep every stage's backward graph alive
@@ -221,7 +217,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if config:
         raise FormatError(f"unknown config keys: {sorted(config)}")
 
-    truth = HsiCube(Tensor(_load_cube(args.truth)))
+    truth = HsiCube(Tensor(fileio.read_cube(args.truth)))
     h, w, n_bands = truth.shape
     op = _build_operator(None, mask_seed, h, w, n_bands, step)
     arch = LnltConfig(base_channels=channels, blocks_per_level=blocks,

@@ -162,6 +162,10 @@ def read_params(path: str) -> ParamStore:
         arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
         if name in arrays:
             raise FormatError(f"{path}: duplicate entry {name!r}")
+        if n_values == 0:
+            raise FormatError(f"{path}: entry {name!r} is empty, shape {shape}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: entry {name!r} contains non-finite values")
         arrays[name] = arr.astype(np.float64)
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")

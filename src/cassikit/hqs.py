@@ -21,7 +21,7 @@ instances.  Two ways to drive the recurrence:
   eta_k.  One shared parameter store serves every stage.
 
 The TV denoiser is used as the proximal map of weight * TV at weight
-tv_scale / eta_k (larger eta means a tighter data fit and lighter smoothing).
+TV_SCALE / eta_k (larger eta means a tighter data fit and lighter smoothing).
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ import numpy as np
 
 from . import metrics
 from .cassi import (HsiCube, Measurement, SensingOperator, adjoint_apply,
-                    forward_measure, phi_gram_diag, shift_cube)
+                    forward_measure, phi_gram_diag)
 from .degradation import den_forward
 from .errors import MissingParamsError, NumericalError, ParameterError, ShapeError
 from .params import ParamStore
 from .priors import tv_denoise
-from .tensor import Tensor, as_tensor, div, mul, no_grad, reduce_sum, sub
+from .tensor import Tensor, as_tensor, div, no_grad, sub
 from .transformer import LnltConfig, lnlt_denoise
 
 DENOISERS = ("identity", "tv", "lnlt")
@@ -50,12 +50,20 @@ INIT_MODES = ("adjoint", "normalized-adjoint")
 LnltSettings = LnltConfig
 
 
+# Fixed settings of the classical route and the initialization; each has
+# one value in use, so none of them is a config field.
+LAM = 1e-4        # classical eta_k = mu_k / LAM
+TV_ITERS = 20     # Chambolle iterations per TV prox
+TV_SCALE = 1.0    # TV prox weight is TV_SCALE / eta_k
+INIT_EPS = 1e-8   # normalized-adjoint guard against zero band coverage
+
+
 @dataclass
 class ReconConfig:
     """Everything `run_hqs` needs besides the data and the weights.
 
-    The geometric mu schedule and lambda apply only when `use_den` is off;
-    with the estimator on, (mu_k, eta_k) are predicted per stage.
+    The geometric mu schedule applies only when `use_den` is off; with the
+    estimator on, (mu_k, eta_k) are predicted per stage.
     """
 
     stages: int = 9
@@ -64,10 +72,6 @@ class ReconConfig:
     init: str = "normalized-adjoint"
     mu_start: float = 1e-4
     mu_growth: float = 3.0
-    lam: float = 1e-4
-    tv_iters: int = 20
-    tv_scale: float = 1.0
-    init_eps: float = 1e-8
     lnlt: LnltConfig = field(default_factory=LnltConfig)
 
     def validate(self) -> None:
@@ -77,45 +81,27 @@ class ReconConfig:
             raise ParameterError(f"unknown denoiser {self.denoiser!r}")
         if self.init not in INIT_MODES:
             raise ParameterError(f"unknown init mode {self.init!r}")
-        if self.mu_start <= 0 or self.mu_growth <= 0 or self.lam <= 0:
-            raise ParameterError("mu_start, mu_growth and lam must be > 0")
-        if self.init_eps <= 0:
-            raise ParameterError(f"init_eps must be > 0, got {self.init_eps}")
+        if self.mu_start <= 0 or self.mu_growth <= 0:
+            raise ParameterError("mu_start and mu_growth must be > 0")
 
 
-@dataclass
-class StageState:
-    """Diagnostics captured after each stage (values detached)."""
+@dataclass(frozen=True)
+class TraceRow:
+    """One line of the stage trace; stage 0 is the initialization (no mu/eta)."""
 
     stage: int
-    x: np.ndarray
-    z: np.ndarray
-    mu: float
-    eta: float
-    residual_norm: float
-    psnr_vs_truth: Optional[float]
-
-
-@dataclass
-class InitState:
-    z0: np.ndarray
+    mu: Optional[float]
+    eta: Optional[float]
     residual_norm: float
     psnr_vs_truth: Optional[float]
 
 
 @dataclass
 class ReconResult:
-    z: HsiCube
-    init: InitState
-    stages: list
+    """The final estimate and the scalar trace; no iterate is kept."""
 
-    @property
-    def trace_rows(self) -> list:
-        """(stage, mu, eta, residual_norm, psnr) rows; stage 0 has no mu/eta."""
-        rows = [(0, None, None, self.init.residual_norm, self.init.psnr_vs_truth)]
-        for s in self.stages:
-            rows.append((s.stage, s.mu, s.eta, s.residual_norm, s.psnr_vs_truth))
-        return rows
+    z: HsiCube
+    trace: list
 
 
 def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu) -> HsiCube:
@@ -129,8 +115,7 @@ def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu) -> HsiCube:
         raise ShapeError(f"z {z.shape} does not match operator scene {op.scene_shape}")
     if y.shape != op.measurement_shape:
         raise ShapeError(f"y {y.shape} does not match operator {op.measurement_shape}")
-    xs = shift_cube(z.data, op.step)
-    resid = sub(y.data, reduce_sum(mul(op.shifted_mask, xs), axis=2))
+    resid = sub(y.data, forward_measure(z, op).data)
     denom = mu_t + phi_gram_diag(op)
     if denom.data.min() <= 0:
         raise NumericalError("degenerate denominator in data step")
@@ -139,7 +124,7 @@ def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu) -> HsiCube:
 
 
 def init_estimate(y: Measurement, op: SensingOperator, mode: str = "normalized-adjoint",
-                  eps: float = 1e-8) -> HsiCube:
+                  eps: float = INIT_EPS) -> HsiCube:
     """Initial scene estimate from the measurement.
 
     'adjoint' is plain Phi^T y; 'normalized-adjoint' first divides the
@@ -168,7 +153,7 @@ def _mu_schedule(cfg: ReconConfig, k: int) -> float:
 def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
             params: Union[ParamStore, Sequence[ParamStore], None] = None,
             truth: Optional[HsiCube] = None) -> ReconResult:
-    """Run K stages and return the final estimate plus the full trace.
+    """Run K stages and return the final estimate plus one trace row per stage.
 
     `params` holds the learned weights: one shared store (the default,
     recurrent weight sharing) or a sequence of K stores for the
@@ -188,15 +173,14 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
             raise ParameterError(
                 f"per-stage parameter list has {len(stage_params)} entries for {cfg.stages} stages")
 
-    truth_np = truth.numpy() if truth is not None else None
+    truth_np = truth.data.data if truth is not None else None
 
-    z = init_estimate(y, op, cfg.init, cfg.init_eps)
-    z0_np = z.numpy()
-    init_resid = _residual_norm(y, z, op)
-    init_psnr = metrics.psnr(z0_np, truth_np) if truth_np is not None else None
-    init_state = InitState(z0=z0_np, residual_norm=init_resid, psnr_vs_truth=init_psnr)
+    def row(stage, mu, eta, z_k, phi):
+        psnr = metrics.psnr(z_k.data.data, truth_np) if truth_np is not None else None
+        return TraceRow(stage, mu, eta, _residual_norm(y, z_k, phi), psnr)
 
-    stages: list = []
+    z = init_estimate(y, op, cfg.init)
+    trace = [row(0, None, None, z, op)]
     for k in range(1, cfg.stages + 1):
         p = stage_params[k - 1]
         if cfg.use_den:
@@ -205,38 +189,34 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
         else:
             phi_k = op
             mu_k = _mu_schedule(cfg, k)
-            eta_k = mu_k / cfg.lam
+            eta_k = mu_k / LAM
 
         x = data_step(z, y, phi_k, mu_k)
 
         if cfg.denoiser == "identity":
             z = x
         elif cfg.denoiser == "tv":
-            weight = cfg.tv_scale / float(as_tensor(eta_k).data.reshape(()))
-            z = HsiCube(Tensor(tv_denoise(x.data.data, weight, cfg.tv_iters)))
+            weight = TV_SCALE / float(as_tensor(eta_k).data.reshape(()))
+            z = HsiCube(Tensor(tv_denoise(x.data.data, weight, TV_ITERS)))
         else:
             z = lnlt_denoise(x, eta_k, p.scope("lnlt"), cfg.lnlt)
 
-        z_np = z.data.data
         mu_f = float(as_tensor(mu_k).data.reshape(()))
         eta_f = float(as_tensor(eta_k).data.reshape(()))
         if mu_f <= 0 or eta_f <= 0:
             raise NumericalError(f"non-positive mu/eta at stage {k}: mu={mu_f}, eta={eta_f}")
-        resid = _residual_norm(y, z, phi_k)
-        stage_psnr = metrics.psnr(z_np, truth_np) if truth_np is not None else None
-        stages.append(StageState(stage=k, x=x.numpy(), z=z.numpy(), mu=mu_f, eta=eta_f,
-                                 residual_norm=resid, psnr_vs_truth=stage_psnr))
+        trace.append(row(k, mu_f, eta_f, z, phi_k))
 
-    return ReconResult(z=z, init=init_state, stages=stages)
+    return ReconResult(z=z, trace=trace)
 
 
 def trace_csv(result: ReconResult) -> str:
     """Stage trace as CSV: stage, mu, eta, residual_norm, psnr_vs_truth."""
     buf = io.StringIO()
     buf.write("stage,mu,eta,residual_norm,psnr_vs_truth\n")
-    for stage, mu, eta, resid, p in result.trace_rows:
-        mu_s = "" if mu is None else f"{mu:.9g}"
-        eta_s = "" if eta is None else f"{eta:.9g}"
-        p_s = "" if p is None else f"{p:.6f}"
-        buf.write(f"{stage},{mu_s},{eta_s},{resid:.9g},{p_s}\n")
+    for r in result.trace:
+        mu_s = "" if r.mu is None else f"{r.mu:.9g}"
+        eta_s = "" if r.eta is None else f"{r.eta:.9g}"
+        p_s = "" if r.psnr_vs_truth is None else f"{r.psnr_vs_truth:.6f}"
+        buf.write(f"{r.stage},{mu_s},{eta_s},{r.residual_norm:.9g},{p_s}\n")
     return buf.getvalue()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .tensor import Tensor
 
 
@@ -71,15 +71,6 @@ class ParamStore:
             store.add(name, arr)
         return store
 
-    def load_arrays(self, arrays: dict) -> None:
-        """Overwrite values in place; names and shapes must match exactly."""
-        if set(arrays) != set(self._entries):
-            missing = set(self._entries) - set(arrays)
-            extra = set(arrays) - set(self._entries)
-            raise ShapeError(f"parameter name mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, arr in arrays.items():
-            self._entries[name]._assign(np.asarray(arr, dtype=np.float64))
-
 
 class ParamScope:
     """Prefix-scoped lookup into a store; scopes nest with `scope`."""
@@ -104,27 +95,22 @@ class Initializer:
         self.store = store
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
-    def conv(self, name: str, kh: int, kw: int, cin_per_group: int, cout: int,
-             bias: bool = True) -> None:
+    def conv(self, name: str, kh: int, kw: int, cin_per_group: int, cout: int) -> None:
         fan_in = kh * kw * cin_per_group
         bound = 1.0 / np.sqrt(fan_in)
         self.store.add(name + ".w", self.rng.uniform(-bound, bound, size=(kh, kw, cin_per_group, cout)))
-        if bias:
-            self.store.add(name + ".b", np.zeros(cout))
+        self.store.add(name + ".b", np.zeros(cout))
 
-    def conv_transpose(self, name: str, stride: int, cin: int, cout: int,
-                       bias: bool = True) -> None:
+    def conv_transpose(self, name: str, stride: int, cin: int, cout: int) -> None:
         fan_in = cin  # each output value sees one input pixel across Cin channels
         bound = 1.0 / np.sqrt(fan_in)
         self.store.add(name + ".w", self.rng.uniform(-bound, bound, size=(stride, stride, cin, cout)))
-        if bias:
-            self.store.add(name + ".b", np.zeros(cout))
+        self.store.add(name + ".b", np.zeros(cout))
 
-    def linear(self, name: str, fan_in: int, fan_out: int, bias: bool = True) -> None:
+    def linear(self, name: str, fan_in: int, fan_out: int) -> None:
         bound = 1.0 / np.sqrt(fan_in)
         self.store.add(name + ".w", self.rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        if bias:
-            self.store.add(name + ".b", np.zeros(fan_out))
+        self.store.add(name + ".b", np.zeros(fan_out))
 
     def layer_norm(self, name: str, channels: int) -> None:
         self.store.add(name + ".gamma", np.ones(channels))

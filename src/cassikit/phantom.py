@@ -1,7 +1,7 @@
 """Synthetic hyperspectral scenes for demos, selftests and training toys.
 
-A phantom mixes a smooth spectral gradient background with a handful of
-seeded geometric shapes (rectangles and disks), each carrying its own smooth
+A phantom mixes a smooth spectral gradient background with four seeded
+geometric shapes (rectangles and disks), each carrying its own smooth
 spectrum, then normalizes to [0, 1].  Generation is deterministic: one PCG64
 stream derived from the seed.
 """
@@ -15,7 +15,7 @@ from .errors import ParameterError
 from .tensor import Tensor
 
 
-def generate_phantom(h: int, w: int, n_bands: int, seed: int = 0, n_shapes: int = 4) -> HsiCube:
+def generate_phantom(h: int, w: int, n_bands: int, seed: int = 0) -> HsiCube:
     if h < 1 or w < 1 or n_bands < 1:
         raise ParameterError(f"phantom extents must be >= 1, got {(h, w, n_bands)}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -30,7 +30,7 @@ def generate_phantom(h: int, w: int, n_bands: int, seed: int = 0, n_shapes: int 
                       + 0.25 * np.cos(2 * np.pi * (yy - 0.5 * lam) + phase[1])
         cube[:, :, i] = spatial * (0.6 + 0.4 * np.sin(np.pi * lam + phase[2]))
 
-    for _ in range(n_shapes):
+    for _ in range(4):
         cy, cx = rng.uniform(0.15, 0.85, size=2)
         spectrum = 0.5 + 0.5 * np.sin(2 * np.pi * (bands * rng.uniform(0.5, 2.0) + rng.uniform()))
         amp = rng.uniform(0.4, 1.0)

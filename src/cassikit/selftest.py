@@ -5,16 +5,12 @@ Each check compares an implementation path against an independent oracle
 differences) on small seeded fixtures and reports its worst error against a
 declared tolerance.  The `quick` level is a fast smoke battery; `full` adds
 an end-to-end plug-and-play reconstruction property.
-
-Checks accept an optional fixture-tampering hook (used by the test suite to
-confirm that a corrupted kernel actually fails the named check).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,9 +37,6 @@ class CheckResult:
     tol: float
     passed: bool
     seconds: float
-
-
-TamperMap = Optional[dict]
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -165,7 +158,7 @@ def dense_data_step(z: np.ndarray, y: np.ndarray, op: SensingOperator, mu: float
 # checks
 # ---------------------------------------------------------------------------
 
-def check_engine_oracles(tamper: Callable | None = None) -> float:
+def check_engine_oracles() -> float:
     x = np.array([1.0, 2.0, 3.0])
     want = np.exp(x) / np.exp(x).sum()
     got = softmax_lastdim(Tensor(x)).data
@@ -182,7 +175,7 @@ def check_engine_oracles(tamper: Callable | None = None) -> float:
     return max(err, float(np.abs(got_ln - want_ln).max()))
 
 
-def check_shear_roundtrip(tamper: Callable | None = None) -> float:
+def check_shear_roundtrip() -> float:
     rng = _rng(11)
     err = 0.0
     for step in (0, 1, 2):
@@ -197,7 +190,7 @@ def check_shear_roundtrip(tamper: Callable | None = None) -> float:
     return err
 
 
-def check_operator_adjoint(tamper: Callable | None = None) -> float:
+def check_operator_adjoint() -> float:
     err = 0.0
     for seed in range(5):
         rng = _rng(100 + seed)
@@ -212,7 +205,7 @@ def check_operator_adjoint(tamper: Callable | None = None) -> float:
     return err
 
 
-def check_operator_dense(tamper: Callable | None = None) -> float:
+def check_operator_dense() -> float:
     rng = _rng(23)
     op = SensingOperator.from_mask(random_binary_mask(4, 5, 3), 3, 2)
     a = materialize_dense(op)
@@ -229,7 +222,7 @@ def check_operator_dense(tamper: Callable | None = None) -> float:
     return err
 
 
-def check_data_step_dense(tamper: Callable | None = None) -> float:
+def check_data_step_dense() -> float:
     err = 0.0
     for seed, mu in ((0, 1e-3), (1, 1.0), (2, 1e3)):
         rng = _rng(300 + seed)
@@ -258,31 +251,27 @@ def _msa_arrays(store: ParamStore) -> dict:
     return {name[len("msa."):]: store[name].copy_array() for name in store.names()}
 
 
-def check_attention_local(tamper: Callable | None = None) -> float:
+def check_attention_local() -> float:
     c, heads, m = 4, 2, 4
     store, weights = _msa_fixture(41, c, heads, m * m)
-    arrs = _msa_arrays(store)  # oracle snapshot before any tampering
-    if tamper is not None:
-        tamper(store)
+    arrs = _msa_arrays(store)
     x = _rng(42).normal(size=(8, 8, c))
     got = local_msa(Tensor(x), weights, m, heads).data
     want = _oracle_local_msa(x, arrs, m, heads)
     return float(np.abs(got - want).max())
 
 
-def check_attention_nonlocal(tamper: Callable | None = None) -> float:
+def check_attention_nonlocal() -> float:
     c, heads, n = 4, 2, 2
     store, weights = _msa_fixture(51, c, heads, n * n)
     arrs = _msa_arrays(store)
-    if tamper is not None:
-        tamper(store)
     x = _rng(52).normal(size=(8, 8, c))
     got = nonlocal_msa(Tensor(x), weights, n, heads).data
     want = _oracle_nonlocal_msa(x, arrs, n, heads)
     return float(np.abs(got - want).max())
 
 
-def check_grad_block(tamper: Callable | None = None) -> float:
+def check_grad_block() -> float:
     cfg = LnltConfig(base_channels=8, heads=(2, 2, 4), local_window=4, nonlocal_grid=2)
     store = ParamStore()
     init = Initializer(store, 61)
@@ -299,7 +288,7 @@ def check_grad_block(tamper: Callable | None = None) -> float:
     return report.max_rel_err
 
 
-def check_grad_den(tamper: Callable | None = None) -> float:
+def check_grad_den() -> float:
     store = ParamStore()
     init = Initializer(store, 71)
     register_den_params(init, 3)
@@ -316,7 +305,7 @@ def check_grad_den(tamper: Callable | None = None) -> float:
     return report.max_rel_err
 
 
-def check_metrics(tamper: Callable | None = None) -> float:
+def check_metrics() -> float:
     a = np.zeros((16, 16, 2))
     b = np.full((16, 16, 2), 0.1)
     err = abs(metrics.psnr(a, b) - 20.0)
@@ -331,7 +320,7 @@ def check_metrics(tamper: Callable | None = None) -> float:
     return err
 
 
-def check_tv_prior(tamper: Callable | None = None) -> float:
+def check_tv_prior() -> float:
     rng = _rng(91)
     edge = np.zeros((24, 24))
     edge[:, 12:] = 1.0
@@ -343,16 +332,16 @@ def check_tv_prior(tamper: Callable | None = None) -> float:
     return err
 
 
-def check_pnp_improvement(tamper: Callable | None = None) -> float:
+def check_pnp_improvement() -> float:
     """PSNR must improve over the init, and the stage residual must shrink
     from the first recorded stage to the last."""
     truth = generate_phantom(64, 64, 8, seed=5)
     op = SensingOperator.from_mask(random_binary_mask(64, 64, 6), 8, 2)
     y = forward_measure(truth, op)
     cfg = ReconConfig(stages=9, denoiser="tv")
-    result = run_hqs(y, op, cfg, truth=truth)
-    first, final = result.stages[0], result.stages[-1]
-    err = max(0.0, result.init.psnr_vs_truth - final.psnr_vs_truth)
+    trace = run_hqs(y, op, cfg, truth=truth).trace
+    init, first, final = trace[0], trace[1], trace[-1]
+    err = max(0.0, init.psnr_vs_truth - final.psnr_vs_truth)
     err = max(err, (final.residual_norm - first.residual_norm) / first.residual_norm)
     return max(0.0, err)
 
@@ -373,18 +362,17 @@ CHECKS = (
 )
 
 
-def run_selftest(level: str = "quick", tamper: TamperMap = None) -> list:
+def run_selftest(level: str = "quick") -> list:
     """Run the battery; returns CheckResult rows in registry order."""
     if level not in ("quick", "full"):
         raise CassikitError(f"unknown selftest level {level!r}")
-    tamper = tamper or {}
     results = []
     for name, fn, tol, min_level in CHECKS:
         if min_level == "full" and level != "full":
             continue
         started = time.perf_counter()
         try:
-            err = float(fn(tamper.get(name)))
+            err = float(fn())
             passed = err <= tol
         except CassikitError:
             err = float("inf")

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cassi import HsiCube, NoiseConfig, SensingOperator, forward_measure
+from .cassi import HsiCube, SensingOperator, forward_measure
 from .errors import DivergenceError, NumericalError, ParameterError
 from .hqs import ReconConfig, run_hqs
 from .params import ParamStore
@@ -36,7 +36,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     clip_norm: float = 1.0
     charbonnier_eps: float = 1e-3
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
 
     def validate(self) -> None:
         if self.steps < 1:
@@ -123,14 +122,14 @@ def train_overfit(truth: HsiCube, op: SensingOperator, params: ParamStore,
                   tcfg: TrainConfig, rcfg: ReconConfig) -> TrainResult:
     """Fit the learned pipeline to reproduce one truth patch.
 
-    Simulates the measurement once (seeded noise per tcfg.noise), then runs
-    `steps` iterations of forward / backward / clip / Adam.  The loss curve
-    records (step, lr, loss) with the loss evaluated before each update.
+    Simulates one noiseless measurement, then runs `steps` iterations of
+    forward / backward / clip / Adam.  The loss curve records (step, lr,
+    loss) with the loss evaluated before each update.
     Raises DivergenceError if the loss ever goes non-finite.
     """
     tcfg.validate()
     rcfg.validate()
-    y = forward_measure(truth, op, tcfg.noise)
+    y = forward_measure(truth, op)
     truth_t = truth.data.detach()
     state = AdamState(params)
     curve: list = []

@@ -13,6 +13,7 @@ and byte comparison of CLI artifacts for determinism.
 import subprocess
 import sys
 import time
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cassikit.cassi import (HsiCube, Measurement, SensingOperator, adjoint_apply
                             dispersion_support, forward_measure, materialize_dense,
                             phi_gram_diag, random_binary_mask)
 from cassikit.degradation import den_forward, register_den_params
-from cassikit.hqs import ReconConfig, data_step, run_hqs
+from cassikit.hqs import ReconConfig, data_step, init_estimate, run_hqs
 from cassikit.params import Initializer, ParamStore
 from cassikit.phantom import generate_phantom
 from cassikit.selftest import (_msa_arrays, _msa_fixture, _oracle_local_msa,
@@ -239,22 +240,23 @@ def test_07_recurrence_control_flow_is_sane(checklist):
     op = SensingOperator.from_mask(random_binary_mask(16, 16, 8), 8, 2)
     y = forward_measure(truth, op)
 
+    z0 = init_estimate(y, op).numpy()
     zero = run_hqs(y, op, ReconConfig(stages=0, denoiser="identity"))
-    frozen_ok = np.array_equal(zero.z.numpy(), zero.init.z0) and zero.stages == []
+    frozen_ok = np.array_equal(zero.z.numpy(), z0) and len(zero.trace) == 1
 
-    huge_mu = run_hqs(y, op, ReconConfig(stages=5, denoiser="identity",
-                                         mu_start=1e9, mu_growth=1.0))
+    huge_mu = ReconConfig(stages=5, denoiser="identity", mu_start=1e9, mu_growth=1.0)
     drift = 0.0
-    prev = huge_mu.init.z0
-    for s in huge_mu.stages:
-        drift = max(drift, float(np.abs(s.z - prev).max()))
-        prev = s.z
+    prev = z0
+    for k in range(huge_mu.stages + 1):
+        z = run_hqs(y, op, replace(huge_mu, stages=k)).z.numpy()
+        drift = max(drift, float(np.abs(z - prev).max()))
+        prev = z
 
     nine = run_hqs(y, op, ReconConfig(stages=9, denoiser="tv"), truth=truth)
-    finite_ok = all(np.isfinite(v) for row in nine.trace_rows
-                    for v in row if v is not None)
+    finite_ok = all(np.isfinite(v) for row in nine.trace
+                    for v in astuple(row) if v is not None)
 
-    ok = frozen_ok and drift <= 1e-6 and finite_ok and len(nine.stages) == 9
+    ok = frozen_ok and drift <= 1e-6 and finite_ok and len(nine.trace) == 10
     checklist("07 recurrence sanity", ok,
             f"0 stages returns init exactly, identity at fixed mu=1e9 drifts "
             f"{drift:.2e} per stage (<= 1e-6), 9-stage trace finite")
@@ -273,18 +275,18 @@ def test_08_tv_plug_and_play_improves_the_estimate(checklist):
     truth = generate_phantom(64, 64, 8, seed=5)
     op = SensingOperator.from_mask(random_binary_mask(64, 64, 6), 8, 2)
     y = forward_measure(truth, op)
-    result = run_hqs(y, op, ReconConfig(stages=9, denoiser="tv"), truth=truth)
-    margin = result.stages[-1].psnr_vs_truth - result.init.psnr_vs_truth
-    first_resid = result.stages[0].residual_norm
-    final_resid = result.stages[-1].residual_norm
+    trace = run_hqs(y, op, ReconConfig(stages=9, denoiser="tv"), truth=truth).trace
+    margin = trace[-1].psnr_vs_truth - trace[0].psnr_vs_truth
+    first_resid = trace[1].residual_norm
+    final_resid = trace[-1].residual_norm
     ok = (abs(margin - 6.729367) <= 0.1
-          and result.stages[-1].psnr_vs_truth > result.init.psnr_vs_truth
+          and trace[-1].psnr_vs_truth > trace[0].psnr_vs_truth
           and final_resid < first_resid)
     checklist("08 plug-and-play gain", ok,
             f"PSNR margin {margin:.4f} dB (pinned 6.7294 +- 0.1), stage residual "
             f"{first_resid:.3f} -> {final_resid:.3f}")
     assert abs(margin - 6.729367) <= 0.1
-    assert result.stages[-1].psnr_vs_truth > result.init.psnr_vs_truth
+    assert trace[-1].psnr_vs_truth > trace[0].psnr_vs_truth
     assert final_resid < first_resid
 
 

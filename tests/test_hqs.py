@@ -1,6 +1,9 @@
 """Recurrence tests: the closed-form data step against a dense solve, the
 initialization modes, and the stage trace bookkeeping."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from cassikit.cassi import (HsiCube, Measurement, SensingOperator,
                             forward_measure, materialize_dense,
                             random_binary_mask, shift_cube)
 from cassikit.errors import MissingParamsError, ParameterError, ShapeError
-from cassikit.hqs import (InitState, ReconConfig, data_step, init_estimate,
-                          run_hqs, trace_csv)
+from cassikit.hqs import (ReconConfig, data_step, init_estimate, run_hqs,
+                          trace_csv)
 from cassikit.phantom import generate_phantom
 from cassikit.tensor import Tensor
 
@@ -140,37 +143,50 @@ def _phantom_problem(h=24, w=24, n=4, seed=7):
 def test_zero_stages_returns_initialization():
     truth, op, y = _phantom_problem()
     result = run_hqs(y, op, ReconConfig(stages=0))
-    assert result.stages == []
-    np.testing.assert_array_equal(result.z.numpy(), result.init.z0)
+    assert [r.stage for r in result.trace] == [0]
     np.testing.assert_array_equal(result.z.numpy(), init_estimate(y, op).numpy())
 
 
 def test_identity_denoiser_with_huge_mu_freezes_iterates():
     truth, op, y = _phantom_problem()
     cfg = ReconConfig(stages=4, denoiser="identity", mu_start=1e9, mu_growth=1.0)
-    result = run_hqs(y, op, cfg)
-    prev = result.init.z0
-    for stage in result.stages:
-        assert np.abs(stage.z - prev).max() <= 1e-6
-        prev = stage.z
+    prev = init_estimate(y, op).numpy()
+    for k in range(cfg.stages + 1):
+        z = run_hqs(y, op, replace(cfg, stages=k)).z.numpy()
+        assert np.abs(z - prev).max() <= 1e-6
+        prev = z
+
+
+def test_result_holds_the_final_cube_and_scalars_only():
+    truth, op, y = _phantom_problem(h=64, w=64, n=28, seed=3)
+    cfg = ReconConfig(stages=9, denoiser="tv")
+    cube_bytes = 64 * 64 * 28 * 8
+    tracemalloc.start()
+    try:
+        result = run_hqs(y, op, cfg, truth=truth)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 3 * cube_bytes, f"result holds {held / cube_bytes:.1f} cube sizes"
+    assert len(result.trace) == 10
 
 
 def test_identity_denoiser_converges_toward_data_consistency():
     truth, op, y = _phantom_problem()
     cfg = ReconConfig(stages=9, denoiser="identity", mu_start=1e-4, mu_growth=3.0)
-    result = run_hqs(y, op, cfg)
-    assert all(np.isfinite(s.residual_norm) for s in result.stages)
-    assert result.stages[-1].residual_norm < result.stages[0].residual_norm
+    trace = run_hqs(y, op, cfg).trace
+    assert all(np.isfinite(r.residual_norm) for r in trace)
+    assert trace[-1].residual_norm < trace[1].residual_norm
 
 
 def test_tv_reconstruction_improves_psnr_and_residual():
     truth, op, y = _phantom_problem(h=32, w=32, n=4, seed=9)
-    result = run_hqs(y, op, ReconConfig(stages=9, denoiser="tv"), truth=truth)
-    assert result.stages[-1].psnr_vs_truth > result.init.psnr_vs_truth
-    assert result.stages[-1].residual_norm < result.stages[0].residual_norm
-    mus = [s.mu for s in result.stages]
+    trace = run_hqs(y, op, ReconConfig(stages=9, denoiser="tv"), truth=truth).trace
+    assert trace[-1].psnr_vs_truth > trace[0].psnr_vs_truth
+    assert trace[-1].residual_norm < trace[1].residual_norm
+    mus = [r.mu for r in trace[1:]]
     np.testing.assert_allclose(mus, 1e-4 * 3.0 ** np.arange(9), rtol=1e-12)
-    etas = [s.eta for s in result.stages]
+    etas = [r.eta for r in trace[1:]]
     np.testing.assert_allclose(etas, np.asarray(mus) / 1e-4, rtol=1e-12)
 
 
@@ -183,11 +199,11 @@ def test_learned_pipeline_runs_and_traces(square_operator):
     y = forward_measure(truth, square_operator)
     cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True, lnlt=arch)
     result = run_hqs(y, square_operator, cfg, params=params, truth=truth)
-    assert len(result.stages) == 2
-    for stage in result.stages:
-        assert stage.mu > 0 and stage.eta > 0
-        assert np.isfinite(stage.z).all()
-        assert np.isfinite(stage.residual_norm)
+    assert [r.stage for r in result.trace] == [0, 1, 2]
+    for row in result.trace[1:]:
+        assert row.mu > 0 and row.eta > 0
+        assert np.isfinite(row.residual_norm)
+    assert np.isfinite(result.z.numpy()).all()
 
 
 def test_learned_pipeline_requires_params(square_operator):
@@ -242,6 +258,6 @@ def test_trace_csv_layout():
 def test_trace_without_truth_leaves_psnr_blank():
     truth, op, y = _phantom_problem()
     result = run_hqs(y, op, ReconConfig(stages=1, denoiser="tv"))
-    assert result.init.psnr_vs_truth is None
+    assert all(r.psnr_vs_truth is None for r in result.trace)
     lines = trace_csv(result).strip().split("\n")
     assert all(line.endswith(",") for line in lines[1:])

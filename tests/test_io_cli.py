@@ -182,6 +182,8 @@ PARAM_CORRUPTIONS = {
     "duplicate-name": lambda: _params_blob(
         2, _entry(b"w", np.ones(2)) + _entry(b"w", np.ones(2))),
     "undecodable-name": lambda: _params_blob(1, _entry(b"\xff\xfe", np.ones(1))),
+    "non-finite-value": lambda: _params_blob(1, _entry(b"w", np.array([1.0, np.nan]))),
+    "empty-entry": lambda: _params_blob(1, _entry(b"w", np.zeros(0))),
 }
 
 
@@ -431,6 +433,17 @@ def test_numerical_failure_exits_6(tmp_path):
     assert proc.returncode == 6
     # exactly the one error line: no numpy RuntimeWarning ahead of it
     assert proc.stderr == "error: non-finite values produced by op 'conv2d'\n"
+
+
+@pytest.mark.parametrize("kind", ["non-finite-value", "empty-entry"])
+def test_malformed_checkpoint_exits_2_naming_the_entry(workbench, tmp_path, capsys, kind):
+    bad = tmp_path / "bad.dprm"
+    bad.write_bytes(PARAM_CORRUPTIONS[kind]())
+    code = cli.main(["reconstruct", "--measurement", str(workbench["meas"]),
+                     "--mask", str(workbench["mask"]), "--denoiser", "lnlt",
+                     "--params", str(bad), "--out", str(tmp_path / "out.hsic")])
+    assert code == 2
+    assert "entry 'w'" in capsys.readouterr().err
 
 
 def test_internal_error_exits_7(tmp_path, monkeypatch, capsys):

@@ -1,14 +1,16 @@
 """The built-in verification battery.
 
 Runs the battery at both levels, confirms every check clears its declared
-tolerance, and uses the tamper hook to prove a corrupted kernel actually
+tolerance, and swaps a corrupted kernel into the selftest module to prove it
 fails the check that claims to cover it (no vacuous passes).
 """
 
 import pytest
 
+import cassikit.selftest
 from cassikit.errors import CassikitError
 from cassikit.selftest import CHECKS, format_report, run_selftest
+from cassikit.tensor import Tensor
 
 QUICK_NAMES = [
     "engine-oracles",
@@ -63,24 +65,29 @@ def test_unknown_level_rejected():
         run_selftest("exhaustive")
 
 
-def _flip(name):
-    def tamper(store):
-        store[name]._assign(-store[name].data)
-    return tamper
+def _corrupt(monkeypatch, kernel):
+    """Replace selftest's binding of `kernel` with one whose output is off by 1e-3."""
+    original = getattr(cassikit.selftest, kernel)
+
+    def perturbed(*args, **kwargs):
+        return Tensor(original(*args, **kwargs).data + 1e-3)
+
+    monkeypatch.setattr(cassikit.selftest, kernel, perturbed)
 
 
-@pytest.mark.parametrize("check,param", [
-    ("attention-local", "msa.q.point.w"),
-    ("attention-nonlocal", "msa.v.depth.w"),
-])
-def test_tampered_kernel_fails_exactly_the_named_check(check, param):
-    results = run_selftest("quick", tamper={check: _flip(param)})
+@pytest.mark.parametrize("check,kernel", [
+    ("attention-local", "local_msa"),
+    ("attention-nonlocal", "nonlocal_msa"),
+], ids=["attention-local", "attention-nonlocal"])
+def test_corrupted_kernel_fails_exactly_the_named_check(monkeypatch, check, kernel):
+    _corrupt(monkeypatch, kernel)
+    results = run_selftest("quick")
     by_name = {r.name: r for r in results}
     assert not by_name[check].passed
     assert by_name[check].max_err > by_name[check].tol
     for name, r in by_name.items():
         if name != check:
-            assert r.passed, f"tamper leaked into {name}"
+            assert r.passed, f"corrupted {kernel} leaked into {name}"
 
 
 def test_report_lists_every_check_and_the_verdict(quick_results):
@@ -91,8 +98,9 @@ def test_report_lists_every_check_and_the_verdict(quick_results):
     assert report.strip().endswith("all checks passed")
 
 
-def test_report_flags_failures():
-    results = run_selftest("quick", tamper={"attention-local": _flip("msa.q.point.w")})
+def test_report_flags_failures(monkeypatch):
+    _corrupt(monkeypatch, "local_msa")
+    results = run_selftest("quick")
     report = format_report(results)
     assert "FAIL" in report
     assert report.strip().endswith("FAILURES present")
