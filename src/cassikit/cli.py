@@ -41,7 +41,8 @@ from .phantom import generate_phantom
 from .selftest import format_report, run_selftest
 from .tensor import Tensor, no_grad
 from .train import TrainConfig, curve_csv, train_overfit
-from .transformer import LnltConfig, register_lnlt_params
+from .transformer import (LnltConfig, attention_layout, register_lnlt_params,
+                          section_blocks)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -150,6 +151,30 @@ def _operator_from_mask_file(path: str, step: int, bands: int | None) -> Sensing
     return SensingOperator(Tensor(cube), step)
 
 
+# `reconstruct` reads the architecture from the checkpoint.  These flags only
+# assert it; they stay until the benchmark stops passing them (bench/run.py
+# gives them on train_32), then they go.
+ARCH_FLAGS = ("channels", "blocks", "window", "grid")
+
+
+def _check_arch_flags(flags: dict, denoiser: str, params: ParamStore | None) -> None:
+    """Each architecture flag that is set must equal the checkpoint's value."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    if not given:
+        return
+    if denoiser != "lnlt":
+        raise ParameterError(f"--{next(iter(given))} applies only to --denoiser lnlt, "
+                             f"whose checkpoint defines the architecture")
+    w = params.scope("lnlt")
+    stored = {"channels": w["embed.w"].shape[3],
+              "blocks": section_blocks(w, "enc1"),
+              "window": attention_layout(w.scope("enc1.0.local"))[1],
+              "grid": attention_layout(w.scope("enc1.0.nonlocal"))[1]}
+    for key, value in given.items():
+        if value != stored[key]:
+            raise ShapeError(f"--{key} {value} does not match the checkpoint's {stored[key]}")
+
+
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     config = parse_config_file(args.config) if args.config else {}
     stages = _resolve(args, config, "stages", 9, int)
@@ -158,10 +183,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     init_mode = _resolve(args, config, "init", "normalized-adjoint", str)
     step = _resolve(args, config, "step", 2, int)
     bands = _resolve(args, config, "bands", None, int)
-    channels = _resolve(args, config, "channels", 32, int)
-    blocks = _resolve(args, config, "blocks", 1, int)
-    window = _resolve(args, config, "window", 8, int)
-    grid = _resolve(args, config, "grid", 8, int)
+    arch_flags = {key: _resolve(args, config, key, None, int) for key in ARCH_FLAGS}
     if config:
         raise FormatError(f"unknown config keys: {sorted(config)}")
 
@@ -173,26 +195,24 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if y.shape != op.measurement_shape:
         raise ShapeError(f"measurement {y.shape} does not match operator {op.measurement_shape}")
 
-    arch = LnltConfig(base_channels=channels, blocks_per_level=blocks,
-                      local_window=window, nonlocal_grid=grid)
-    cfg = ReconConfig(stages=stages, denoiser=denoiser, use_den=use_den,
-                      init=init_mode, lnlt=arch)
+    cfg = ReconConfig(stages=stages, denoiser=denoiser, use_den=use_den, init=init_mode)
     params = None
     if use_den or denoiser == "lnlt":
         if args.params is None:
             raise MissingParamsError("learned components need --params CHECKPOINT")
         params = fileio.read_params(args.params)
+    _check_arch_flags(arch_flags, denoiser, params)
     truth = HsiCube(Tensor(fileio.read_cube(args.truth))) if args.truth else None
 
     # inference only: without no_grad the shared learned weights (loaded with
     # requires_grad=True) would keep every stage's backward graph alive
     with no_grad():
         result = run_hqs(y, op, cfg, params=params, truth=truth)
-    fileio.write_cube(args.out, result.z.numpy())
+    z = result.z.data.data  # read in place: the report step copies no cube
+    fileio.write_cube(args.out, z)
     print(f"reconstruction {op.h}x{op.w}x{op.n_bands} -> {args.out}")
     if truth is not None:
-        z = result.z.numpy()
-        t = truth.numpy()
+        t = truth.data.data
         print(f"psnr {metrics.psnr(z, t):.4f} dB  ssim {metrics.ssim(z, t):.5f}  "
               f"sam {metrics.sam(z, t):.4f} deg")
     if args.trace:
@@ -223,7 +243,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     arch = LnltConfig(base_channels=channels, blocks_per_level=blocks,
                       local_window=window, nonlocal_grid=grid)
     params = init_pipeline_params(n_bands, arch, seed)
-    rcfg = ReconConfig(stages=stages, denoiser="lnlt", use_den=True, lnlt=arch)
+    rcfg = ReconConfig(stages=stages, denoiser="lnlt", use_den=True)
     tcfg = TrainConfig(steps=steps, lr=lr, warmup_steps=warmup)
     result = train_overfit(truth, op, params, tcfg, rcfg)
     fileio.write_params(args.out, result.params)
@@ -287,10 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--truth", default=None)
     p_rec.add_argument("--step", type=int, default=None)
     p_rec.add_argument("--bands", type=int, default=None)
-    p_rec.add_argument("--channels", type=int, default=None)
-    p_rec.add_argument("--blocks", type=int, default=None)
-    p_rec.add_argument("--window", type=int, default=None)
-    p_rec.add_argument("--grid", type=int, default=None)
+    for key in ARCH_FLAGS:
+        p_rec.add_argument(f"--{key}", type=int, default=None,
+                           help="checked against the checkpoint, which defines the architecture")
     p_rec.add_argument("--out", required=True)
     p_rec.add_argument("--trace", default=None)
     p_rec.add_argument("--config", default=None)

@@ -27,7 +27,7 @@ TV_SCALE / eta_k (larger eta means a tighter data fit and lighter smoothing).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -72,7 +72,6 @@ class ReconConfig:
     init: str = "normalized-adjoint"
     mu_start: float = 1e-4
     mu_growth: float = 3.0
-    lnlt: LnltConfig = field(default_factory=LnltConfig)
 
     def validate(self) -> None:
         if self.stages < 0:
@@ -199,7 +198,7 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
             weight = TV_SCALE / float(as_tensor(eta_k).data.reshape(()))
             z = HsiCube(Tensor(tv_denoise(x.data.data, weight, TV_ITERS)))
         else:
-            z = lnlt_denoise(x, eta_k, p.scope("lnlt"), cfg.lnlt)
+            z = lnlt_denoise(x, eta_k, p.scope("lnlt"))
 
         mu_f = float(as_tensor(mu_k).data.reshape(()))
         eta_f = float(as_tensor(eta_k).data.reshape(()))

@@ -75,17 +75,20 @@ class ParamStore:
 class ParamScope:
     """Prefix-scoped lookup into a store; scopes nest with `scope`."""
 
-    __slots__ = ("_store", "_prefix")
+    __slots__ = ("_store", "prefix")
 
     def __init__(self, store: ParamStore, prefix: str):
         self._store = store
-        self._prefix = prefix
+        self.prefix = prefix
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._store[f"{self._prefix}.{name}"]
+        return self._store[f"{self.prefix}.{name}"]
+
+    def __contains__(self, name: str) -> bool:
+        return f"{self.prefix}.{name}" in self._store
 
     def scope(self, prefix: str) -> "ParamScope":
-        return ParamScope(self._store, f"{self._prefix}.{prefix}")
+        return ParamScope(self._store, f"{self.prefix}.{prefix}")
 
 
 class Initializer:

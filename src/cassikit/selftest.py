@@ -256,7 +256,7 @@ def check_attention_local() -> float:
     store, weights = _msa_fixture(41, c, heads, m * m)
     arrs = _msa_arrays(store)
     x = _rng(42).normal(size=(8, 8, c))
-    got = local_msa(Tensor(x), weights, m, heads).data
+    got = local_msa(Tensor(x), weights).data
     want = _oracle_local_msa(x, arrs, m, heads)
     return float(np.abs(got - want).max())
 
@@ -266,7 +266,7 @@ def check_attention_nonlocal() -> float:
     store, weights = _msa_fixture(51, c, heads, n * n)
     arrs = _msa_arrays(store)
     x = _rng(52).normal(size=(8, 8, c))
-    got = nonlocal_msa(Tensor(x), weights, n, heads).data
+    got = nonlocal_msa(Tensor(x), weights).data
     want = _oracle_nonlocal_msa(x, arrs, n, heads)
     return float(np.abs(got - want).max())
 
@@ -281,7 +281,7 @@ def check_grad_block() -> float:
     probe = Tensor(_rng(63).normal(size=(8, 8, 8)))
 
     def f(params):
-        out = block_forward(x, weights, cfg, heads=2)
+        out = block_forward(x, weights)
         return reduce_mean(mul(out, probe))
 
     report = fd_gradcheck(f, store, h=1e-5, tol=1e-3, n_samples=12, seed=64)

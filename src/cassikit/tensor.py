@@ -486,8 +486,8 @@ def _patches(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(win, (0, 1, 3, 4, 2)))
 
 
-def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """2D convolution on [H, W, Cin] with kernel [kh, kw, Cin/groups, Cout].
+def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
+    """2D convolution on [H, W, Cin] with kernel [kh, kw, Cin/groups, Cout], bias [Cout].
 
     `groups` is 1 (dense) or Cin == Cout (depthwise: output channel c sees
     only input channel c).  Output extents follow
@@ -507,8 +507,8 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     wo = (wdt + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output extents ({ho}, {wo}) invalid")
-    bias = as_tensor(b) if b is not None else None
-    if bias is not None and bias.shape != (cout,):
+    bias = as_tensor(b)
+    if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {bias.shape} != ({cout},)")
 
     xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0))) if padding else x.data
@@ -520,8 +520,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
     else:
         out = cols.reshape(ho * wo, kh * kw * cin) @ w.data.reshape(kh * kw * cin, cout)
         out = out.reshape(ho, wo, cout)
-    if bias is not None:
-        out = out + bias.data
+    out = out + bias.data
 
     def bwd(g):
         hp, wp = h + 2 * padding, wdt + 2 * padding
@@ -537,20 +536,16 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, groups: int = 1) -> 
                 for j in range(kw):
                     dxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += g @ w.data[i, j].T
         dx = dxp[padding:hp - padding, padding:wp - padding] if padding else dxp
-        grads = [dx, dw]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 1)))
-        return tuple(grads)
+        return dx, dw, g.sum(axis=(0, 1))
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _make("conv2d", out, parents, bwd)
+    return _make("conv2d", out, (x, w, bias), bwd)
 
 
-def conv_transpose2d(x, w, b=None, stride: int = 2) -> Tensor:
+def conv_transpose2d(x, w, b, stride: int = 2) -> Tensor:
     """Transposed conv with kernel extent equal to the stride (no overlap).
 
-    Kernel is [s, s, Cin, Cout]; each input pixel expands into an s-by-s
-    output block, so output extents are exactly (s*H, s*W).
+    Kernel is [s, s, Cin, Cout] and bias [Cout]; each input pixel expands
+    into an s-by-s output block, so output extents are exactly (s*H, s*W).
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -562,25 +557,20 @@ def conv_transpose2d(x, w, b=None, stride: int = 2) -> Tensor:
     if w.shape[0] != s or w.shape[1] != s or w.shape[2] != cin:
         raise ShapeError(f"conv_transpose2d kernel {w.shape} incompatible with stride {s}, Cin {cin}")
     cout = w.shape[3]
-    bias = as_tensor(b) if b is not None else None
-    if bias is not None and bias.shape != (cout,):
+    bias = as_tensor(b)
+    if bias.shape != (cout,):
         raise ShapeError(f"conv_transpose2d bias shape {bias.shape} != ({cout},)")
 
     out = np.einsum("hwc,ijcd->hiwjd", x.data, w.data, optimize=True).reshape(h * s, wdt * s, cout)
-    if bias is not None:
-        out = out + bias.data
+    out = out + bias.data
 
     def bwd(g):
         gr = g.reshape(h, s, wdt, s, cout)
         dx = np.einsum("hiwjd,ijcd->hwc", gr, w.data, optimize=True)
         dw = np.einsum("hwc,hiwjd->ijcd", x.data, gr, optimize=True)
-        grads = [dx, dw]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 1)))
-        return tuple(grads)
+        return dx, dw, g.sum(axis=(0, 1))
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _make("conv_transpose2d", out, parents, bwd)
+    return _make("conv_transpose2d", out, (x, w, bias), bwd)
 
 
 def make_op(op: str, out: np.ndarray, parents: Sequence[Tensor], bwd) -> Tensor:

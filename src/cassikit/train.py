@@ -26,28 +26,27 @@ from .params import ParamStore
 from .tensor import Tensor, add, backward, mul, reduce_mean, sqrt, sub
 
 
+# Fixed optimizer and loss settings: one value in use each, so no config field.
+BETA1 = 0.9             # Adam first-moment decay
+BETA2 = 0.999           # Adam second-moment decay
+ADAM_EPS = 1e-8         # Adam denominator guard
+CLIP_NORM = 1.0         # global gradient-norm clip
+CHARBONNIER_EPS = 1e-3  # Charbonnier loss smoothing
+
+
 @dataclass
 class TrainConfig:
     steps: int = 500
     lr: float = 4e-4
     warmup_steps: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_norm: float = 1.0
-    charbonnier_eps: float = 1e-3
 
     def validate(self) -> None:
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
         if self.lr < 0:
             raise ParameterError(f"lr must be >= 0, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ParameterError(f"betas must be in [0, 1), got {(self.beta1, self.beta2)}")
         if self.warmup_steps < 0 or self.warmup_steps > self.steps:
             raise ParameterError(f"warmup {self.warmup_steps} invalid for {self.steps} steps")
-        if self.clip_norm <= 0 or self.adam_eps <= 0 or self.charbonnier_eps <= 0:
-            raise ParameterError("clip_norm, adam_eps and charbonnier_eps must be > 0")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -82,26 +81,23 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
     return total
 
 
-def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float,
-              cfg: TrainConfig) -> None:
+def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update: grads maps name -> ndarray."""
     state.t += 1
     t = state.t
     for name, tensor in params.items():
         g = grads[name]
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - cfg.beta1 ** t)
-        v_hat = state.v[name] / (1.0 - cfg.beta2 ** t)
-        tensor._assign(tensor.data - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
+        m_hat = state.m[name] / (1.0 - BETA1 ** t)
+        v_hat = state.v[name] / (1.0 - BETA2 ** t)
+        tensor._assign(tensor.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
-def charbonnier_loss(a: Tensor, b: Tensor, eps: float = 1e-3) -> Tensor:
-    """Differentiable mean sqrt(diff^2 + eps^2)."""
-    if eps <= 0:
-        raise ParameterError(f"charbonnier eps must be > 0, got {eps}")
+def charbonnier_loss(a: Tensor, b: Tensor) -> Tensor:
+    """Differentiable mean sqrt(diff^2 + eps^2), eps = CHARBONNIER_EPS."""
     diff = sub(a, b)
-    return reduce_mean(sqrt(add(mul(diff, diff), eps * eps)))
+    return reduce_mean(sqrt(add(mul(diff, diff), CHARBONNIER_EPS * CHARBONNIER_EPS)))
 
 
 @dataclass
@@ -137,7 +133,7 @@ def train_overfit(truth: HsiCube, op: SensingOperator, params: ParamStore,
         lr = lr_at(step, tcfg)
         try:
             result = run_hqs(y, op, rcfg, params)
-            loss = charbonnier_loss(result.z.data, truth_t, tcfg.charbonnier_eps)
+            loss = charbonnier_loss(result.z.data, truth_t)
             grad_map = backward(loss, params=params)
         except NumericalError as exc:
             raise DivergenceError(f"non-finite training state at step {step}: {exc}") from exc
@@ -146,8 +142,8 @@ def train_overfit(truth: HsiCube, op: SensingOperator, params: ParamStore,
             raise DivergenceError(f"non-finite loss at step {step}")
         curve.append((step, lr, loss_val))
         grads = {name: grad_map[params[name]] for name in params.names()}
-        clip_global_norm(grads, tcfg.clip_norm)
-        adam_step(params, grads, state, lr, tcfg)
+        clip_global_norm(grads, CLIP_NORM)
+        adam_step(params, grads, state, lr)
     return TrainResult(params=params, curve=curve)
 
 

@@ -23,6 +23,7 @@ predicts a residual: output = input + R.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ SECTIONS = ("enc1", "enc2", "mid", "dec2", "dec1")
 
 @dataclass(frozen=True)
 class LnltConfig:
-    """Architecture hyperparameters.
+    """Architecture of fresh weights; the forward pass reads it back from them.
 
     Level widths are (C, 2C, 4C) with per-level head counts `heads`.
     `local_window` is M (pixels per window side); `nonlocal_grid` is N
@@ -159,27 +160,34 @@ def _merge_heads(t: Tensor) -> Tensor:
     return reshape(t, (tt, ll, heads * d))
 
 
-def local_msa(x: Tensor, w: ParamScope, window: int, heads: int) -> Tensor:
+def attention_layout(w: ParamScope) -> tuple:
+    """(heads, s) from an attention module's (heads, s^2, s^2) position bias;
+    s is the window side M (local) or the grid side N (non-local)."""
+    shape = w["pos"].shape
+    side = math.isqrt(shape[1]) if len(shape) == 3 else 0
+    if side < 1 or side * side != shape[1] or shape[1] != shape[2]:
+        raise ShapeError(f"{w.prefix}.pos has shape {shape}, not (heads, s*s, s*s)")
+    return shape[0], side
+
+
+def local_msa(x: Tensor, w: ParamScope) -> Tensor:
     """Per-window multi-head self-attention over pixel tokens.
 
     Attention logits are Q K^T / sqrt(C/heads) plus the learned position
     bias; the projected result adds the input back.  The attention tensor
-    has shape [windows, heads, M^2, M^2].
+    has shape [windows, heads, M^2, M^2]; heads and M come from the bias.
     """
     h, wdt, c = x.shape
-    m = window
+    heads, m = attention_layout(w)
     if h % m or wdt % m:
         raise ShapeError(f"extents {(h, wdt)} not divisible by window {m}")
     if c % heads:
         raise ShapeError(f"{c} channels not divisible by {heads} heads")
-    pos = w["pos"]
-    if pos.shape != (heads, m * m, m * m):
-        raise ShapeError(f"position bias {pos.shape} != {(heads, m * m, m * m)}")
     d = c // heads
     q = _split_heads(_to_windows(qkv_project(x, w.scope("q")), m), heads)
     k = _split_heads(_to_windows(qkv_project(x, w.scope("k")), m), heads)
     v = _split_heads(_to_windows(qkv_project(x, w.scope("v")), m), heads)
-    logits = add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), pos)
+    logits = add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), w["pos"])
     attn = softmax_lastdim(logits)
     mixed = _from_windows(_merge_heads(matmul(attn, v)), h, wdt, m)
     return add(conv2d(mixed, w["proj.w"], w["proj.b"]), x)
@@ -199,23 +207,20 @@ def _from_grid_tokens(t: Tensor, h: int, w: int, c: int, n: int) -> Tensor:
     return reshape(t, (h, w, c))
 
 
-def nonlocal_msa(x: Tensor, w: ParamScope, grid: int, heads: int) -> Tensor:
+def nonlocal_msa(x: Tensor, w: ParamScope) -> Tensor:
     """Multi-head self-attention over grid-cell tokens.
 
     The token count is N^2 independent of image size; token width is
     H*W*C/N^2 and the per-head width H*W*C/(heads*N^2).  The attention
-    tensor has shape [heads, N^2, N^2].
+    tensor has shape [heads, N^2, N^2]; heads and N come from the bias.
     """
     h, wdt, c = x.shape
-    n = grid
+    heads, n = attention_layout(w)
     if h % n or wdt % n:
         raise ShapeError(f"extents {(h, wdt)} not divisible by grid {n}")
     token_width = (h // n) * (wdt // n) * c
     if token_width % heads:
         raise ShapeError(f"token width {token_width} not divisible by {heads} heads")
-    pos = w["pos"]
-    if pos.shape != (heads, n * n, n * n):
-        raise ShapeError(f"position bias {pos.shape} != {(heads, n * n, n * n)}")
     d = token_width // heads
     def tokens(proj):
         t = _to_grid_tokens(proj, n)
@@ -224,7 +229,7 @@ def nonlocal_msa(x: Tensor, w: ParamScope, grid: int, heads: int) -> Tensor:
     q = tokens(qkv_project(x, w.scope("q")))
     k = tokens(qkv_project(x, w.scope("k")))
     v = tokens(qkv_project(x, w.scope("v")))
-    logits = add(mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d)), pos)
+    logits = add(mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d)), w["pos"])
     attn = softmax_lastdim(logits)
     mixed = transpose(matmul(attn, v), (1, 0, 2))
     mixed = _from_grid_tokens(reshape(mixed, (n * n, token_width)), h, wdt, c, n)
@@ -243,27 +248,33 @@ def gdfn(x: Tensor, w: ParamScope) -> Tensor:
     return add(conv2d(gated, w["proj.w"], w["proj.b"]), x)
 
 
-def block_forward(x: Tensor, w: ParamScope, cfg: LnltConfig, heads: int) -> Tensor:
+def block_forward(x: Tensor, w: ParamScope) -> Tensor:
     """One denoiser block: LN -> local MSA -> LN -> non-local MSA -> LN -> GDFN."""
     t = layer_norm(x, w["ln1.gamma"], w["ln1.beta"])
-    t = local_msa(t, w.scope("local"), cfg.local_window, heads)
+    t = local_msa(t, w.scope("local"))
     u = layer_norm(t, w["ln2.gamma"], w["ln2.beta"])
-    u = nonlocal_msa(u, w.scope("nonlocal"), cfg.nonlocal_grid, heads)
+    u = nonlocal_msa(u, w.scope("nonlocal"))
     s = layer_norm(u, w["ln3.gamma"], w["ln3.beta"])
     return gdfn(s, w.scope("gdfn"))
 
 
-def lnlt_denoise(x: HsiCube, eta, w: ParamScope, cfg: LnltConfig) -> HsiCube:
-    """Denoise a cube conditioned on eta; returns input + predicted residual."""
+def section_blocks(w: ParamScope, section: str) -> int:
+    """Number of blocks registered under `section` (block 0 must exist)."""
+    return next(n for n in itertools.count(1) if f"{section}.{n}.ln1.gamma" not in w)
+
+
+def lnlt_denoise(x: HsiCube, eta, w: ParamScope) -> HsiCube:
+    """Denoise a cube conditioned on eta; returns input + predicted residual.
+    Widths, heads, window and grid sides and block counts come from `w`."""
     h, wdt, n_bands = x.shape
     embed_w = w["embed.w"]
     if embed_w.shape[2] != n_bands + 1:
         raise ShapeError(f"embed conv expects {embed_w.shape[2] - 1} bands, got {n_bands}")
-    if h % (4 * cfg.local_window) or wdt % (4 * cfg.local_window) \
-            or h % (4 * cfg.nonlocal_grid) or wdt % (4 * cfg.nonlocal_grid):
-        raise ShapeError(
-            f"extents {(h, wdt)} must be divisible by 4*window and 4*grid "
-            f"({4 * cfg.local_window}, {4 * cfg.nonlocal_grid})")
+    window = attention_layout(w.scope("enc1.0.local"))[1]
+    grid = attention_layout(w.scope("enc1.0.nonlocal"))[1]
+    if any(h % (4 * s) or wdt % (4 * s) for s in (window, grid)):
+        raise ShapeError(f"extents {(h, wdt)} must be divisible by 4*window and 4*grid "
+                         f"({4 * window}, {4 * grid})")
     eta_t = as_tensor(eta)
     if eta_t.data.size != 1:
         raise ShapeError(f"eta must be a scalar, got shape {eta_t.shape}")
@@ -272,9 +283,8 @@ def lnlt_denoise(x: HsiCube, eta, w: ParamScope, cfg: LnltConfig) -> HsiCube:
     x0 = conv2d(concat([x.data, chan], axis=2), embed_w, w["embed.b"], padding=1)
 
     def run_section(t, section):
-        heads = cfg.heads[_LEVEL_OF_SECTION[section]]
-        for b in range(cfg.blocks_per_level):
-            t = block_forward(t, w.scope(f"{section}.{b}"), cfg, heads)
+        for b in range(section_blocks(w, section)):
+            t = block_forward(t, w.scope(f"{section}.{b}"))
         return t
 
     e1 = run_section(x0, "enc1")

@@ -162,13 +162,13 @@ def test_05_attention_matches_brute_force_and_uniform_cases(checklist):
     for m in (4, 8):
         for heads in (1, 2, 4):
             store, weights = _msa_fixture(500 + 10 * m + heads, 8, heads, m * m)
-            got = local_msa(Tensor(x), weights, m, heads).data
+            got = local_msa(Tensor(x), weights).data
             want = _oracle_local_msa(x, _msa_arrays(store), m, heads)
             worst = max(worst, float(np.abs(got - want).max()))
     for n in (2, 4):
         for heads in (1, 2, 4):
             store, weights = _msa_fixture(600 + 10 * n + heads, 8, heads, n * n)
-            got = nonlocal_msa(Tensor(x), weights, n, heads).data
+            got = nonlocal_msa(Tensor(x), weights).data
             want = _oracle_nonlocal_msa(x, _msa_arrays(store), n, heads)
             worst = max(worst, float(np.abs(got - want).max()))
 
@@ -176,12 +176,12 @@ def test_05_attention_matches_brute_force_and_uniform_cases(checklist):
     # attention exactly uniform, so the mixed signal is a plain average
     xu = make_rng(51).normal(size=(8, 8, 4))
     m, n, heads = 4, 2, 2
-    got = local_msa(Tensor(xu), _identity_msa(4, heads, m * m), m, heads).data
+    got = local_msa(Tensor(xu), _identity_msa(4, heads, m * m)).data
     win_mean = xu.reshape(2, m, 2, m, 4).mean(axis=(1, 3))
     want = xu + np.repeat(np.repeat(win_mean, m, axis=0), m, axis=1)
     uniform_err = float(np.abs(got - want).max())
 
-    got = nonlocal_msa(Tensor(xu), _identity_msa(4, heads, n * n), n, heads).data
+    got = nonlocal_msa(Tensor(xu), _identity_msa(4, heads, n * n)).data
     cell_mean = xu.reshape(n, 4, n, 4, 4).mean(axis=(0, 2))
     want = xu + np.tile(cell_mean, (n, n, 1))
     uniform_err = max(uniform_err, float(np.abs(got - want).max()))
@@ -206,7 +206,7 @@ def test_06_analytic_gradients_match_finite_differences(checklist):
     x = Tensor(make_rng(62).normal(size=(8, 8, 8)) * 0.5)
     probe = Tensor(make_rng(63).normal(size=(8, 8, 8)))
     block_report = fd_gradcheck(
-        lambda params: reduce_mean(mul(block_forward(x, weights, cfg, heads=2), probe)),
+        lambda params: reduce_mean(mul(block_forward(x, weights), probe)),
         store, h=1e-5, tol=1e-3, n_samples=55, seed=64)
 
     store2 = ParamStore()
@@ -301,7 +301,7 @@ def _reference_training():
     arch = LnltConfig(base_channels=8, blocks_per_level=1,
                       local_window=4, nonlocal_grid=4)
     params = init_pipeline_params(4, arch, seed=0)
-    rcfg = ReconConfig(stages=3, denoiser="lnlt", use_den=True, lnlt=arch)
+    rcfg = ReconConfig(stages=3, denoiser="lnlt", use_den=True)
     tcfg = TrainConfig(steps=500, lr=4e-4, warmup_steps=10)
     return train_overfit(truth, op, params, tcfg, rcfg)
 

@@ -197,7 +197,7 @@ def test_learned_pipeline_runs_and_traces(square_operator):
     params = init_pipeline_params(8, arch, seed=0)
     truth = generate_phantom(16, 16, 8, seed=2)
     y = forward_measure(truth, square_operator)
-    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True, lnlt=arch)
+    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True)
     result = run_hqs(y, square_operator, cfg, params=params, truth=truth)
     assert [r.stage for r in result.trace] == [0, 1, 2]
     for row in result.trace[1:]:
@@ -221,7 +221,7 @@ def test_per_stage_parameter_lists_are_supported(square_operator):
     params = init_pipeline_params(8, arch, seed=0)
     truth = generate_phantom(16, 16, 8, seed=2)
     y = forward_measure(truth, square_operator)
-    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True, lnlt=arch)
+    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True)
     shared = run_hqs(y, square_operator, cfg, params=params)
     listed = run_hqs(y, square_operator, cfg, params=[params, params])
     np.testing.assert_array_equal(shared.z.numpy(), listed.z.numpy())

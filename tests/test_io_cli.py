@@ -356,14 +356,27 @@ def test_plane_mask_without_bands_exits_2(workbench, tmp_path):
 
 
 def test_invalid_architecture_flag_exits_2_on_every_route(workbench, tmp_path):
-    # the TV route runs no denoiser network, but its flags are still validated
+    # the TV route has no checkpoint to check an architecture flag against
     out = tmp_path / "out.hsic"
     proc = run_cli("reconstruct", "--measurement", workbench["meas"],
                    "--mask", workbench["mask"], "--denoiser", "tv", "--window", 0,
                    "--out", out)
     assert proc.returncode == 2
-    assert proc.stderr == "error: window sizes must be >= 1\n"
+    assert proc.stderr == ("error: --window applies only to --denoiser lnlt, "
+                           "whose checkpoint defines the architecture\n")
     assert not out.exists()
+
+
+def test_train_then_reconstruct_with_default_architecture(workbench, tmp_path):
+    ckpt, out = tmp_path / "w.dprm", tmp_path / "out.hsic"
+    proc = run_cli("train", "--truth", workbench["truth"], "--mask-seed", 2,
+                   "--stages", 1, "--steps", 1, "--warmup", 0, "--out", ckpt)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("reconstruct", "--measurement", workbench["meas"],
+                   "--mask", workbench["mask"], "--denoiser", "lnlt", "--use-den", "true",
+                   "--stages", 2, "--params", ckpt, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert fileio.read_cube(str(out)).shape == (16, 16, 4)
 
 
 @pytest.mark.parametrize("extra", [("--denoiser", "lnlt"), ("--use-den", "true")])
@@ -388,7 +401,7 @@ def test_divergent_training_exits_5(workbench, tmp_path):
     assert "step" in proc.stderr
 
 
-def _learned_inputs(tmp_path, weight_scale=1.0):
+def _learned_inputs(tmp_path, weight_scale=1.0, blocks=1):
     """32x32x4 measurement, its sheared mask and a C=8 checkpoint on disk."""
     op = SensingOperator.from_mask(random_binary_mask(32, 32, 11), 4, 2)
     files = {k: tmp_path / f"{k}.hsic" for k in ("meas", "mask")}
@@ -396,8 +409,8 @@ def _learned_inputs(tmp_path, weight_scale=1.0):
     fileio.write_cube(str(files["meas"]),
                       forward_measure(generate_phantom(32, 32, 4, seed=10), op).numpy())
     fileio.write_cube(str(files["mask"]), op.shifted_mask.data)
-    store = cli.init_pipeline_params(4, LnltConfig(base_channels=8, local_window=4,
-                                                   nonlocal_grid=4), seed=12)
+    arch = LnltConfig(base_channels=8, blocks_per_level=blocks, local_window=4, nonlocal_grid=4)
+    store = cli.init_pipeline_params(4, arch, seed=12)
     for _, t in store.items():
         t._assign(t.data * weight_scale)
     fileio.write_params(str(files["ckpt"]), store)
@@ -418,12 +431,53 @@ def test_learned_reconstruct_matches_tracked_in_process_run(tmp_path):
     # the same files through the recurrence with tracked weights, graph recorded
     y = Measurement(Tensor(fileio.read_plane(str(files["meas"]))))
     op = SensingOperator(Tensor(fileio.read_cube(str(files["mask"]))), 2)
-    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True,
-                      lnlt=LnltConfig(base_channels=8, local_window=4, nonlocal_grid=4))
+    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True)
     result = run_hqs(y, op, cfg, params=fileio.read_params(str(files["ckpt"])))
     assert result.z.data._tracked()
     assert out.read_bytes() == fileio.cube_bytes(result.z.numpy())
     assert trace.read_text() == trace_csv(result)
+
+
+def test_block_count_comes_from_the_checkpoint(tmp_path):
+    files = _learned_inputs(tmp_path, blocks=2)
+    out = tmp_path / "recon.hsic"
+    proc = run_cli("reconstruct", "--measurement", files["meas"], "--mask", files["mask"],
+                   "--params", files["ckpt"], "--denoiser", "lnlt", "--use-den", "true",
+                   "--stages", 2, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+
+    y = Measurement(Tensor(fileio.read_plane(str(files["meas"]))))
+    op = SensingOperator(Tensor(fileio.read_cube(str(files["mask"]))), 2)
+    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True)
+    result = run_hqs(y, op, cfg, params=fileio.read_params(str(files["ckpt"])))
+    assert out.read_bytes() == fileio.cube_bytes(result.z.numpy())
+
+
+@pytest.mark.parametrize("flag,value,stored", [
+    ("--channels", 16, 8), ("--blocks", 2, 1), ("--window", 8, 4), ("--grid", 2, 4)])
+def test_architecture_flag_must_match_the_checkpoint(tmp_path, capsys, flag, value, stored):
+    files = _learned_inputs(tmp_path)
+    code = cli.main(["reconstruct", "--measurement", str(files["meas"]),
+                     "--mask", str(files["mask"]), "--params", str(files["ckpt"]),
+                     "--denoiser", "lnlt", flag, str(value),
+                     "--out", str(tmp_path / "out.hsic")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: {flag} {value} does not match the checkpoint's {stored}\n")
+
+
+@pytest.mark.parametrize("entry", ["lnlt.enc1.0.local.pos", "lnlt.mid.0.nonlocal.pos"])
+def test_position_bias_with_unequal_sides_exits_3_naming_the_entry(tmp_path, capsys, entry):
+    files = _learned_inputs(tmp_path)
+    arrays = fileio.read_params(str(files["ckpt"])).arrays()
+    heads, tokens, _ = arrays[entry].shape
+    arrays[entry] = np.zeros((heads, tokens, tokens + 1))
+    fileio.write_params(str(files["ckpt"]), ParamStore.from_arrays(arrays))
+    code = cli.main(["reconstruct", "--measurement", str(files["meas"]),
+                     "--mask", str(files["mask"]), "--params", str(files["ckpt"]),
+                     "--denoiser", "lnlt", "--out", str(tmp_path / "out.hsic")])
+    assert code == 3
+    assert f"{entry} has shape" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_6(tmp_path):

@@ -204,18 +204,18 @@ def test_conv2d_against_loop_oracle(kh, kw, stride, padding, cin, cout, groups):
 def test_conv2d_validates_channels_and_geometry():
     x = Tensor(np.ones((4, 4, 3)))
     with pytest.raises(ShapeError):
-        T.conv2d(x, Tensor(np.ones((3, 3, 2, 4))))  # 2 * groups != 3
+        T.conv2d(x, Tensor(np.ones((3, 3, 2, 4))), np.zeros(4))  # 2 * groups != 3
     with pytest.raises(ShapeError):
-        T.conv2d(x, Tensor(np.ones((9, 9, 3, 1))))  # kernel larger than input
+        T.conv2d(x, Tensor(np.ones((9, 9, 3, 1))), np.zeros(1))  # kernel larger than input
     with pytest.raises(ParameterError):
-        T.conv2d(x, Tensor(np.ones((1, 1, 3, 1))), stride=0)
+        T.conv2d(x, Tensor(np.ones((1, 1, 3, 1))), np.zeros(1), stride=0)
     x4 = Tensor(np.ones((4, 4, 4)))  # groups is 1 (dense) or Cin == Cout (depthwise)
     with pytest.raises(ParameterError):
-        T.conv2d(x4, Tensor(np.ones((3, 3, 2, 4))), groups=2)
+        T.conv2d(x4, Tensor(np.ones((3, 3, 2, 4))), np.zeros(4), groups=2)
     with pytest.raises(ParameterError):
-        T.conv2d(x4, Tensor(np.ones((3, 3, 1, 8))), groups=4)  # Cout != Cin
+        T.conv2d(x4, Tensor(np.ones((3, 3, 1, 8))), np.zeros(8), groups=4)  # Cout != Cin
     with pytest.raises(ParameterError):
-        T.conv2d(x4, Tensor(np.ones((3, 3, 4, 4))), groups=0)
+        T.conv2d(x4, Tensor(np.ones((3, 3, 4, 4))), np.zeros(4), groups=0)
 
 
 def conv_transpose_loops(x, w, b):
@@ -243,7 +243,8 @@ def test_conv_transpose2d_against_loop_oracle(stride):
 
 def test_conv_transpose2d_kernel_must_match_stride():
     with pytest.raises(ShapeError):
-        T.conv_transpose2d(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 3, 1))), stride=2)
+        T.conv_transpose2d(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 3, 1))), np.zeros(1),
+                           stride=2)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +301,9 @@ def test_conv_gradients_match_finite_differences():
 
     def f(p):
         u = T.conv2d(x, p["w1"], p["b1"], stride=1, padding=1, groups=1)
-        u = T.conv2d(u, p["wd"], None, stride=1, padding=1, groups=4)
-        u = T.conv_transpose2d(u, p["wt"], None, stride=2)
-        u = T.conv2d(u, Tensor(np.full((2, 2, 2, 2), 0.25)), None, stride=2)
+        u = T.conv2d(u, p["wd"], np.zeros(4), stride=1, padding=1, groups=4)
+        u = T.conv_transpose2d(u, p["wt"], np.zeros(2), stride=2)
+        u = T.conv2d(u, Tensor(np.full((2, 2, 2, 2), 0.25)), np.zeros(2), stride=2)
         return T.reduce_sum(T.mul(u, p["probe"]))
 
     report = fd_gradcheck(f, store, n_samples=40, seed=23)
@@ -321,7 +322,7 @@ def test_composite_network_gradcheck():
     })
 
     def f(p):
-        u = T.conv2d(x, p["w"], None, padding=1)
+        u = T.conv2d(x, p["w"], np.zeros(6), padding=1)
         u = T.layer_norm(u, p["gamma"], p["beta"])
         tok = T.reshape(u, (16, 6))
         att = T.softmax_lastdim(T.matmul(tok, T.transpose(tok, (1, 0))))
@@ -361,7 +362,7 @@ def test_backward_is_deterministic():
     def run():
         rng = make_rng(27)
         store = _store_with({"w": rng.normal(size=(3, 3, 2, 2)), "x": rng.normal(size=(5, 5, 2))})
-        out = T.reduce_sum(T.gelu(T.conv2d(store["x"], store["w"], padding=1)))
+        out = T.reduce_sum(T.gelu(T.conv2d(store["x"], store["w"], np.zeros(2), padding=1)))
         grads = backward(out, params=store)
         return {name: grads[store[name]].tobytes() for name in store.names()}
 
@@ -422,9 +423,9 @@ def test_no_grad_values_are_bit_identical_to_the_tracked_forward():
     _register_block(Initializer(store, 84), "blk", 8, 2, cfg)
     w = store.scope("blk")
     x = Tensor(make_rng(85).normal(size=(8, 8, 8)))
-    tracked = block_forward(x, w, cfg, heads=2)
+    tracked = block_forward(x, w)
     with no_grad():
-        free = block_forward(x, w, cfg, heads=2)
+        free = block_forward(x, w)
     assert tracked._tracked() and not free._tracked()
     assert free.data.tobytes() == tracked.data.tobytes()
 

@@ -155,9 +155,9 @@ def test_denoiser_checks_band_count():
     store = ParamStore()
     cfg = LnltConfig(base_channels=8, local_window=4, nonlocal_grid=2)
     register_lnlt_params(Initializer(store, 3), cfg, n_bands=4)
-    lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 4)))), 1.0, store.scope("lnlt"), cfg)
+    lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 4)))), 1.0, store.scope("lnlt"))
     with pytest.raises(ShapeError, match="embed conv expects 4 bands, got 6"):
-        lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 6)))), 1.0, store.scope("lnlt"), cfg)
+        lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 6)))), 1.0, store.scope("lnlt"))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_local_attention_matches_loops(m, heads):
     c = 8
     store, w = msa_fixture(62 + m + heads, c=c, heads=heads, tokens=m * m)
     x = make_rng(63 + m).normal(size=(16, 16, c))
-    got = local_msa(Tensor(x), w, m, heads).data
+    got = local_msa(Tensor(x), w).data
     want = oracle_local(x, msa_arrays(store), m, heads)
     assert np.abs(got - want).max() <= 1e-5
 
@@ -188,7 +188,7 @@ def test_nonlocal_attention_matches_loops(n, heads):
     c = 8
     store, w = msa_fixture(64 + n + heads, c=c, heads=heads, tokens=n * n)
     x = make_rng(65 + n).normal(size=(16, 16, c))
-    got = nonlocal_msa(Tensor(x), w, n, heads).data
+    got = nonlocal_msa(Tensor(x), w).data
     want = oracle_nonlocal(x, msa_arrays(store), n, heads)
     assert np.abs(got - want).max() <= 1e-5
 
@@ -198,7 +198,7 @@ def test_uniform_local_attention_is_window_mean_plus_input():
     c, m = 4, 4
     w = identity_msa(c, heads=2, tokens=m * m)
     x = make_rng(66).normal(size=(8, 8, c))
-    got = local_msa(Tensor(x), w, m, heads=2).data
+    got = local_msa(Tensor(x), w).data
     want = np.zeros_like(x)
     for wi in range(0, 8, m):
         for wj in range(0, 8, m):
@@ -211,7 +211,7 @@ def test_uniform_nonlocal_attention_averages_grid_cells():
     c, n = 4, 2
     w = identity_msa(c, heads=1, tokens=n * n)
     x = make_rng(67).normal(size=(8, 8, c))
-    got = nonlocal_msa(Tensor(x), w, n, heads=1).data
+    got = nonlocal_msa(Tensor(x), w).data
     cells = x.reshape(n, 4, n, 4, c).transpose(0, 2, 1, 3, 4)  # [n, n, bh, bw, c]
     mean_cell = cells.reshape(n * n, 4, 4, c).mean(axis=0)
     want = np.tile(mean_cell, (n, n, 1))
@@ -224,8 +224,7 @@ def test_attention_rows_are_distributions():
     zero-padded depthwise convs keep the attention itself non-uniform."""
     c = 8
     x = np.broadcast_to(make_rng(69).normal(size=c), (8, 8, c)).copy()
-    for seed, tokens, attend in ((68, 16, lambda t, w: local_msa(t, w, 4, 2)),
-                                 (70, 4, lambda t, w: nonlocal_msa(t, w, 2, 2))):
+    for seed, tokens, attend in ((68, 16, local_msa), (70, 4, nonlocal_msa)):
         store, w = msa_fixture(seed, c=c, heads=2, tokens=tokens)
         delta = np.zeros((3, 3, 1, c))
         delta[1, 1, 0, :] = 1.0
@@ -244,18 +243,19 @@ def test_nonlocal_token_count_is_size_independent():
     assert w["pos"].shape == (heads, n * n, n * n)
     for hw in (8, 16):
         x = make_rng(72).normal(size=(hw, hw, c))
-        got = nonlocal_msa(Tensor(x), w, n, heads).data
+        got = nonlocal_msa(Tensor(x), w).data
         assert np.abs(got - oracle_nonlocal(x, msa_arrays(store), n, heads)).max() <= 1e-5
 
 
 def test_attention_divisibility_checks():
     store, w = msa_fixture(73, c=4, heads=2, tokens=16)
     with pytest.raises(ShapeError):
-        local_msa(Tensor(np.ones((6, 6, 4))), w, 4, 2)
+        local_msa(Tensor(np.ones((6, 6, 4))), w)
     with pytest.raises(ShapeError):
-        nonlocal_msa(Tensor(np.ones((6, 6, 4))), w, 4, 2)
+        nonlocal_msa(Tensor(np.ones((6, 6, 4))), w)
+    store, w = msa_fixture(73, c=4, heads=3, tokens=16)
     with pytest.raises(ShapeError):
-        local_msa(Tensor(np.ones((8, 8, 4))), w, 4, 3)  # channels % heads
+        local_msa(Tensor(np.ones((8, 8, 4))), w)  # channels % heads
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_zeroed_block_passes_normalized_input_through():
             store[name]._assign(np.zeros(store[name].shape))
     w = store.scope("blk")
     x = make_rng(78).normal(size=(8, 8, 4))
-    got = block_forward(Tensor(x), w, cfg, heads=2).data
+    got = block_forward(Tensor(x), w).data
 
     def ln(a):
         mu = a.mean(axis=-1, keepdims=True)
@@ -330,7 +330,7 @@ def test_block_gradients_match_finite_differences():
     probe = Tensor(make_rng(81).normal(size=(8, 8, 8)))
 
     def f(params):
-        return reduce_mean(mul(block_forward(x, w, cfg, heads=2), probe))
+        return reduce_mean(mul(block_forward(x, w), probe))
 
     report = fd_gradcheck(f, store, n_samples=60, seed=82)
     assert report.passed, f"max rel err {report.max_rel_err:.3e}"
@@ -345,52 +345,52 @@ def denoiser_fixture(n_bands=4, seed=83):
     cfg = LnltConfig(base_channels=8, local_window=4, nonlocal_grid=4)
     store = ParamStore()
     register_lnlt_params(Initializer(store, seed), cfg, n_bands)
-    return cfg, store, store.scope("lnlt")
+    return store, store.scope("lnlt")
 
 
 def test_denoiser_preserves_shape_and_is_finite():
-    cfg, store, weights = denoiser_fixture()
+    store, weights = denoiser_fixture()
     x = HsiCube(Tensor(make_rng(84).random((16, 16, 4)) * 2.0))
-    out = lnlt_denoise(x, 0.7, weights, cfg)
+    out = lnlt_denoise(x, 0.7, weights)
     assert out.shape == (16, 16, 4)
     assert np.isfinite(out.numpy()).all()
 
 
 def test_denoiser_output_is_input_plus_residual():
     """Zeroing the final conv forces the residual, and so the change, to zero."""
-    cfg, store, weights = denoiser_fixture()
+    store, weights = denoiser_fixture()
     store["lnlt.out.w"]._assign(np.zeros(store["lnlt.out.w"].shape))
     store["lnlt.out.b"]._assign(np.zeros(store["lnlt.out.b"].shape))
     x = HsiCube(Tensor(make_rng(85).random((16, 16, 4))))
-    out = lnlt_denoise(x, 0.7, weights, cfg)
+    out = lnlt_denoise(x, 0.7, weights)
     np.testing.assert_array_equal(out.numpy(), x.numpy())
 
 
 def test_denoiser_conditions_on_eta():
-    cfg, store, weights = denoiser_fixture()
+    store, weights = denoiser_fixture()
     x = HsiCube(Tensor(make_rng(86).random((16, 16, 4))))
-    out_lo = lnlt_denoise(x, 0.1, weights, cfg).numpy()
-    out_hi = lnlt_denoise(x, 5.0, weights, cfg).numpy()
+    out_lo = lnlt_denoise(x, 0.1, weights).numpy()
+    out_hi = lnlt_denoise(x, 5.0, weights).numpy()
     assert not np.array_equal(out_lo, out_hi)
-    out_scalar = lnlt_denoise(x, Tensor(np.array(0.1)), weights, cfg).numpy()
+    out_scalar = lnlt_denoise(x, Tensor(np.array(0.1)), weights).numpy()
     np.testing.assert_array_equal(out_lo, out_scalar)
 
 
 def test_denoiser_divisibility_and_eta_shape_checks():
-    cfg, store, weights = denoiser_fixture()
+    store, weights = denoiser_fixture()
     with pytest.raises(ShapeError):
-        lnlt_denoise(HsiCube(Tensor(np.ones((12, 16, 4)))), 1.0, weights, cfg)
+        lnlt_denoise(HsiCube(Tensor(np.ones((12, 16, 4)))), 1.0, weights)
     with pytest.raises(ShapeError):
-        lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 4)))), np.ones(2), weights, cfg)
+        lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 4)))), np.ones(2), weights)
 
 
 def test_denoiser_gradients_match_finite_differences():
-    cfg, store, weights = denoiser_fixture()
+    store, weights = denoiser_fixture()
     x = HsiCube(Tensor(make_rng(88).random((16, 16, 4))))
     probe = Tensor(make_rng(89).normal(size=(16, 16, 4)))
 
     def f(params):
-        out = lnlt_denoise(x, 0.7, weights, cfg)
+        out = lnlt_denoise(x, 0.7, weights)
         return reduce_mean(mul(out.data, probe))
 
     report = fd_gradcheck(f, store, n_samples=20, seed=90)
