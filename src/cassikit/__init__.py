@@ -8,8 +8,8 @@ learned pipeline on a toy patch, and verify every numerical kernel against
 independent oracles via the built-in selftest.
 """
 
-from .cassi import (HsiCube, Mask2D, Measurement, NoiseConfig, SensingOperator,
-                    adjoint_apply, forward_measure, materialize_dense,
+from .cassi import (HsiCube, Mask2D, Measurement, SensingOperator, adjoint_apply,
+                    apply_shot_noise, forward_measure, materialize_dense,
                     phi_gram_diag, random_binary_mask, shift_cube, unshift_cube)
 from .errors import (CassikitError, DivergenceError, FormatError,
                      GraphStateError, MetricError, MissingParamsError,

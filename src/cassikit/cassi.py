@@ -10,11 +10,12 @@ with detector width W' = W + step * (N - 1).  Equivalently y = Phi x in
 matrix form, where Phi is built from N horizontally concatenated diagonal
 blocks, so Phi Phi^T is diagonal: the quantity `phi_gram_diag` returns that
 diagonal as an H x W' image, and the data-consistency step in hqs.py relies
-on it.
+on it.  `forward_measure` applies Phi only; `apply_shot_noise` is the
+separate noise step.
 
 The shear and its inverse are recorded as differentiable primitives so that
 learned operator corrections can flow gradients through measurement and
-adjoint applications.
+adjoint applications; both wrap one numpy shear pair.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OperatorError, OracleCapError, ParameterError, ShapeError
-from .tensor import Tensor, as_tensor, make_op, mul, reduce_sum, reshape
+from .tensor import Tensor, as_tensor, make_op, mul, reduce_sum, reshape, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -87,24 +88,23 @@ class Measurement:
         return self.data.copy_array()
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Measurement noise model: 'none', or 'shot' (Poisson at `bits` depth).
+def _shear(a: np.ndarray, step: int) -> np.ndarray:
+    """[H, W, N] -> [H, W + step*(N-1), N]; band b (from 0) moves right by step*b."""
+    h, w, n = a.shape
+    out = np.zeros((h, w + step * (n - 1), n), dtype=a.dtype)
+    for band in range(n):
+        out[:, step * band:step * band + w, band] = a[:, :, band]
+    return out
 
-    Shot noise scales the clean measurement to a [0, 2^bits] photon budget,
-    draws one Poisson sample per pixel from a PCG64 stream seeded with
-    `seed`, and rescales; runs are bit-reproducible for a fixed seed.
-    """
 
-    kind: str = "none"
-    bits: int = 11
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "shot"):
-            raise ParameterError(f"unknown noise kind {self.kind!r}")
-        if self.bits < 1:
-            raise ParameterError(f"noise bits must be >= 1, got {self.bits}")
+def _unshear(a: np.ndarray, step: int) -> np.ndarray:
+    """[H, W', N] -> [H, W' - step*(N-1), N]; the inverse of `_shear` on its range."""
+    h, wp, n = a.shape
+    w = wp - step * (n - 1)
+    out = np.empty((h, w, n), dtype=a.dtype)
+    for band in range(n):
+        out[:, :, band] = a[:, step * band:step * band + w, band]
+    return out
 
 
 def shift_cube(x, step: int) -> Tensor:
@@ -118,21 +118,7 @@ def shift_cube(x, step: int) -> Tensor:
         raise ShapeError(f"shift_cube expects rank 3, got {x.shape}")
     if step < 0:
         raise ParameterError(f"shift step must be >= 0, got {step}")
-    h, w, n = x.shape
-    wp = w + step * (n - 1)
-    out = np.zeros((h, wp, n))
-    for band in range(n):
-        d = step * band
-        out[:, d:d + w, band] = x.data[:, :, band]
-
-    def bwd(g):
-        dx = np.empty((h, w, n))
-        for band in range(n):
-            d = step * band
-            dx[:, :, band] = g[:, d:d + w, band]
-        return (dx,)
-
-    return make_op("shift_cube", out, (x,), bwd)
+    return make_op("shift_cube", _shear(x.data, step), (x,), lambda g: (_unshear(g, step),))
 
 
 def unshift_cube(xs, step: int) -> Tensor:
@@ -145,33 +131,15 @@ def unshift_cube(xs, step: int) -> Tensor:
         raise ShapeError(f"unshift_cube expects rank 3, got {xs.shape}")
     if step < 0:
         raise ParameterError(f"shift step must be >= 0, got {step}")
-    h, wp, n = xs.shape
-    w = wp - step * (n - 1)
-    if w < 1:
+    _, wp, n = xs.shape
+    if wp - step * (n - 1) < 1:
         raise ShapeError(f"unshift_cube: width {wp} too small for {n} bands at step {step}")
-    out = np.empty((h, w, n))
-    for band in range(n):
-        d = step * band
-        out[:, :, band] = xs.data[:, d:d + w, band]
-
-    def bwd(g):
-        dxs = np.zeros((h, wp, n))
-        for band in range(n):
-            d = step * band
-            dxs[:, d:d + w, band] = g[:, :, band]
-        return (dxs,)
-
-    return make_op("unshift_cube", out, (xs,), bwd)
+    return make_op("unshift_cube", _unshear(xs.data, step), (xs,), lambda g: (_shear(g, step),))
 
 
 def dispersion_support(h: int, w: int, n_bands: int, step: int) -> np.ndarray:
     """Boolean [H, W', N]: True where a sheared cube may be nonzero."""
-    wp = w + step * (n_bands - 1)
-    sup = np.zeros((h, wp, n_bands), dtype=bool)
-    for band in range(n_bands):
-        d = step * band
-        sup[:, d:d + w, band] = True
-    return sup
+    return _shear(np.broadcast_to(True, (h, w, n_bands)), step)  # a view: no H*W*N copy
 
 
 class SensingOperator:
@@ -183,7 +151,7 @@ class SensingOperator:
     keeps Phi Phi^T diagonal and the closed-form data step valid.
     """
 
-    def __init__(self, shifted_mask, step: int, check_support: bool = True):
+    def __init__(self, shifted_mask, step: int):
         sm = as_tensor(shifted_mask)
         if sm.data.ndim != 3:
             raise ShapeError(f"shifted mask expects rank 3, got {sm.shape}")
@@ -197,18 +165,18 @@ class SensingOperator:
         self.step = step
         self.h, self.w, self.wp, self.n_bands = h, w, wp, n
         self.support = dispersion_support(h, w, n, step)
-        if check_support and np.any(sm.data[~self.support] != 0.0):
+        if np.any(sm.data[~self.support] != 0.0):
             raise OperatorError("shifted mask has energy outside the dispersion support")
+        if sm.data.min() < 0:
+            raise OperatorError("operator mask has negative values")
 
     @classmethod
     def from_mask(cls, mask, n_bands: int, step: int) -> "SensingOperator":
         mask = mask if isinstance(mask, Mask2D) else Mask2D(as_tensor(mask))
         if n_bands < 1:
             raise ParameterError(f"n_bands must be >= 1, got {n_bands}")
-        h, w = mask.shape
         planes = np.repeat(mask.data.data[:, :, None], n_bands, axis=2)
-        shifted = shift_cube(Tensor(planes), step)
-        return cls(shifted, step, check_support=False)
+        return cls(shift_cube(Tensor(planes), step), step)
 
     @property
     def scene_shape(self) -> tuple:
@@ -219,11 +187,6 @@ class SensingOperator:
         return (self.h, self.wp)
 
 
-def _require_scene_match(x: HsiCube, op: SensingOperator) -> None:
-    if x.shape != op.scene_shape:
-        raise ShapeError(f"scene {x.shape} does not match operator scene {op.scene_shape}")
-
-
 def apply_shot_noise(clean: np.ndarray, bits: int, seed: int) -> np.ndarray:
     """Poisson shot noise at the given bit depth.
 
@@ -231,31 +194,26 @@ def apply_shot_noise(clean: np.ndarray, bits: int, seed: int) -> np.ndarray:
     full well of 2^bits counts, Poisson-sampled per pixel, and rescaled to
     the original range.  An all-zero measurement passes through unchanged.
     """
+    if not 1 <= bits <= 62:
+        raise ParameterError(f"noise bits must be in [1, 62], got {bits}")
     if clean.min() < 0:
         raise ParameterError("shot noise requires a nonnegative measurement")
+    rng = seeded_rng(seed)
     peak = clean.max()
     if peak <= 0:
         return clean.copy()
     full_well = float(2 ** bits)
     lam = clean / peak * full_well
-    rng = np.random.Generator(np.random.PCG64(seed))
     counts = rng.poisson(lam).astype(np.float64)
     return counts * (peak / full_well)
 
 
-def forward_measure(x: HsiCube, op: SensingOperator, noise: NoiseConfig | None = None) -> Measurement:
-    """Apply the operator: modulate, shear, integrate over bands, add noise."""
-    _require_scene_match(x, op)
-    if op.shifted_mask.data.min() < 0:
-        raise OperatorError("operator mask has negative values")
+def forward_measure(x: HsiCube, op: SensingOperator) -> Measurement:
+    """Apply the operator: modulate, shear, integrate over bands."""
+    if x.shape != op.scene_shape:
+        raise ShapeError(f"scene {x.shape} does not match operator scene {op.scene_shape}")
     xs = shift_cube(x.data, op.step)
-    y = reduce_sum(mul(op.shifted_mask, xs), axis=2)
-    if noise is None or noise.kind == "none":
-        return Measurement(y)
-    if y._tracked():
-        raise ParameterError("noise injection requires inputs detached from any gradient graph")
-    noisy = apply_shot_noise(y.data, noise.bits, noise.seed)
-    return Measurement(Tensor(noisy))
+    return Measurement(reduce_sum(mul(op.shifted_mask, xs), axis=2))
 
 
 def adjoint_apply(y: Measurement, op: SensingOperator) -> HsiCube:
@@ -295,6 +253,6 @@ def random_binary_mask(h: int, w: int, seed: int, density: float = 0.5) -> Mask2
     """Seeded Bernoulli coded aperture (PCG64 stream from `seed`)."""
     if not 0.0 < density < 1.0:
         raise ParameterError(f"mask density must be in (0, 1), got {density}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     bits = (rng.random((h, w)) < density).astype(np.float64)
     return Mask2D(Tensor(bits))

@@ -5,6 +5,7 @@ Subcommands:
   reconstruct  run the HQS loop on a measurement
   train        overfit the learned pipeline on one truth patch
   selftest     run the built-in verification battery
+  phantom      write a synthetic truth cube
 
 Exit codes:
   0  success
@@ -16,8 +17,9 @@ Exit codes:
   6  numerical failure (NaN/Inf or a degenerate denominator)
   7  internal error (any exception that is not a CassikitError)
 
-All commands accept `--config FILE` with `key = value` lines (# comments
-allowed); precedence is command line > config file > built-in defaults.
+`simulate`, `reconstruct` and `train` accept `--config FILE` with
+`key = value` lines (# comments allowed); precedence is command line >
+config file > built-in defaults.  `selftest` and `phantom` take flags only.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import sys
 import numpy as np
 
 from . import fileio, metrics
-from .cassi import (HsiCube, Mask2D, Measurement, NoiseConfig, SensingOperator,
-                    forward_measure, random_binary_mask)
+from .cassi import (HsiCube, Mask2D, Measurement, SensingOperator,
+                    apply_shot_noise, forward_measure, random_binary_mask)
 from .degradation import register_den_params
 from .errors import (CassikitError, DivergenceError, FormatError,
                      MissingParamsError, NumericalError, OperatorError,
@@ -118,20 +120,23 @@ def _build_operator(mask_path: str | None, mask_seed: int, like_h: int, like_w: 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = parse_config_file(args.config) if args.config else {}
     step = _resolve(args, config, "step", 2, int)
-    noise_kind = _resolve(args, config, "noise", "none", str)
+    noise = _resolve(args, config, "noise", "none", str)
     bits = _resolve(args, config, "bits", 11, int)
     seed = _resolve(args, config, "seed", 0, int)
     mask_seed = _resolve(args, config, "mask_seed", 0, int)
     mask_out = _resolve(args, config, "mask_out", None, str)
     if config:
         raise FormatError(f"unknown config keys: {sorted(config)}")
+    if noise not in ("none", "shot"):
+        raise ParameterError(f"unknown noise kind {noise!r}")
 
     truth = HsiCube(Tensor(fileio.read_cube(args.truth)))
     h, w, n_bands = truth.shape
     op = _build_operator(args.mask, mask_seed, h, w, n_bands, step)
-    noise = NoiseConfig(kind=noise_kind, bits=bits, seed=seed)
-    y = forward_measure(truth, op, noise)
-    fileio.write_cube(args.out, y.numpy())
+    y = forward_measure(truth, op).data.data
+    if noise == "shot":
+        y = apply_shot_noise(y, bits, seed)
+    fileio.write_cube(args.out, y)
     if mask_out is None:
         stem, ext = os.path.splitext(args.out)
         mask_out = stem + ".mask" + (ext or ".hsic")
@@ -166,7 +171,7 @@ def _check_arch_flags(flags: dict, denoiser: str, params: ParamStore | None) -> 
         raise ParameterError(f"--{next(iter(given))} applies only to --denoiser lnlt, "
                              f"whose checkpoint defines the architecture")
     w = params.scope("lnlt")
-    stored = {"channels": w["embed.w"].shape[3],
+    stored = {"channels": w.ranked("embed.w", 4).shape[3],
               "blocks": section_blocks(w, "enc1"),
               "window": attention_layout(w.scope("enc1.0.local"))[1],
               "grid": attention_layout(w.scope("enc1.0.nonlocal"))[1]}

@@ -65,7 +65,7 @@ def gap_mlp(residual: Tensor, w: ParamScope) -> tuple:
     """Global-average-pool the residual per channel, then a two-layer MLP
     with GELU in between; softplus keeps both outputs strictly positive."""
     n = residual.shape[-1]
-    fc1_w = w["fc1.w"]
+    fc1_w = w.ranked("fc1.w", 2)
     if fc1_w.shape[0] != n:
         raise ShapeError(f"head expects {fc1_w.shape[0]} channels, got {n}")
     v = reshape(reduce_mean(residual, axis=(0, 1)), (1, n))
@@ -78,12 +78,12 @@ def gap_mlp(residual: Tensor, w: ParamScope) -> tuple:
 
 def den_forward(z_prev: HsiCube, op: SensingOperator, w: ParamScope) -> DegradationEstimate:
     """Estimate the corrected operator and (mu, eta) for the coming stage."""
-    exit_w = w["exit.w"]
+    exit_w = w.ranked("exit.w", 4)
     if exit_w.shape[3] != op.n_bands:
         raise ShapeError(f"estimator exit width {exit_w.shape[3]} != {op.n_bands} bands")
     if z_prev.shape != op.scene_shape:
         raise ShapeError(f"estimate {z_prev.shape} does not match operator scene {op.scene_shape}")
-    entry_w = w["entry.w"]
+    entry_w = w.ranked("entry.w", 4)
     if 2 * op.n_bands != entry_w.shape[2]:
         raise ShapeError(
             f"estimator entry width {entry_w.shape[2]} != 2 * {op.n_bands} bands")

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
-from .tensor import Tensor
+from .errors import ParameterError, ShapeError
+from .tensor import Tensor, seeded_rng
 
 
 class ParamStore:
@@ -87,6 +87,13 @@ class ParamScope:
     def __contains__(self, name: str) -> bool:
         return f"{self.prefix}.{name}" in self._store
 
+    def ranked(self, name: str, rank: int) -> Tensor:
+        """self[name], raising ShapeError naming the full key unless it has `rank` axes."""
+        t = self[name]
+        if t.data.ndim != rank:
+            raise ShapeError(f"{self.prefix}.{name} has shape {t.shape}, not rank {rank}")
+        return t
+
     def scope(self, prefix: str) -> "ParamScope":
         return ParamScope(self._store, f"{self.prefix}.{prefix}")
 
@@ -96,7 +103,7 @@ class Initializer:
 
     def __init__(self, store: ParamStore, seed: int):
         self.store = store
-        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.rng = seeded_rng(seed)
 
     def conv(self, name: str, kh: int, kw: int, cin_per_group: int, cout: int) -> None:
         fan_in = kh * kw * cin_per_group

@@ -12,13 +12,13 @@ import numpy as np
 
 from .cassi import HsiCube
 from .errors import ParameterError
-from .tensor import Tensor
+from .tensor import Tensor, seeded_rng
 
 
 def generate_phantom(h: int, w: int, n_bands: int, seed: int = 0) -> HsiCube:
     if h < 1 or w < 1 or n_bands < 1:
         raise ParameterError(f"phantom extents must be >= 1, got {(h, w, n_bands)}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     yy, xx = np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
     bands = np.linspace(0, 1, n_bands)
 

@@ -696,6 +696,13 @@ def _eval_scalar(f, params) -> float:
     return float(out)
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The PCG64 stream for `seed`; every seeded draw in the toolkit starts here."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def fd_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-3,
                  n_samples: int = 50, seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of scalar f(params) to central differences.
@@ -717,7 +724,7 @@ def fd_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-3,
         t = params[name]
         for flat in range(t.data.size):
             coords.append((name, t, flat))
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     if len(coords) > n_samples:
         picks = rng.choice(len(coords), size=n_samples, replace=False)
         coords = [coords[int(i)] for i in picks]

@@ -6,15 +6,17 @@ attention, layer norm, and a gated feed-forward — each of the three
 sub-modules adds its own input back (the residual closes over the normalized
 features, matching the update equations the block implements).
 
-Local attention partitions the plane into MxM pixel windows; tokens are
-pixels, attention is an (M^2 x M^2) matrix per window and head, and the
-per-head channel width is C/heads.  Non-local attention partitions the plane
-into an NxN grid and flattens each cell into a single token of width
-H*W*C/N^2, so its attention matrix is (N^2 x N^2) per head regardless of the
-image size; the per-head width is H*W*C/(heads*N^2).  Q, K, V all come from
-a pointwise conv followed by a depthwise 3x3 conv; both attention variants
-add a learned (zero-initialized) position bias to the logits before softmax
-and finish with a pointwise output projection.
+Both attention modules run one multi-head self-attention core and differ
+only in how they cut the plane into tokens.  Local attention cuts MxM
+windows; each window is a token set whose tokens are its pixels, so
+attention is an (M^2 x M^2) matrix per window and head, and the per-head
+width is C/heads.  Non-local attention cuts the (H/N)x(W/N) cells of an NxN
+grid and makes each cell one token of width H*W*C/N^2, all in a single set,
+so its attention matrix is (N^2 x N^2) per head regardless of the image
+size; the per-head width is H*W*C/(heads*N^2).  In the core, Q, K, V each
+come from a pointwise conv followed by a depthwise 3x3 conv, the logits get
+a learned (zero-initialized) position bias before softmax, and a pointwise
+output projection finishes.
 
 The denoiser conditions on the stage's fidelity weight eta by appending one
 constant eta-valued channel to its input before the embedding conv, and it
@@ -132,32 +134,19 @@ def qkv_project(x: Tensor, w: ParamScope) -> Tensor:
     return conv2d(t, w["depth.w"], w["depth.b"], padding=1, groups=c)
 
 
-def _to_windows(t: Tensor, m: int) -> Tensor:
-    """[H, W, C] -> [T, M^2, C] row-major windows, row-major pixels inside."""
+def _to_windows(t: Tensor, mh: int, mw: int) -> Tensor:
+    """[H, W, C] -> [T, Mh*Mw, C]: row-major Mh x Mw windows, row-major pixels inside."""
     h, w, c = t.shape
-    t = reshape(t, (h // m, m, w // m, m, c))
+    t = reshape(t, (h // mh, mh, w // mw, mw, c))
     t = transpose(t, (0, 2, 1, 3, 4))
-    return reshape(t, ((h // m) * (w // m), m * m, c))
+    return reshape(t, ((h // mh) * (w // mw), mh * mw, c))
 
 
-def _from_windows(t: Tensor, h: int, w: int, m: int) -> Tensor:
+def _from_windows(t: Tensor, h: int, w: int, mh: int, mw: int) -> Tensor:
     c = t.shape[-1]
-    t = reshape(t, (h // m, w // m, m, m, c))
+    t = reshape(t, (h // mh, w // mw, mh, mw, c))
     t = transpose(t, (0, 2, 1, 3, 4))
     return reshape(t, (h, w, c))
-
-
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    """[T, L, C] -> [T, heads, L, C/heads] (contiguous channel chunks)."""
-    tt, ll, c = t.shape
-    t = reshape(t, (tt, ll, heads, c // heads))
-    return transpose(t, (0, 2, 1, 3))
-
-
-def _merge_heads(t: Tensor) -> Tensor:
-    tt, heads, ll, d = t.shape
-    t = transpose(t, (0, 2, 1, 3))
-    return reshape(t, (tt, ll, heads * d))
 
 
 def attention_layout(w: ParamScope) -> tuple:
@@ -170,76 +159,52 @@ def attention_layout(w: ParamScope) -> tuple:
     return shape[0], side
 
 
-def local_msa(x: Tensor, w: ParamScope) -> Tensor:
-    """Per-window multi-head self-attention over pixel tokens.
-
-    Attention logits are Q K^T / sqrt(C/heads) plus the learned position
-    bias; the projected result adds the input back.  The attention tensor
-    has shape [windows, heads, M^2, M^2]; heads and M come from the bias.
-    """
+def _attend(x: Tensor, w: ParamScope, heads: int, mh: int, mw: int, cell_tokens: bool) -> Tensor:
+    """softmax(Q K^T / sqrt(d) + pos) V over tokens cut by Mh x Mw windows, projected, plus x.
+    A window is a set of pixel tokens, or with `cell_tokens` one token of a single set;
+    heads are contiguous width-d chunks of each token."""
     h, wdt, c = x.shape
+    count = (h // mh) * (wdt // mw)
+    sets, length, width = (1, count, mh * mw * c) if cell_tokens else (count, mh * mw, c)
+    if width % heads:
+        raise ShapeError(f"token width {width} not divisible by {heads} heads")
+    d = width // heads
+
+    def tokens(name):  # [sets, heads, length, d]
+        t = reshape(_to_windows(qkv_project(x, w.scope(name)), mh, mw), (sets, length, heads, d))
+        return transpose(t, (0, 2, 1, 3))
+
+    q, k, v = tokens("q"), tokens("k"), tokens("v")
+    logits = add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), w["pos"])
+    mixed = transpose(matmul(softmax_lastdim(logits), v), (0, 2, 1, 3))
+    mixed = _from_windows(reshape(mixed, (count, mh * mw, c)), h, wdt, mh, mw)
+    return add(conv2d(mixed, w["proj.w"], w["proj.b"]), x)
+
+
+def local_msa(x: Tensor, w: ParamScope) -> Tensor:
+    """Attention among the pixels of each M x M window, [windows, heads, M^2, M^2];
+    heads and M come from the position bias."""
+    h, wdt, _ = x.shape
     heads, m = attention_layout(w)
     if h % m or wdt % m:
         raise ShapeError(f"extents {(h, wdt)} not divisible by window {m}")
-    if c % heads:
-        raise ShapeError(f"{c} channels not divisible by {heads} heads")
-    d = c // heads
-    q = _split_heads(_to_windows(qkv_project(x, w.scope("q")), m), heads)
-    k = _split_heads(_to_windows(qkv_project(x, w.scope("k")), m), heads)
-    v = _split_heads(_to_windows(qkv_project(x, w.scope("v")), m), heads)
-    logits = add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), w["pos"])
-    attn = softmax_lastdim(logits)
-    mixed = _from_windows(_merge_heads(matmul(attn, v)), h, wdt, m)
-    return add(conv2d(mixed, w["proj.w"], w["proj.b"]), x)
-
-
-def _to_grid_tokens(t: Tensor, n: int) -> Tensor:
-    """[H, W, C] -> [N^2, H*W*C/N^2]: each grid cell flattens to one token."""
-    h, w, c = t.shape
-    t = reshape(t, (n, h // n, n, w // n, c))
-    t = transpose(t, (0, 2, 1, 3, 4))
-    return reshape(t, (n * n, (h // n) * (w // n) * c))
-
-
-def _from_grid_tokens(t: Tensor, h: int, w: int, c: int, n: int) -> Tensor:
-    t = reshape(t, (n, n, h // n, w // n, c))
-    t = transpose(t, (0, 2, 1, 3, 4))
-    return reshape(t, (h, w, c))
+    return _attend(x, w, heads, m, m, cell_tokens=False)
 
 
 def nonlocal_msa(x: Tensor, w: ParamScope) -> Tensor:
-    """Multi-head self-attention over grid-cell tokens.
-
-    The token count is N^2 independent of image size; token width is
-    H*W*C/N^2 and the per-head width H*W*C/(heads*N^2).  The attention
-    tensor has shape [heads, N^2, N^2]; heads and N come from the bias.
-    """
-    h, wdt, c = x.shape
+    """Attention among the cells of an N x N grid, [1, heads, N^2, N^2] at any
+    image size; heads and N come from the position bias."""
+    h, wdt, _ = x.shape
     heads, n = attention_layout(w)
     if h % n or wdt % n:
         raise ShapeError(f"extents {(h, wdt)} not divisible by grid {n}")
-    token_width = (h // n) * (wdt // n) * c
-    if token_width % heads:
-        raise ShapeError(f"token width {token_width} not divisible by {heads} heads")
-    d = token_width // heads
-    def tokens(proj):
-        t = _to_grid_tokens(proj, n)
-        t = reshape(t, (n * n, heads, d))
-        return transpose(t, (1, 0, 2))
-    q = tokens(qkv_project(x, w.scope("q")))
-    k = tokens(qkv_project(x, w.scope("k")))
-    v = tokens(qkv_project(x, w.scope("v")))
-    logits = add(mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d)), w["pos"])
-    attn = softmax_lastdim(logits)
-    mixed = transpose(matmul(attn, v), (1, 0, 2))
-    mixed = _from_grid_tokens(reshape(mixed, (n * n, token_width)), h, wdt, c, n)
-    return add(conv2d(mixed, w["proj.w"], w["proj.b"]), x)
+    return _attend(x, w, heads, h // n, wdt // n, cell_tokens=True)
 
 
 def gdfn(x: Tensor, w: ParamScope) -> Tensor:
     """Gated feed-forward: two parallel pointwise+depthwise branches, one
     GELU-gated, multiplied, projected back, plus the input."""
-    c1 = w["b1.point.w"].shape[3]
+    c1 = w.ranked("b1.point.w", 4).shape[3]
     b1 = conv2d(conv2d(x, w["b1.point.w"], w["b1.point.b"]), w["b1.depth.w"], w["b1.depth.b"],
                 padding=1, groups=c1)
     b2 = conv2d(conv2d(x, w["b2.point.w"], w["b2.point.b"]), w["b2.depth.w"], w["b2.depth.b"],
@@ -267,7 +232,7 @@ def lnlt_denoise(x: HsiCube, eta, w: ParamScope) -> HsiCube:
     """Denoise a cube conditioned on eta; returns input + predicted residual.
     Widths, heads, window and grid sides and block counts come from `w`."""
     h, wdt, n_bands = x.shape
-    embed_w = w["embed.w"]
+    embed_w = w.ranked("embed.w", 4)
     if embed_w.shape[2] != n_bands + 1:
         raise ShapeError(f"embed conv expects {embed_w.shape[2] - 1} bands, got {n_bands}")
     window = attention_layout(w.scope("enc1.0.local"))[1]

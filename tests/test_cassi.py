@@ -4,8 +4,9 @@ matrix oracle, and seeded shot noise."""
 import numpy as np
 import pytest
 
-from cassikit.cassi import (HsiCube, Mask2D, Measurement, NoiseConfig,
-                            SensingOperator, adjoint_apply, apply_shot_noise,
+from cassikit import fileio
+from cassikit.cassi import (HsiCube, Mask2D, Measurement, SensingOperator,
+                            adjoint_apply, apply_shot_noise,
                             dispersion_support, forward_measure,
                             materialize_dense, phi_gram_diag,
                             random_binary_mask, shift_cube, unshift_cube)
@@ -164,6 +165,8 @@ def test_mask_validation():
         Mask2D(Tensor(np.ones((2, 2, 2))))
     with pytest.raises(ParameterError):
         random_binary_mask(4, 4, 0, density=1.5)
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        random_binary_mask(4, 4, -1)
 
 
 def test_random_mask_is_seeded_binary():
@@ -180,6 +183,17 @@ def test_operator_rejects_energy_outside_support():
     bad = np.ones((3, 7, 3))  # step-2 support would be staircase shaped
     with pytest.raises(OperatorError):
         SensingOperator(Tensor(bad), step=2)
+
+
+def test_operator_rejects_a_negative_stack_when_built(tmp_path):
+    """A sheared stack file with one negative in-support value fails at
+    construction, before any measurement is taken."""
+    stack = SensingOperator.from_mask(random_binary_mask(3, 3, 1), 3, 2).shifted_mask.copy_array()
+    stack[1, 2, 1] = -0.5  # band 1 occupies columns 2..4
+    path = str(tmp_path / "stack.hsic")
+    fileio.write_cube(path, stack)
+    with pytest.raises(OperatorError, match="negative"):
+        SensingOperator(Tensor(fileio.read_cube(path)), step=2)
 
 
 def test_operator_accepts_supported_stack():
@@ -222,14 +236,9 @@ def test_shot_noise_edge_cases():
     np.testing.assert_array_equal(apply_shot_noise(zeros, 11, 0), zeros)
     with pytest.raises(ParameterError):
         apply_shot_noise(np.array([[-1.0]]), 11, 0)
-    with pytest.raises(ParameterError):
-        NoiseConfig(kind="gaussian")
-
-
-def test_forward_measure_with_noise_requires_detached_input(square_operator):
-    tracked = Tensor(np.ones(square_operator.scene_shape), requires_grad=True)
-    with pytest.raises(ParameterError):
-        forward_measure(HsiCube(tracked), square_operator, NoiseConfig(kind="shot"))
-    clean = forward_measure(HsiCube(Tensor(np.ones(square_operator.scene_shape))),
-                            square_operator, NoiseConfig(kind="shot", seed=3))
-    assert clean.shape == square_operator.measurement_shape
+    for bits in (0, 63):
+        with pytest.raises(ParameterError, match=r"bits must be in \[1, 62\]"):
+            apply_shot_noise(np.ones((2, 2)), bits, 0)
+    assert np.isfinite(apply_shot_noise(np.ones((2, 2)), 62, 0)).all()
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        apply_shot_noise(np.ones((2, 2)), 11, -1)

@@ -296,6 +296,32 @@ def test_config_file_supplies_defaults_and_cli_wins(workbench, tmp_path):
     assert len(trace.read_text().strip().splitlines()) == 2 + 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("phantom", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("simulate", "--mask-seed", "-1"), "seed must be >= 0, got -1"),
+    (("simulate", "--noise", "shot", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("simulate", "--noise", "shot", "--bits", "63"), "noise bits must be in [1, 62], got 63"),
+], ids=["phantom-seed", "mask-seed", "noise-seed", "bits"])
+def test_out_of_range_seed_or_bits_exits_2(workbench, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.hsic"
+    truth = ["--truth", str(workbench["truth"])] if argv[0] == "simulate" else []
+    code = cli.main([*argv, *truth, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_unknown_noise_kind_in_config_exits_2(workbench, tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("noise = gaussian\n")
+    out = tmp_path / "out.hsic"
+    code = cli.main(["simulate", "--truth", str(workbench["truth"]), "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown noise kind 'gaussian'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["bogus = 7\n", "stages 4\n", "stages = many\n"])
 def test_bad_config_exits_2(workbench, tmp_path, text):
     cfg = tmp_path / "bad.cfg"
@@ -478,6 +504,24 @@ def test_position_bias_with_unequal_sides_exits_3_naming_the_entry(tmp_path, cap
                      "--denoiser", "lnlt", "--out", str(tmp_path / "out.hsic")])
     assert code == 3
     assert f"{entry} has shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channels", [(), ("--channels", "8")], ids=["no-flag", "channels-8"])
+@pytest.mark.parametrize("entry,shape", [
+    ("lnlt.embed.w", (9, 8)), ("den.entry.w", (8,)), ("den.exit.w", (8, 4))],
+    ids=["embed", "den-entry", "den-exit"])
+def test_checkpoint_entry_of_the_wrong_rank_exits_3_naming_it(tmp_path, capsys, entry, shape,
+                                                              channels):
+    files = _learned_inputs(tmp_path)
+    arrays = fileio.read_params(str(files["ckpt"])).arrays()
+    arrays[entry] = np.ones(shape)
+    fileio.write_params(str(files["ckpt"]), ParamStore.from_arrays(arrays))
+    code = cli.main(["reconstruct", "--measurement", str(files["meas"]),
+                     "--mask", str(files["mask"]), "--params", str(files["ckpt"]),
+                     "--denoiser", "lnlt", "--use-den", "true", *channels,
+                     "--out", str(tmp_path / "out.hsic")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: {entry} has shape {shape}, not rank ")
 
 
 def test_numerical_failure_exits_6(tmp_path):

@@ -173,21 +173,29 @@ def test_qkv_projection_matches_composition():
     np.testing.assert_allclose(got, np_qkv(x, arrs, "q"), atol=1e-12)
 
 
-@pytest.mark.parametrize("m,heads", [(4, 1), (4, 2), (8, 4), (8, 1)])
-def test_local_attention_matches_loops(m, heads):
-    c = 8
+def oracle_cases(square, other):
+    """(hw, side, heads, C): 16x16 at C=8 for each (side, heads) in `square`,
+    then the non-square `other` cases."""
+    return ([pytest.param((16, 16), s, h, 8, id=f"{s}-{h}") for s, h in square]
+            + [pytest.param(hw, s, h, c, id=f"{hw[0]}x{hw[1]}-{s}-{h}") for hw, s, h, c in other])
+
+
+NON_SQUARE = [((8, 16), 4, 2, 8), ((16, 8), 4, 2, 8), ((12, 8), 4, 3, 6)]
+
+
+@pytest.mark.parametrize("hw,m,heads,c", oracle_cases([(4, 1), (4, 2), (8, 4), (8, 1)], NON_SQUARE))
+def test_local_attention_matches_loops(hw, m, heads, c):
     store, w = msa_fixture(62 + m + heads, c=c, heads=heads, tokens=m * m)
-    x = make_rng(63 + m).normal(size=(16, 16, c))
+    x = make_rng(63 + m).normal(size=(*hw, c))
     got = local_msa(Tensor(x), w).data
     want = oracle_local(x, msa_arrays(store), m, heads)
     assert np.abs(got - want).max() <= 1e-5
 
 
-@pytest.mark.parametrize("n,heads", [(2, 1), (2, 2), (4, 4), (4, 1)])
-def test_nonlocal_attention_matches_loops(n, heads):
-    c = 8
+@pytest.mark.parametrize("hw,n,heads,c", oracle_cases([(2, 1), (2, 2), (4, 4), (4, 1)], NON_SQUARE))
+def test_nonlocal_attention_matches_loops(hw, n, heads, c):
     store, w = msa_fixture(64 + n + heads, c=c, heads=heads, tokens=n * n)
-    x = make_rng(65 + n).normal(size=(16, 16, c))
+    x = make_rng(65 + n).normal(size=(*hw, c))
     got = nonlocal_msa(Tensor(x), w).data
     want = oracle_nonlocal(x, msa_arrays(store), n, heads)
     assert np.abs(got - want).max() <= 1e-5
