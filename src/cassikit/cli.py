@@ -16,6 +16,8 @@ Exit codes:
   5  training divergence
   6  numerical failure (NaN/Inf or a degenerate denominator)
   7  internal error (any exception that is not a CassikitError)
+  8  undefined metric (e.g. SAM against a truth cube with no non-zero
+     spectrum); the reconstruction is already written
 
 `simulate`, `reconstruct` and `train` accept `--config FILE` with
 `key = value` lines (# comments allowed); precedence is command line >
@@ -34,7 +36,7 @@ from . import fileio, metrics
 from .cassi import (HsiCube, Mask2D, Measurement, SensingOperator,
                     apply_shot_noise, forward_measure, random_binary_mask)
 from .degradation import register_den_params
-from .errors import (CassikitError, DivergenceError, FormatError,
+from .errors import (CassikitError, DivergenceError, FormatError, MetricError,
                      MissingParamsError, NumericalError, OperatorError,
                      ParameterError, ShapeError)
 from .hqs import ReconConfig, run_hqs, trace_csv
@@ -54,6 +56,7 @@ EXIT_MISSING_DEP = 4
 EXIT_DIVERGED = 5
 EXIT_NUMERICAL = 6
 EXIT_INTERNAL = 7
+EXIT_METRIC = 8
 
 
 def parse_config_file(path: str) -> dict:
@@ -376,6 +379,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MetricError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_METRIC
     except CassikitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

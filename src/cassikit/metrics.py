@@ -42,28 +42,34 @@ def psnr(a, b, peak: float = 1.0) -> float:
     return min(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / mse))
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
+def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
+    """Normalised 1-D Gaussian; the 2-D SSIM window is its outer product."""
+    coords = np.arange(size) - (size - 1) / 2.0
     g1 = np.exp(-(coords ** 2) / (2.0 * sigma * sigma))
-    win = np.outer(g1, g1)
-    return win / win.sum()
+    return g1 / g1.sum()
+
+
+def _gaussian_filter(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """'valid' correlation with the separable window: shifted row taps, then
+    shifted column taps, with no window copy of the plane."""
+    k = len(taps)
+    h, w = img.shape
+    rows = taps[0] * img[:h - k + 1]
+    for i in range(1, k):
+        rows += taps[i] * img[i:h - k + 1 + i]
+    out = taps[0] * rows[:, :w - k + 1]
+    for j in range(1, k):
+        out += taps[j] * rows[:, j:w - k + 1 + j]
+    return out
 
 
 def _ssim_plane(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
-    win = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+    taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
     c1 = (SSIM_K1 * data_range) ** 2
     c2 = (SSIM_K2 * data_range) ** 2
 
-    def filt(img):
-        view = np.lib.stride_tricks.sliding_window_view(img, (SSIM_WINDOW, SSIM_WINDOW))
-        return np.einsum("xykl,kl->xy", view, win, optimize=True)
-
-    mu_a = filt(a)
-    mu_b = filt(b)
-    e_aa = filt(a * a)
-    e_bb = filt(b * b)
-    e_ab = filt(a * b)
+    mu_a, mu_b, e_aa, e_bb, e_ab = (_gaussian_filter(img, taps)
+                                    for img in (a, b, a * a, b * b, a * b))
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b
     cov = e_ab - mu_a * mu_b

@@ -44,6 +44,10 @@ _GELU_C1 = 0.044715
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if arr.size == 0:
         raise ShapeError(f"op '{op}' produced an empty tensor")
+    # one pass: a finite sum rules out inf and NaN; an overflowing sum of
+    # finite values only falls through to the exact test
+    if np.isfinite(arr.sum()):
+        return
     lo = arr.min()
     hi = arr.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -479,11 +483,21 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
 # convolutions (channels-last [H, W, C])
 # ---------------------------------------------------------------------------
 
-def _patches(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """[Hp, Wp, C] -> [Ho, Wo, kh, kw, C] sliding windows at the stride."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    win = win[::stride, ::stride]
-    return np.ascontiguousarray(np.transpose(win, (0, 1, 3, 4, 2)))
+def _tap_spans(k: int, n_in: int, n_out: int, stride: int, padding: int) -> list:
+    """[(i, output slice, input slice)] along one axis for each kernel offset i
+    that reads inside the unpadded input for at least one output.
+
+    Output o reads input o*stride + i - padding at offset i; the zero padding
+    adds nothing, so it is never built.
+    """
+    spans = []
+    for i in range(k):
+        lo = max(0, -((i - padding) // stride))
+        hi = min(n_out, (n_in - 1 + padding - i) // stride + 1)
+        start = lo * stride + i - padding
+        if hi > lo:
+            spans.append((i, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return spans
 
 
 def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -491,7 +505,9 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
 
     `groups` is 1 (dense) or Cin == Cout (depthwise: output channel c sees
     only input channel c).  Output extents follow
-    (H + 2*padding - kh) // stride + 1.
+    (H + 2*padding - kh) // stride + 1.  Forward and backward accumulate
+    over the kh*kw kernel taps, each reading a shifted strided view of the
+    input, so no window copy of the input is made or kept.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -511,31 +527,33 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {bias.shape} != ({cout},)")
 
-    xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0))) if padding else x.data
-    cols = _patches(xp, kh, kw, stride)
+    cols = _tap_spans(kw, wdt, wo, stride, padding)
+    taps = [(i, j, (ro, co), (ri, ci)) for i, ro, ri in _tap_spans(kh, h, ho, stride, padding)
+            for j, co, ci in cols]
     depthwise = groups == cin == cout
-
     if depthwise:
-        out = np.einsum("xyklc,klc->xyc", cols, w.data[:, :, 0, :], optimize=True)
-    else:
-        out = cols.reshape(ho * wo, kh * kw * cin) @ w.data.reshape(kh * kw * cin, cout)
-        out = out.reshape(ho, wo, cout)
-    out = out + bias.data
+        # each tap's weights repeated along an output row: numpy then runs the
+        # products over whole rows instead of C-long pieces
+        w_rows = np.repeat(w.data, wo, axis=2)
+
+    out = np.zeros((ho, wo, cout))
+    for i, j, o, v in taps:
+        if depthwise:
+            out[o] += x.data[v] * w_rows[i, j, o[1]]
+        else:
+            out[o] += np.matmul(x.data[v], w.data[i, j])
+    out += bias.data
 
     def bwd(g):
-        hp, wp = h + 2 * padding, wdt + 2 * padding
-        dxp = np.zeros((hp, wp, cin))
-        if depthwise:
-            dw = np.einsum("xyklc,xyc->klc", cols, g, optimize=True)[:, :, None, :]
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += g * w.data[i, j, 0, :]
-        else:
-            dw = np.einsum("xyklc,xyo->klco", cols, g, optimize=True)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += g @ w.data[i, j].T
-        dx = dxp[padding:hp - padding, padding:wp - padding] if padding else dxp
+        dx = np.zeros_like(x.data)
+        dw = np.zeros_like(w.data)
+        for i, j, o, v in taps:
+            if depthwise:
+                dw[i, j, 0] = np.einsum("xyc,xyc->c", x.data[v], g[o])
+                dx[v] += g[o] * w_rows[i, j, o[1]]
+            else:
+                dw[i, j] = np.matmul(x.data[v].transpose(0, 2, 1), g[o]).sum(axis=0)
+                dx[v] += np.matmul(g[o], w.data[i, j].T)
         return dx, dw, g.sum(axis=(0, 1))
 
     return _make("conv2d", out, (x, w, bias), bwd)
@@ -561,13 +579,16 @@ def conv_transpose2d(x, w, b, stride: int = 2) -> Tensor:
     if bias.shape != (cout,):
         raise ShapeError(f"conv_transpose2d bias shape {bias.shape} != ({cout},)")
 
-    out = np.einsum("hwc,ijcd->hiwjd", x.data, w.data, optimize=True).reshape(h * s, wdt * s, cout)
-    out = out + bias.data
+    # one GEMM each way: pixel (h, w) times [Cin, (i, j, Cout)] gives its s-by-s block
+    wm = w.data.transpose(2, 0, 1, 3).reshape(cin, s * s * cout)
+    out = np.matmul(x.data, wm).reshape(h, wdt, s, s, cout).transpose(0, 2, 1, 3, 4)
+    out = out.reshape(h * s, wdt * s, cout)
+    out += bias.data
 
     def bwd(g):
-        gr = g.reshape(h, s, wdt, s, cout)
-        dx = np.einsum("hiwjd,ijcd->hwc", gr, w.data, optimize=True)
-        dw = np.einsum("hwc,hiwjd->ijcd", x.data, gr, optimize=True)
+        gm = g.reshape(h, s, wdt, s, cout).transpose(0, 2, 1, 3, 4).reshape(h * wdt, s * s * cout)
+        dx = (gm @ wm.T).reshape(h, wdt, cin)
+        dw = (x.data.reshape(h * wdt, cin).T @ gm).reshape(cin, s, s, cout).transpose(1, 2, 0, 3)
         return dx, dw, g.sum(axis=(0, 1))
 
     return _make("conv_transpose2d", out, (x, w, bias), bwd)

@@ -427,6 +427,16 @@ def test_divergent_training_exits_5(workbench, tmp_path):
     assert "step" in proc.stderr
 
 
+def test_undefined_metric_exits_8_after_writing_the_reconstruction(workbench, tmp_path):
+    zeros, out = tmp_path / "zeros.hsic", tmp_path / "out.hsic"
+    fileio.write_cube(str(zeros), np.zeros((16, 16, 4)))  # a valid cube, no spectrum to angle
+    proc = run_cli("reconstruct", "--measurement", workbench["meas"], "--mask", workbench["mask"],
+                   "--stages", 1, "--denoiser", "tv", "--truth", zeros, "--out", out)
+    assert proc.returncode == 8
+    assert proc.stderr == "error: sam undefined: every pixel has a zero spectrum\n"
+    assert fileio.read_cube(str(out)).shape == (16, 16, 4)
+
+
 def _learned_inputs(tmp_path, weight_scale=1.0, blocks=1):
     """32x32x4 measurement, its sheared mask and a C=8 checkpoint on disk."""
     op = SensingOperator.from_mask(random_binary_mask(32, 32, 11), 4, 2)

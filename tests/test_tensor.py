@@ -2,9 +2,12 @@
 differences, and the graph bookkeeping rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cassikit import tensor as T
 from cassikit.cassi import HsiCube, SensingOperator, random_binary_mask
@@ -247,6 +250,80 @@ def test_conv_transpose2d_kernel_must_match_stride():
                            stride=2)
 
 
+# Random geometries: forward against the loop oracle, backward through the
+# adjoint identities of a bilinear map, <g, conv(x, w)> = <dx, x> = <dw, w>.
+
+@st.composite
+def conv_geometries(draw):
+    depthwise = draw(st.booleans())
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    cin = draw(st.integers(1, 4))
+    cout = cin if depthwise else draw(st.integers(1, 4))
+    h = draw(st.integers(max(1, kh - 2 * padding), 8))
+    w = draw(st.integers(max(1, kw - 2 * padding), 8))
+    return kh, kw, stride, padding, cin, cout, cin if depthwise else 1, h, w
+
+
+def _assert_adjoint(op, x, w, shape_out, seed):
+    rng = make_rng(seed)
+    xt, wt = leaf(x), leaf(w)
+    out = op(xt, wt)
+    assert out.shape == shape_out
+    g = rng.normal(size=shape_out)
+    grads = backward(out, seed=g)
+    inner = float(np.sum(g * out.data))
+    scale = max(1.0, abs(inner))
+    assert abs(float(np.sum(grads[xt] * x)) - inner) <= 1e-10 * scale
+    assert abs(float(np.sum(grads[wt] * w)) - inner) <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@example((4, 4, 2, 1, 3, 4, 1, 8, 8))   # the LNLT down-sampling conv
+@example((3, 3, 1, 1, 4, 4, 4, 5, 6))   # the depthwise 3x3
+@example((1, 1, 3, 3, 1, 2, 1, 1, 1))   # most outputs read only padding
+@given(conv_geometries())
+def test_conv2d_random_geometry_matches_oracle_and_adjoint(geometry):
+    kh, kw, stride, padding, cin, cout, groups, h, w = geometry
+    rng = make_rng(30)
+    x = rng.normal(size=(h, w, cin))
+    k = rng.normal(size=(kh, kw, cin // groups, cout))
+    b = rng.normal(size=cout)
+    got = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride, padding, groups).data
+    want = conv2d_loops(x, k, b, stride, padding, groups)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    _assert_adjoint(lambda xt, wt: T.conv2d(xt, wt, np.zeros(cout), stride, padding, groups),
+                    x, k, want.shape, seed=31)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.integers(1, 4))
+def test_conv_transpose2d_random_geometry_is_adjoint(stride, h, w, cin, cout):
+    rng = make_rng(32)
+    x = rng.normal(size=(h, w, cin))
+    k = rng.normal(size=(stride, stride, cin, cout))
+    _assert_adjoint(lambda xt, wt: T.conv_transpose2d(xt, wt, np.zeros(cout), stride),
+                    x, k, (h * stride, w * stride, cout), seed=33)
+
+
+@pytest.mark.parametrize("groups", [1, 32], ids=["dense", "depthwise"])
+def test_conv2d_forward_makes_no_window_copy(groups):
+    rng = make_rng(34)
+    x = Tensor(rng.normal(size=(64, 64, 32)))
+    w = Tensor(rng.normal(size=(3, 3, 32 // groups, 32)))
+    b = Tensor(np.zeros(32))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = T.conv2d(x, w, b, padding=1, groups=groups)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # an im2col copy of the input alone is 9x the output
+    assert peak < 3 * out.data.nbytes
+
+
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
@@ -463,6 +540,26 @@ def test_constructor_rejects_non_finite():
         Tensor(np.array([1.0, np.nan]))
     with pytest.raises(ShapeError):
         Tensor(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("pos", [0, 6, 11], ids=["first", "middle", "last"])
+def test_finite_check_catches_every_non_finite_position(bad, pos):
+    arr = np.ones(12)
+    arr[pos] = bad
+    with pytest.raises(NumericalError, match="non-finite values produced by op 'tensor'"):
+        Tensor(arr.reshape(3, 4))
+
+
+def test_finite_check_passes_finite_values_whose_sum_overflows():
+    arr = np.zeros(12)
+    arr[0], arr[11] = np.inf, -np.inf
+    # numpy warns about the overflowing and the NaN sums; the check decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = Tensor(np.full((3, 4), 1e308))
+        assert np.isinf(t.data.sum())
+        with pytest.raises(NumericalError):
+            Tensor(arr)
 
 
 def test_assign_validates_shape_and_values():
