@@ -88,23 +88,26 @@ class Measurement:
         return self.data.copy_array()
 
 
+def _band_view(a: np.ndarray, w: int, step: int) -> np.ndarray:
+    """[H, W, N] view of a sheared [H, W', N] array: band b's W columns from
+    column step*b on, read with band stride step*s1 + s2."""
+    h, _, n = a.shape
+    s0, s1, s2 = a.strides
+    return np.lib.stride_tricks.as_strided(a, (h, w, n), (s0, s1, step * s1 + s2))
+
+
 def _shear(a: np.ndarray, step: int) -> np.ndarray:
     """[H, W, N] -> [H, W + step*(N-1), N]; band b (from 0) moves right by step*b."""
     h, w, n = a.shape
     out = np.zeros((h, w + step * (n - 1), n), dtype=a.dtype)
-    for band in range(n):
-        out[:, step * band:step * band + w, band] = a[:, :, band]
+    _band_view(out, w, step)[...] = a
     return out
 
 
 def _unshear(a: np.ndarray, step: int) -> np.ndarray:
     """[H, W', N] -> [H, W' - step*(N-1), N]; the inverse of `_shear` on its range."""
-    h, wp, n = a.shape
-    w = wp - step * (n - 1)
-    out = np.empty((h, w, n), dtype=a.dtype)
-    for band in range(n):
-        out[:, :, band] = a[:, step * band:step * band + w, band]
-    return out
+    _, wp, n = a.shape
+    return _band_view(a, wp - step * (n - 1), step).copy()
 
 
 def shift_cube(x, step: int) -> Tensor:

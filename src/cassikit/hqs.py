@@ -192,18 +192,18 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
 
         x = data_step(z, y, phi_k, mu_k)
 
-        if cfg.denoiser == "identity":
-            z = x
-        elif cfg.denoiser == "tv":
-            weight = TV_SCALE / float(as_tensor(eta_k).data.reshape(()))
-            z = HsiCube(Tensor(tv_denoise(x.data.data, weight, TV_ITERS)))
-        else:
-            z = lnlt_denoise(x, eta_k, p.scope("lnlt"))
-
         mu_f = float(as_tensor(mu_k).data.reshape(()))
         eta_f = float(as_tensor(eta_k).data.reshape(()))
         if mu_f <= 0 or eta_f <= 0:
             raise NumericalError(f"non-positive mu/eta at stage {k}: mu={mu_f}, eta={eta_f}")
+
+        if cfg.denoiser == "identity":
+            z = x
+        elif cfg.denoiser == "tv":
+            z = HsiCube(Tensor(tv_denoise(x.data.data, TV_SCALE / eta_f, TV_ITERS)))
+        else:
+            z = lnlt_denoise(x, eta_k, p.scope("lnlt"))
+
         trace.append(row(k, mu_f, eta_f, z, phi_k))
 
     return ReconResult(z=z, trace=trace)

@@ -8,9 +8,23 @@ independently per spectral band with the projected-dual iteration of
 Chambolle (fixed dual step 0.25, isotropic TV, forward differences with
 replicated far edges).  Twenty dual iterations is the plug-and-play default;
 the solution tightens monotonically with more iterations.
+
+The kernel copies each band once into a contiguous plane and runs every
+iteration on flat row-major buffers allocated once per call, writing each
+op in place.  It rests on one invariant: the gradient is zero at the far
+edge (gx on the last row, gy on the last column), so the duals px and py
+stay exactly zero there.  The divergence is then px minus px shifted down
+one row plus py minus py shifted one element along the flattened plane:
+the first shift reads a zero last row where a row has no successor, the
+second reads a zero last column where a row wraps into the next.  gy is the
+flat forward difference with its wrapped last column set back to zero.
+Every op is a contiguous 1-D pass, and an axis of length 1 needs no special
+case: its differences and duals are all zero.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,18 +42,6 @@ def _grad2d(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def _div2d(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Negative adjoint of _grad2d (backward differences)."""
-    div = np.zeros_like(px)
-    div[0, :] += px[0, :]
-    div[1:-1, :] += px[1:-1, :] - px[:-2, :]
-    div[-1, :] += -px[-2, :]
-    div[:, 0] += py[:, 0]
-    div[:, 1:-1] += py[:, 1:-1] - py[:, :-2]
-    div[:, -1] += -py[:, -2]
-    return div
-
-
 def total_variation(u: np.ndarray) -> float:
     """Isotropic TV of a 2D plane (or summed over bands for a cube)."""
     u = np.asarray(u, dtype=np.float64)
@@ -51,17 +53,56 @@ def total_variation(u: np.ndarray) -> float:
     return float(np.sum(np.sqrt(gx * gx + gy * gy)))
 
 
-def _tv_plane(g: np.ndarray, weight: float, iters: int) -> np.ndarray:
-    px = np.zeros_like(g)
-    py = np.zeros_like(g)
-    for _ in range(iters):
-        u = _div2d(px, py) - g / weight
-        gx, gy = _grad2d(u)
-        mag = np.sqrt(gx * gx + gy * gy)
-        denom = 1.0 + DUAL_STEP * mag
-        px = (px + DUAL_STEP * gx) / denom
-        py = (py + DUAL_STEP * gy) / denom
-    return g - weight * _div2d(px, py)
+def _grad_flat(u: np.ndarray, w: int, gx: np.ndarray, gy: np.ndarray) -> None:
+    """Forward differences of a flattened plane of width w, into gx and gy.
+
+    gx's last row is never written and must hold zeros already.
+    """
+    np.subtract(u[w:], u[:-w], out=gx[:-w])
+    np.subtract(u[1:], u[:-1], out=gy[:-1])
+    gy[w - 1::w] = 0.0
+
+
+def _div_flat(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray,
+              tmp: np.ndarray) -> np.ndarray:
+    """Negative adjoint of `_grad_flat` for duals that are zero on the far
+    edge (px on the last row, py on the last column); tmp is scratch."""
+    out[:w] = px[:w]
+    np.subtract(px[w:], px[:-w], out=out[w:])
+    tmp[0] = py[0]
+    np.subtract(py[1:], py[:-1], out=tmp[1:])
+    out += tmp
+    return out
+
+
+def _tv_bands(x: np.ndarray, weight: float, iters: int, out: np.ndarray) -> None:
+    """Chambolle's dual iteration on each band of x [H, W, N], into out."""
+    h, w, n = x.shape
+    g, g_w, px, py, gx, gy, u, denom = np.empty((8, h * w))
+    for band in range(n):
+        np.copyto(g.reshape(h, w), x[:, :, band])
+        np.divide(g, weight, out=g_w)
+        for buf in (px, py, gx, gy):
+            buf.fill(0.0)
+        for _ in range(iters):
+            _div_flat(px, py, w, u, denom)
+            u -= g_w
+            _grad_flat(u, w, gx, gy)
+            np.multiply(gx, gx, out=denom)
+            np.multiply(gy, gy, out=u)
+            denom += u
+            np.sqrt(denom, out=denom)
+            denom *= DUAL_STEP
+            denom += 1.0
+            gx *= DUAL_STEP
+            gx += px
+            np.divide(gx, denom, out=px)
+            gy *= DUAL_STEP
+            gy += py
+            np.divide(gy, denom, out=py)
+        _div_flat(px, py, w, u, denom)
+        u *= weight
+        np.subtract(g.reshape(h, w), u.reshape(h, w), out=out[:, :, band])
 
 
 def tv_denoise(x: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
@@ -71,17 +112,16 @@ def tv_denoise(x: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
     per-band total variation than the input.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not math.isfinite(weight):
+        raise ParameterError(f"tv weight must be finite, got {weight}")
     if weight < 0:
         raise ParameterError(f"tv weight must be >= 0, got {weight}")
     if iters < 1:
         raise ParameterError(f"tv iters must be >= 1, got {iters}")
     if weight == 0.0:
         return x.copy()
-    if x.ndim == 2:
-        return _tv_plane(x, weight, iters)
-    if x.ndim == 3:
-        out = np.empty_like(x)
-        for band in range(x.shape[2]):
-            out[:, :, band] = _tv_plane(x[:, :, band], weight, iters)
-        return out
-    raise ShapeError(f"tv_denoise expects rank 2 or 3, got rank {x.ndim}")
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"tv_denoise expects rank 2 or 3, got rank {x.ndim}")
+    out = np.empty_like(x)
+    _tv_bands(np.atleast_3d(x), weight, iters, np.atleast_3d(out))
+    return out

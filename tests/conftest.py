@@ -1,10 +1,14 @@
 """Shared fixtures and helpers for the cassikit test suite."""
 
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import cassikit
 from cassikit.cassi import SensingOperator, random_binary_mask
@@ -17,6 +21,20 @@ from cassikit.cassi import SensingOperator, random_binary_mask
 _PACKAGE_ROOT = str(Path(cassikit.__file__).resolve().parents[1])
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_PACKAGE_ROOT, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
+
+# Property tests draw the same examples on every run and keep no example
+# database; each test keeps its own max_examples.
+settings.register_profile("cassikit", derandomize=True, database=None, deadline=None)
+settings.load_profile("cassikit")
+
+
+def pytest_configure(config):
+    # Hypothesis also caches the constants it reads from local source files
+    # under its home directory (./.hypothesis by default), database or not,
+    # while collecting; give it a temporary home that the run removes.
+    home = tempfile.mkdtemp(prefix="cassikit-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cassikit import fileio
-from cassikit.cassi import (HsiCube, Mask2D, Measurement, SensingOperator,
+from cassikit.cassi import (HsiCube, _shear, _unshear, Mask2D, Measurement, SensingOperator,
                             adjoint_apply, apply_shot_noise,
                             dispersion_support, forward_measure,
                             materialize_dense, phi_gram_diag,
@@ -75,6 +75,46 @@ def test_shear_input_validation():
         shift_cube(Tensor(np.ones((3, 4, 2))), -1)
     with pytest.raises(ShapeError):
         unshift_cube(Tensor(np.ones((3, 4, 5))), 2)  # would leave width < 1
+
+
+def shear_loops(a, step):
+    """Per-band reference: band b's plane copied to columns step*b on."""
+    h, w, n = a.shape
+    out = np.zeros((h, w + step * (n - 1), n), dtype=a.dtype)
+    for band in range(n):
+        out[:, step * band:step * band + w, band] = a[:, :, band]
+    return out
+
+
+def unshear_loops(a, step):
+    h, wp, n = a.shape
+    w = wp - step * (n - 1)
+    return np.stack([a[:, step * band:step * band + w, band] for band in range(n)], axis=2)
+
+
+@pytest.mark.parametrize("shape,step", [((5, 7, 4), 0), ((5, 7, 4), 3), ((3, 6, 1), 2),
+                                        ((1, 1, 5), 2), ((4, 2, 28), 2)])
+def test_shear_pair_matches_the_per_band_loops(shape, step):
+    x = make_rng(35).normal(size=shape)
+    xs = _shear(x, step)
+    assert xs.dtype == x.dtype and xs.flags.c_contiguous
+    np.testing.assert_array_equal(xs, shear_loops(x, step))
+    # a sheared input with values off the support, and a strided view of one
+    ys = make_rng(36).normal(size=(shape[0], shape[1] + step * (shape[2] - 1), 2 * shape[2]))
+    for arr in (ys[:, :, :shape[2]].copy(), ys[:, :, ::2]):
+        got = _unshear(arr, step)
+        assert got.flags.c_contiguous and got.base is None
+        np.testing.assert_array_equal(got, unshear_loops(arr, step))
+    bools = make_rng(37).random(shape) < 0.5
+    np.testing.assert_array_equal(_shear(bools, step), shear_loops(bools, step))
+
+
+@pytest.mark.parametrize("step", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 3])
+def test_dispersion_support_matches_the_per_band_loop(step, n):
+    sup = dispersion_support(3, 4, n, step)
+    assert sup.dtype == np.bool_
+    np.testing.assert_array_equal(sup, shear_loops(np.ones((3, 4, n), dtype=bool), step))
 
 
 def test_dispersion_support_small_case():

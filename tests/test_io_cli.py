@@ -543,6 +543,32 @@ def test_numerical_failure_exits_6(tmp_path):
     assert proc.stderr == "error: non-finite values produced by op 'conv2d'\n"
 
 
+@pytest.mark.parametrize("denoiser", ["tv", "identity"])
+def test_estimated_eta_of_zero_exits_6_before_the_denoiser(tmp_path, capsys, denoiser):
+    files = _learned_inputs(tmp_path)
+    arrays = fileio.read_params(str(files["ckpt"])).arrays()
+    arrays["den.head.fc2.b"] = np.array([0.0, -1e4])  # softplus(-1e4) underflows to 0
+    fileio.write_params(str(files["ckpt"]), ParamStore.from_arrays(arrays))
+    code = cli.main(["reconstruct", "--measurement", str(files["meas"]),
+                     "--mask", str(files["mask"]), "--params", str(files["ckpt"]),
+                     "--denoiser", denoiser, "--use-den", "true", "--stages", "2",
+                     "--out", str(tmp_path / "out.hsic")])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-positive mu/eta at stage 1: mu=")
+    assert err.endswith(", eta=0.0\n")
+
+
+def test_tv_reconstruct_of_a_one_row_scene(tmp_path):
+    truth, meas, out = (tmp_path / f"{k}.hsic" for k in ("truth", "meas", "out"))
+    for argv in (("phantom", "--height", 1, "--width", 16, "--bands", 4, "--out", truth),
+                 ("simulate", "--truth", truth, "--out", meas),
+                 ("reconstruct", "--measurement", meas, "--mask", tmp_path / "meas.mask.hsic",
+                  "--denoiser", "tv", "--out", out)):
+        assert cli.main([str(a) for a in argv]) == 0
+    assert fileio.read_cube(str(out)).shape == (1, 16, 4)
+
+
 @pytest.mark.parametrize("kind", ["non-finite-value", "empty-entry"])
 def test_malformed_checkpoint_exits_2_naming_the_entry(workbench, tmp_path, capsys, kind):
     bad = tmp_path / "bad.dprm"

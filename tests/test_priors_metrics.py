@@ -1,14 +1,19 @@
 """Prior and metric tests: the dual TV iteration against its variational
-contract and frozen references, plus the quality metrics against hand
-formulas and loop oracles."""
+contract, a plain 2-D reference and frozen references, plus the quality
+metrics against hand formulas and loop oracles."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cassikit.errors import MetricError, ParameterError, ShapeError
 from cassikit.metrics import (PSNR_CAP_DB, SSIM_SIGMA, SSIM_WINDOW,
                               charbonnier, psnr, sam, ssim)
-from cassikit.priors import (DUAL_STEP, _div2d, _grad2d, total_variation,
+from cassikit.priors import (DUAL_STEP, _div_flat, _grad_flat, total_variation,
                              tv_denoise)
 
 from conftest import make_rng
@@ -18,23 +23,97 @@ from conftest import make_rng
 # total variation prior
 # ---------------------------------------------------------------------------
 
+# Reference: the textbook 2-D form of the dual iteration, with zero-filled
+# gradient and divergence arrays built afresh on every step.  The kernel in
+# priors.py must match it bit for bit, sign of zero included.
+
+def ref_grad2d(u):
+    """Forward differences; zero at the far edge."""
+    gx = np.zeros_like(u)
+    gy = np.zeros_like(u)
+    gx[:-1, :] = u[1:, :] - u[:-1, :]
+    gy[:, :-1] = u[:, 1:] - u[:, :-1]
+    return gx, gy
+
+
+def ref_div2d(px, py):
+    """Negative adjoint of ref_grad2d (backward differences); needs H, W >= 2."""
+    div = np.zeros_like(px)
+    div[0, :] += px[0, :]
+    div[1:-1, :] += px[1:-1, :] - px[:-2, :]
+    div[-1, :] += -px[-2, :]
+    div[:, 0] += py[:, 0]
+    div[:, 1:-1] += py[:, 1:-1] - py[:, :-2]
+    div[:, -1] += -py[:, -2]
+    return div
+
+
+def ref_tv_plane(g, weight, iters):
+    px = np.zeros_like(g)
+    py = np.zeros_like(g)
+    for _ in range(iters):
+        u = ref_div2d(px, py) - g / weight
+        gx, gy = ref_grad2d(u)
+        mag = np.sqrt(gx * gx + gy * gy)
+        denom = 1.0 + DUAL_STEP * mag
+        px = (px + DUAL_STEP * gx) / denom
+        py = (py + DUAL_STEP * gy) / denom
+    return g - weight * ref_div2d(px, py)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_grad_and_div_are_negative_adjoints():
     rng = make_rng(100)
-    u = rng.normal(size=(9, 7))
-    px = rng.normal(size=(9, 7))
-    py = rng.normal(size=(9, 7))
-    gx, gy = _grad2d(u)
+    h, w = 9, 7
+    u = rng.normal(size=h * w)
+    px = rng.normal(size=(h, w))
+    py = rng.normal(size=(h, w))
+    # the kernel's duals are zero on the far edge, where the gradient is zero
+    px[-1, :] = 0.0
+    py[:, -1] = 0.0
+    px, py = px.reshape(-1), py.reshape(-1)
+    gx, gy = np.zeros(h * w), np.zeros(h * w)
+    _grad_flat(u, w, gx, gy)
+    div = _div_flat(px, py, w, np.empty(h * w), np.empty(h * w))
     lhs = float(np.sum(gx * px + gy * py))
-    rhs = -float(np.sum(u * _div2d(px, py)))
-    # the far-edge rows/cols of p never touch the pairing, mirror the zeros
-    px2, py2 = px.copy(), py.copy()
-    px2[-1, :] = 0.0
-    py2[:, -1] = 0.0
-    gx2, gy2 = _grad2d(u)
-    lhs2 = float(np.sum(gx2 * px2 + gy2 * py2))
-    rhs2 = -float(np.sum(u * _div2d(px2, py2)))
-    assert abs(lhs2 - rhs2) <= 1e-12 * max(abs(lhs2), 1.0)
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)  # gx/gy zero there anyway
+    rhs = -float(np.sum(u * div))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    ref_gx, ref_gy = ref_grad2d(u.reshape(h, w))
+    assert_same_bits(gx.reshape(h, w), ref_gx)
+    assert_same_bits(gy.reshape(h, w), ref_gy)
+    assert_same_bits(div.reshape(h, w), ref_div2d(px.reshape(h, w), py.reshape(h, w)))
+
+
+# entries: exact signed zeros, subnormals (whose quotients can underflow to a
+# signed zero) and ordinary values
+_tv_entries = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+                        st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def tv_cases(draw):
+    h, w, n = draw(st.integers(2, 12)), draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    cube = draw(hnp.arrays(np.float64, (h, w, n), elements=_tv_entries))
+    weight = draw(st.floats(1e-3, 10.0))
+    return cube, weight, draw(st.integers(1, 30))
+
+
+@settings(max_examples=60)
+@given(tv_cases())
+def test_tv_kernel_matches_the_2d_reference_bit_for_bit(case):
+    cube, weight, iters = case
+    out = tv_denoise(cube, weight, iters)
+    for band in range(cube.shape[2]):
+        want = ref_tv_plane(np.ascontiguousarray(cube[:, :, band]), weight, iters)
+        assert_same_bits(out[:, :, band], want)
+        # a strided band view, and its transpose, as rank-2 inputs
+        assert_same_bits(tv_denoise(cube[:, :, band], weight, iters), want)
+        assert_same_bits(tv_denoise(cube[:, :, band].T, weight, iters),
+                         ref_tv_plane(np.ascontiguousarray(cube[:, :, band].T), weight, iters))
 
 
 def test_total_variation_hand_case():
@@ -111,6 +190,31 @@ def test_tv_denoise_input_validation():
         tv_denoise(np.ones((4, 4)), weight=0.1, iters=0)
     with pytest.raises(ShapeError):
         tv_denoise(np.ones(16), weight=0.1)
+    for weight in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            tv_denoise(np.ones((4, 4)), weight=weight)
+
+
+def test_tv_denoise_on_a_single_row_or_column():
+    """Across a length-1 axis the gradient is zero: a 1xW plane denoises as
+    its Wx1 transpose does, and its total variation does not rise."""
+    row = make_rng(106).random((1, 16))
+    out = tv_denoise(row, weight=0.2)
+    np.testing.assert_array_equal(out, tv_denoise(row.T, weight=0.2).T)
+    assert total_variation(out) <= total_variation(row)
+    cube = np.stack([row, 2.0 * row], axis=2)
+    np.testing.assert_array_equal(tv_denoise(cube, weight=0.2)[:, :, 0], out)
+
+
+def test_tv_denoise_allocates_nothing_per_iteration():
+    g = make_rng(107).random((64, 64))
+    peaks = []
+    for iters in (1, 200):
+        tracemalloc.start()
+        tv_denoise(g, weight=0.1, iters=iters)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 4096
 
 
 # ---------------------------------------------------------------------------
