@@ -7,21 +7,15 @@ Subcommands:
   selftest     run the built-in verification battery
   phantom      write a synthetic truth cube
 
-Exit codes:
-  0  success
-  1  selftest failure
-  2  file/argument format error (and any other CassikitError)
-  3  shape or structural mismatch
-  4  missing dependency (e.g. learned denoiser without a checkpoint)
-  5  training divergence
-  6  numerical failure (NaN/Inf or a degenerate denominator)
-  7  internal error (any exception that is not a CassikitError)
-  8  undefined metric (e.g. SAM against a truth cube with no non-zero
-     spectrum); the reconstruction is already written
+Exit codes: 0 success, 1 selftest failure, 7 internal error (an exception
+that is not a CassikitError).  The exit codes of the CassikitError types live
+on the types, as `exit_code` (errors.py): 2 unless the type sets its own.
 
-`simulate`, `reconstruct` and `train` accept `--config FILE` with
-`key = value` lines (# comments allowed); precedence is command line >
-config file > built-in defaults.  `selftest` and `phantom` take flags only.
+`simulate`, `reconstruct` and `train` accept `--config FILE`, UTF-8 text of
+`key = value` lines (# comments; `-` and `_` alike in keys) for the options in
+`SETTINGS`.  Command line > config file > default.  A file that is not UTF-8,
+a line without `=`, a repeated or unknown key, or a bad value is a FormatError:
+no config is half read.  `selftest` and `phantom` take flags only.
 """
 
 from __future__ import annotations
@@ -36,10 +30,8 @@ from . import fileio, metrics
 from .cassi import (HsiCube, Mask2D, Measurement, SensingOperator,
                     apply_shot_noise, forward_measure, random_binary_mask)
 from .degradation import register_den_params
-from .errors import (CassikitError, DivergenceError, FormatError, MetricError,
-                     MissingParamsError, NumericalError, OperatorError,
-                     ParameterError, ShapeError)
-from .hqs import ReconConfig, run_hqs, trace_csv
+from .errors import CassikitError, FormatError, MissingParamsError, ParameterError, ShapeError
+from .hqs import DENOISERS, INIT_MODES, ReconConfig, run_hqs, trace_csv
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom
 from .selftest import format_report, run_selftest
@@ -50,13 +42,50 @@ from .transformer import (LnltConfig, attention_layout, register_lnlt_params,
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
-EXIT_FORMAT = 2
-EXIT_SHAPE = 3
-EXIT_MISSING_DEP = 4
-EXIT_DIVERGED = 5
-EXIT_NUMERICAL = 6
 EXIT_INTERNAL = 7
-EXIT_METRIC = 8
+
+NOISE_KINDS = ("none", "shot")
+
+# `reconstruct` reads the architecture from the checkpoint.  These flags only
+# assert it; they stay until the benchmark stops passing them (bench/run.py
+# gives them on train_32), then they go.
+ARCH_FLAGS = ("channels", "blocks", "window", "grid")
+
+# Per command, every option a config file can set: (name, type, default,
+# choices).  `_add_settings` adds `--name` (underscores as dashes) for each;
+# `_apply_config` resolves each to command line > config file > default.
+SETTINGS = {
+    "simulate": (
+        ("mask_seed", int, 0, None),
+        ("step", int, 2, None),
+        ("noise", str, "none", NOISE_KINDS),
+        ("bits", int, 11, None),
+        ("seed", int, 0, None),
+        ("mask_out", str, None, None),
+    ),
+    "reconstruct": (
+        ("stages", int, 9, None),
+        ("denoiser", str, "tv", DENOISERS),
+        ("use_den", bool, False, None),
+        ("init", str, "normalized-adjoint", INIT_MODES),
+        ("step", int, 2, None),
+        ("bands", int, None, None),
+        *((key, int, None, None) for key in ARCH_FLAGS),
+    ),
+    "train": (
+        ("stages", int, 3, None),
+        ("steps", int, 500, None),
+        ("lr", float, 4e-4, None),
+        ("warmup", int, 10, None),
+        ("seed", int, 0, None),
+        ("mask_seed", int, 0, None),
+        ("step", int, 2, None),
+        ("channels", int, 8, None),
+        ("blocks", int, 1, None),
+        ("window", int, 4, None),
+        ("grid", int, 4, None),
+    ),
+}
 
 
 def parse_config_file(path: str) -> dict:
@@ -70,37 +99,40 @@ def parse_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise FormatError(f"{path}:{lineno}: expected key = value")
                 key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+                key = key.strip().replace("-", "_")
+                if key in values:
+                    raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
+                values[key] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
     return values
-
-
-_MISSING = object()
-
-
-def _resolve(args: argparse.Namespace, config: dict, key: str, default, cast):
-    """command line > config file > default."""
-    raw = config.pop(key, _MISSING)
-    cli_val = getattr(args, key)
-    if cli_val is not None:
-        return cli_val
-    if raw is not _MISSING:
-        try:
-            if cast is bool:
-                if raw.lower() not in ("true", "false"):
-                    raise ValueError(raw)
-                return raw.lower() == "true"
-            return cast(raw)
-        except ValueError as exc:
-            raise FormatError(f"config value {key} = {raw!r} is not a valid {cast.__name__}") from exc
-    return default
 
 
 def _bool_flag(raw: str) -> bool:
     if raw.lower() not in ("true", "false"):
         raise argparse.ArgumentTypeError(f"expected true/false, got {raw!r}")
     return raw.lower() == "true"
+
+
+def _apply_config(args: argparse.Namespace) -> None:
+    """Write each of the command's SETTINGS onto `args`: command line > config
+    file > default.  A bad value or an unknown key in the file is a FormatError."""
+    if args.command not in SETTINGS:
+        return
+    config = parse_config_file(args.config) if args.config else {}
+    for key, kind, default, _ in SETTINGS[args.command]:
+        raw = config.pop(key, None)
+        if getattr(args, key) is not None:
+            continue
+        if raw is None:
+            setattr(args, key, default)
+            continue
+        try:
+            setattr(args, key, _bool_flag(raw) if kind is bool else kind(raw))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise FormatError(f"config value {key} = {raw!r} is not a valid {kind.__name__}") from exc
+    if config:
+        raise FormatError(f"unknown config keys: {sorted(config)}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -111,41 +143,27 @@ def _write_text(path: str, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _build_operator(mask_path: str | None, mask_seed: int, like_h: int, like_w: int,
-                    n_bands: int, step: int) -> SensingOperator:
-    if mask_path is None:
-        mask = random_binary_mask(like_h, like_w, mask_seed)
-    else:
-        mask = Mask2D(Tensor(fileio.read_plane(mask_path)))
-    return SensingOperator.from_mask(mask, n_bands, step)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = parse_config_file(args.config) if args.config else {}
-    step = _resolve(args, config, "step", 2, int)
-    noise = _resolve(args, config, "noise", "none", str)
-    bits = _resolve(args, config, "bits", 11, int)
-    seed = _resolve(args, config, "seed", 0, int)
-    mask_seed = _resolve(args, config, "mask_seed", 0, int)
-    mask_out = _resolve(args, config, "mask_out", None, str)
-    if config:
-        raise FormatError(f"unknown config keys: {sorted(config)}")
-    if noise not in ("none", "shot"):
-        raise ParameterError(f"unknown noise kind {noise!r}")
+    if args.noise not in NOISE_KINDS:
+        raise ParameterError(f"unknown noise kind {args.noise!r}")
 
     truth = HsiCube(Tensor(fileio.read_cube(args.truth)))
     h, w, n_bands = truth.shape
-    op = _build_operator(args.mask, mask_seed, h, w, n_bands, step)
+    if args.mask is None:
+        mask = random_binary_mask(h, w, args.mask_seed)
+    else:
+        mask = Mask2D(Tensor(fileio.read_plane(args.mask)))
+    op = SensingOperator.from_mask(mask, n_bands, args.step)
     y = forward_measure(truth, op).data.data
-    if noise == "shot":
-        y = apply_shot_noise(y, bits, seed)
+    if args.noise == "shot":
+        y = apply_shot_noise(y, args.bits, args.seed)
     fileio.write_cube(args.out, y)
-    if mask_out is None:
+    if args.mask_out is None:
         stem, ext = os.path.splitext(args.out)
-        mask_out = stem + ".mask" + (ext or ".hsic")
-    fileio.write_cube(mask_out, op.shifted_mask.data)
+        args.mask_out = stem + ".mask" + (ext or ".hsic")
+    fileio.write_cube(args.mask_out, op.shifted_mask.data)
     print(f"measurement {y.shape[0]}x{y.shape[1]} -> {args.out}")
-    print(f"sheared mask {op.h}x{op.wp}x{op.n_bands} -> {mask_out}")
+    print(f"sheared mask {op.h}x{op.wp}x{op.n_bands} -> {args.mask_out}")
     return EXIT_OK
 
 
@@ -159,18 +177,12 @@ def _operator_from_mask_file(path: str, step: int, bands: int | None) -> Sensing
     return SensingOperator(Tensor(cube), step)
 
 
-# `reconstruct` reads the architecture from the checkpoint.  These flags only
-# assert it; they stay until the benchmark stops passing them (bench/run.py
-# gives them on train_32), then they go.
-ARCH_FLAGS = ("channels", "blocks", "window", "grid")
-
-
-def _check_arch_flags(flags: dict, denoiser: str, params: ParamStore | None) -> None:
+def _check_arch_flags(args: argparse.Namespace, params: ParamStore | None) -> None:
     """Each architecture flag that is set must equal the checkpoint's value."""
-    given = {key: value for key, value in flags.items() if value is not None}
+    given = {key: getattr(args, key) for key in ARCH_FLAGS if getattr(args, key) is not None}
     if not given:
         return
-    if denoiser != "lnlt":
+    if args.denoiser != "lnlt":
         raise ParameterError(f"--{next(iter(given))} applies only to --denoiser lnlt, "
                              f"whose checkpoint defines the architecture")
     w = params.scope("lnlt")
@@ -184,32 +196,22 @@ def _check_arch_flags(flags: dict, denoiser: str, params: ParamStore | None) -> 
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    config = parse_config_file(args.config) if args.config else {}
-    stages = _resolve(args, config, "stages", 9, int)
-    denoiser = _resolve(args, config, "denoiser", "tv", str)
-    use_den = _resolve(args, config, "use_den", False, bool)
-    init_mode = _resolve(args, config, "init", "normalized-adjoint", str)
-    step = _resolve(args, config, "step", 2, int)
-    bands = _resolve(args, config, "bands", None, int)
-    arch_flags = {key: _resolve(args, config, key, None, int) for key in ARCH_FLAGS}
-    if config:
-        raise FormatError(f"unknown config keys: {sorted(config)}")
-
     y_arr = fileio.read_cube(args.measurement)
     if y_arr.shape[2] != 1:
         raise ShapeError(f"measurement must be a single plane, got {y_arr.shape[2]}")
     y = Measurement(Tensor(y_arr[:, :, 0]))
-    op = _operator_from_mask_file(args.mask, step, bands)
+    op = _operator_from_mask_file(args.mask, args.step, args.bands)
     if y.shape != op.measurement_shape:
         raise ShapeError(f"measurement {y.shape} does not match operator {op.measurement_shape}")
 
-    cfg = ReconConfig(stages=stages, denoiser=denoiser, use_den=use_den, init=init_mode)
+    cfg = ReconConfig(stages=args.stages, denoiser=args.denoiser, use_den=args.use_den,
+                      init=args.init)
     params = None
-    if use_den or denoiser == "lnlt":
+    if args.use_den or args.denoiser == "lnlt":
         if args.params is None:
             raise MissingParamsError("learned components need --params CHECKPOINT")
         params = fileio.read_params(args.params)
-    _check_arch_flags(arch_flags, denoiser, params)
+    _check_arch_flags(args, params)
     truth = HsiCube(Tensor(fileio.read_cube(args.truth))) if args.truth else None
 
     # inference only: without no_grad the shared learned weights (loaded with
@@ -230,33 +232,18 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = parse_config_file(args.config) if args.config else {}
-    stages = _resolve(args, config, "stages", 3, int)
-    steps = _resolve(args, config, "steps", 500, int)
-    lr = _resolve(args, config, "lr", 4e-4, float)
-    warmup = _resolve(args, config, "warmup", 10, int)
-    seed = _resolve(args, config, "seed", 0, int)
-    mask_seed = _resolve(args, config, "mask_seed", 0, int)
-    step = _resolve(args, config, "step", 2, int)
-    channels = _resolve(args, config, "channels", 8, int)
-    blocks = _resolve(args, config, "blocks", 1, int)
-    window = _resolve(args, config, "window", 4, int)
-    grid = _resolve(args, config, "grid", 4, int)
-    if config:
-        raise FormatError(f"unknown config keys: {sorted(config)}")
-
     truth = HsiCube(Tensor(fileio.read_cube(args.truth)))
     h, w, n_bands = truth.shape
-    op = _build_operator(None, mask_seed, h, w, n_bands, step)
-    arch = LnltConfig(base_channels=channels, blocks_per_level=blocks,
-                      local_window=window, nonlocal_grid=grid)
-    params = init_pipeline_params(n_bands, arch, seed)
-    rcfg = ReconConfig(stages=stages, denoiser="lnlt", use_den=True)
-    tcfg = TrainConfig(steps=steps, lr=lr, warmup_steps=warmup)
+    op = SensingOperator.from_mask(random_binary_mask(h, w, args.mask_seed), n_bands, args.step)
+    arch = LnltConfig(base_channels=args.channels, blocks_per_level=args.blocks,
+                      local_window=args.window, nonlocal_grid=args.grid)
+    params = init_pipeline_params(n_bands, arch, args.seed)
+    rcfg = ReconConfig(stages=args.stages, denoiser="lnlt", use_den=True)
+    tcfg = TrainConfig(steps=args.steps, lr=args.lr, warmup_steps=args.warmup)
     result = train_overfit(truth, op, params, tcfg, rcfg)
     fileio.write_params(args.out, result.params)
     print(f"params ({result.params.n_values} values) -> {args.out}")
-    print(f"loss {result.first_loss:.6g} -> {result.last_loss:.6g} over {steps} steps")
+    print(f"loss {result.first_loss:.6g} -> {result.last_loss:.6g} over {args.steps} steps")
     if args.curve:
         _write_text(args.curve, curve_csv(result.curve))
         print(f"curve -> {args.curve}")
@@ -285,6 +272,15 @@ def init_pipeline_params(n_bands: int, cfg: LnltConfig, seed: int) -> ParamStore
     return store
 
 
+def _add_settings(parser: argparse.ArgumentParser, command: str, **helps: str) -> None:
+    """One flag per entry of SETTINGS[command], then `--config`; a flag not
+    given stays None for `_apply_config`."""
+    for key, kind, _, choices in SETTINGS[command]:
+        parser.add_argument("--" + key.replace("_", "-"), type=_bool_flag if kind is bool else kind,
+                            choices=choices, help=helps.get(key))
+    parser.add_argument("--config", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cassikit",
                                      description="CASSI simulation and HQS reconstruction")
@@ -293,52 +289,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate a measurement from a truth cube")
     p_sim.add_argument("--truth", required=True)
     p_sim.add_argument("--mask", default=None, help="single-plane mask container")
-    p_sim.add_argument("--mask-seed", type=int, default=None, dest="mask_seed")
-    p_sim.add_argument("--step", type=int, default=None)
-    p_sim.add_argument("--noise", choices=("none", "shot"), default=None)
-    p_sim.add_argument("--bits", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--mask-out", default=None, dest="mask_out")
-    p_sim.add_argument("--config", default=None)
+    _add_settings(p_sim, "simulate")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_rec = sub.add_parser("reconstruct", help="reconstruct a cube from a measurement")
     p_rec.add_argument("--measurement", required=True)
     p_rec.add_argument("--mask", required=True,
                        help="sheared mask stack from simulate, or single-plane mask with --bands")
-    p_rec.add_argument("--stages", type=int, default=None)
-    p_rec.add_argument("--denoiser", choices=("identity", "tv", "lnlt"), default=None)
-    p_rec.add_argument("--use-den", type=_bool_flag, default=None, dest="use_den")
-    p_rec.add_argument("--init", choices=("adjoint", "normalized-adjoint"), default=None)
     p_rec.add_argument("--params", default=None)
     p_rec.add_argument("--truth", default=None)
-    p_rec.add_argument("--step", type=int, default=None)
-    p_rec.add_argument("--bands", type=int, default=None)
-    for key in ARCH_FLAGS:
-        p_rec.add_argument(f"--{key}", type=int, default=None,
-                           help="checked against the checkpoint, which defines the architecture")
     p_rec.add_argument("--out", required=True)
     p_rec.add_argument("--trace", default=None)
-    p_rec.add_argument("--config", default=None)
+    _add_settings(p_rec, "reconstruct", **dict.fromkeys(
+        ARCH_FLAGS, "checked against the checkpoint, which defines the architecture"))
     p_rec.set_defaults(fn=cmd_reconstruct)
 
     p_tr = sub.add_parser("train", help="overfit the learned pipeline on one patch")
     p_tr.add_argument("--truth", required=True)
-    p_tr.add_argument("--stages", type=int, default=None)
-    p_tr.add_argument("--steps", type=int, default=None)
-    p_tr.add_argument("--lr", type=float, default=None)
-    p_tr.add_argument("--warmup", type=int, default=None)
-    p_tr.add_argument("--seed", type=int, default=None)
-    p_tr.add_argument("--mask-seed", type=int, default=None, dest="mask_seed")
-    p_tr.add_argument("--step", type=int, default=None)
-    p_tr.add_argument("--channels", type=int, default=None)
-    p_tr.add_argument("--blocks", type=int, default=None)
-    p_tr.add_argument("--window", type=int, default=None)
-    p_tr.add_argument("--grid", type=int, default=None)
     p_tr.add_argument("--out", required=True)
     p_tr.add_argument("--curve", default=None)
-    p_tr.add_argument("--config", default=None)
+    _add_settings(p_tr, "train")
     p_tr.set_defaults(fn=cmd_train)
 
     p_st = sub.add_parser("selftest", help="run the verification battery")
@@ -357,34 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _apply_config(args)
         # non-finite results already raise NumericalError (tensor._check_finite);
         # numpy's RuntimeWarning would only repeat them on stderr
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except (FormatError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (ShapeError, OperatorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except MissingParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_DEP
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_METRIC
     except CassikitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        return exc.exit_code
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -23,6 +23,7 @@ the destination directory, then rename over the target.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -156,10 +157,11 @@ def read_params(path: str) -> ParamStore:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: undecodable entry name") from exc
         (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        n_values = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        payload = take(8 * n_values)
-        arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        n_values = math.prod(shape)  # a Python int: extents up to 2**32 - 1 cannot wrap
+        if 8 * n_values > len(blob) - offset:
+            raise FormatError(f"{path}: entry {name!r} of shape {shape} overruns the file")
+        arr = np.frombuffer(take(8 * n_values), dtype="<f8").reshape(shape)
         if name in arrays:
             raise FormatError(f"{path}: duplicate entry {name!r}")
         if n_values == 0:

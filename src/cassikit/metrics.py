@@ -95,12 +95,12 @@ def ssim(a, b, data_range: float = 1.0) -> float:
     return float(np.mean([_ssim_plane(pa, pb, data_range) for pa, pb in planes]))
 
 
-def sam(a, b, return_skipped: bool = False):
+def sam(a, b) -> float:
     """Mean spectral angle in degrees over pixels of [H, W, N] cubes.
 
     Pixels where either spectrum has zero norm carry no angle and are
-    skipped; pass `return_skipped=True` to also get their count.  All pixels
-    skipped means the metric is undefined and raises MetricError.
+    skipped.  All pixels skipped means the metric is undefined and raises
+    MetricError.
     """
     a, b = _check_pair(a, b)
     if a.ndim != 3:
@@ -110,15 +110,11 @@ def sam(a, b, return_skipped: bool = False):
     na = np.linalg.norm(flat_a, axis=1)
     nb = np.linalg.norm(flat_b, axis=1)
     valid = (na > 0) & (nb > 0)
-    skipped = int(np.count_nonzero(~valid))
     if not np.any(valid):
         raise MetricError("sam undefined: every pixel has a zero spectrum")
     dots = np.sum(flat_a[valid] * flat_b[valid], axis=1)
     cosines = np.clip(dots / (na[valid] * nb[valid]), -1.0, 1.0)
-    degrees = float(np.mean(np.degrees(np.arccos(cosines))))
-    if return_skipped:
-        return degrees, skipped
-    return degrees
+    return float(np.mean(np.degrees(np.arccos(cosines))))
 
 
 def charbonnier(a, b, eps: float = 1e-3) -> float:

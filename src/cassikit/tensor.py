@@ -172,9 +172,9 @@ def no_grad():
         _grad_mode.recording = previous
 
 
-def _make(op: str, out: np.ndarray, parents: Sequence[Tensor], bwd) -> Tensor:
+def make_op(op: str, out: np.ndarray, parents: Sequence[Tensor], bwd) -> Tensor:
     """Wrap an op result, recording the graph edge if any parent is tracked
-    and recording is on."""
+    and recording is on; every op, `cassi`'s shears too, is made here."""
     _check_finite(out, op)
     t = Tensor.__new__(Tensor)
     t.data = out
@@ -210,7 +210,7 @@ def add(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _make("add", out, (a, b), bwd)
+    return make_op("add", out, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -220,7 +220,7 @@ def sub(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _make("sub", out, (a, b), bwd)
+    return make_op("sub", out, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -230,20 +230,20 @@ def mul(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _make("mul", out, (a, b), bwd)
+    return make_op("mul", out, (a, b), bwd)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data  # non-finite results rejected by _make
+        out = a.data / b.data  # non-finite results rejected by make_op
 
     def bwd(g):
         ga = _unbroadcast(g / b.data, a.shape)
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
         return ga, gb
 
-    return _make("div", out, (a, b), bwd)
+    return make_op("div", out, (a, b), bwd)
 
 
 def neg(a) -> Tensor:
@@ -252,7 +252,7 @@ def neg(a) -> Tensor:
     def bwd(g):
         return (-g,)
 
-    return _make("neg", -a.data, (a,), bwd)
+    return make_op("neg", -a.data, (a,), bwd)
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
@@ -266,18 +266,18 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     def bwd(g):
         return (g * inside,)
 
-    return _make("clamp", out, (a,), bwd)
+    return make_op("clamp", out, (a,), bwd)
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(invalid="ignore"):
-        out = np.sqrt(a.data)  # negative inputs rejected by _make
+        out = np.sqrt(a.data)  # negative inputs rejected by make_op
 
     def bwd(g):
         return (g * (0.5 / out),)
 
-    return _make("sqrt", out, (a,), bwd)
+    return make_op("sqrt", out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ def relu(a) -> Tensor:
     def bwd(g):
         return (g * mask,)
 
-    return _make("relu", a.data * mask, (a,), bwd)
+    return make_op("relu", a.data * mask, (a,), bwd)
 
 
 def gelu(a) -> Tensor:
@@ -307,7 +307,7 @@ def gelu(a) -> Tensor:
         du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x * x)
         return (g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * du),)
 
-    return _make("gelu", out, (a,), bwd)
+    return make_op("gelu", out, (a,), bwd)
 
 
 def softplus(a) -> Tensor:
@@ -319,7 +319,7 @@ def softplus(a) -> Tensor:
         sig = 0.5 * (1.0 + np.tanh(0.5 * a.data))
         return (g * sig,)
 
-    return _make("softplus", out, (a,), bwd)
+    return make_op("softplus", out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def reshape(a, shape) -> Tensor:
     def bwd(g):
         return (g.reshape(a.data.shape),)
 
-    return _make("reshape", out, (a,), bwd)
+    return make_op("reshape", out, (a,), bwd)
 
 
 def transpose(a, axes) -> Tensor:
@@ -348,7 +348,7 @@ def transpose(a, axes) -> Tensor:
     def bwd(g):
         return (np.transpose(g, inv),)
 
-    return _make("transpose", out, (a,), bwd)
+    return make_op("transpose", out, (a,), bwd)
 
 
 def concat(tensors: Sequence, axis: int) -> Tensor:
@@ -362,7 +362,7 @@ def concat(tensors: Sequence, axis: int) -> Tensor:
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make("concat", out, ts, bwd)
+    return make_op("concat", out, ts, bwd)
 
 
 def slice_lastdim(a, start: int, stop: int) -> Tensor:
@@ -376,7 +376,7 @@ def slice_lastdim(a, start: int, stop: int) -> Tensor:
         full[..., start:stop] = g
         return (full,)
 
-    return _make("slice_lastdim", out, (a,), bwd)
+    return make_op("slice_lastdim", out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
             gg = np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
-    return _make("reduce_sum", np.asarray(out), (a,), bwd)
+    return make_op("reduce_sum", np.asarray(out), (a,), bwd)
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -434,7 +434,7 @@ def matmul(a, b) -> Tensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return _make("matmul", out, (a, b), bwd)
+    return make_op("matmul", out, (a, b), bwd)
 
 
 def softmax_lastdim(a) -> Tensor:
@@ -449,7 +449,7 @@ def softmax_lastdim(a) -> Tensor:
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
-    return _make("softmax_lastdim", y, (a,), bwd)
+    return make_op("softmax_lastdim", y, (a,), bwd)
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -476,7 +476,7 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
         gx = (gg - m1 - xhat * m2) * inv
         return gx, ggamma, gbeta
 
-    return _make("layer_norm", out, (a, gamma, beta), bwd)
+    return make_op("layer_norm", out, (a, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +556,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
                 dx[v] += np.matmul(g[o], w.data[i, j].T)
         return dx, dw, g.sum(axis=(0, 1))
 
-    return _make("conv2d", out, (x, w, bias), bwd)
+    return make_op("conv2d", out, (x, w, bias), bwd)
 
 
 def conv_transpose2d(x, w, b, stride: int = 2) -> Tensor:
@@ -591,13 +591,7 @@ def conv_transpose2d(x, w, b, stride: int = 2) -> Tensor:
         dw = (x.data.reshape(h * wdt, cin).T @ gm).reshape(cin, s, s, cout).transpose(1, 2, 0, 3)
         return dx, dw, g.sum(axis=(0, 1))
 
-    return _make("conv_transpose2d", out, (x, w, bias), bwd)
-
-
-def make_op(op: str, out: np.ndarray, parents: Sequence[Tensor], bwd) -> Tensor:
-    """Extension point: record a custom differentiable op (used by the
-    sensing-operator module for its structured shift/unshift primitives)."""
-    return _make(op, out, parents, bwd)
+    return make_op("conv_transpose2d", out, (x, w, bias), bwd)
 
 
 # ---------------------------------------------------------------------------

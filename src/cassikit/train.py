@@ -138,8 +138,6 @@ def train_overfit(truth: HsiCube, op: SensingOperator, params: ParamStore,
         except NumericalError as exc:
             raise DivergenceError(f"non-finite training state at step {step}: {exc}") from exc
         loss_val = float(loss.data.reshape(()))
-        if not np.isfinite(loss_val):
-            raise DivergenceError(f"non-finite loss at step {step}")
         curve.append((step, lr, loss_val))
         grads = {name: grad_map[params[name]] for name in params.names()}
         clip_global_norm(grads, CLIP_NORM)

@@ -13,11 +13,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cassikit import cli, fileio
+from cassikit import cli, errors, fileio
 from cassikit.cassi import (Measurement, SensingOperator, forward_measure,
                             random_binary_mask)
-from cassikit.errors import FormatError, ShapeError
+from cassikit.errors import CassikitError, FormatError, ShapeError
 from cassikit.hqs import ReconConfig, run_hqs, trace_csv
 from cassikit.params import ParamStore
 from cassikit.phantom import generate_phantom
@@ -184,6 +186,9 @@ PARAM_CORRUPTIONS = {
     "undecodable-name": lambda: _params_blob(1, _entry(b"\xff\xfe", np.ones(1))),
     "non-finite-value": lambda: _params_blob(1, _entry(b"w", np.array([1.0, np.nan]))),
     "empty-entry": lambda: _params_blob(1, _entry(b"w", np.zeros(0))),
+    # 2**93 values: an int64 product of the extents wraps to 0
+    "overflowing-extents": lambda: _params_blob(
+        1, struct.pack("<I", 1) + b"w" + struct.pack("<4I", 3, 2**31, 2**31, 2**31)),
 }
 
 
@@ -194,6 +199,38 @@ def test_corrupt_checkpoint_raises_format_error(tmp_path, kind):
         fh.write(PARAM_CORRUPTIONS[kind]())
     with pytest.raises(FormatError):
         fileio.read_params(path)
+
+
+# Inputs that must raise FormatError, not a bare UnicodeDecodeError or a
+# ValueError from reshape: a config that is not UTF-8, and a checkpoint
+# whose extents wrap to 0 in int64.
+NON_UTF8_CONFIG = b"stages = 4\n\xff\xfe = 1\n"
+DPRM_HEADER = b"DPRM" + struct.pack("<I", 1)
+
+
+def _parses_or_format_error(read, tmp_dir, blob: bytes) -> None:
+    path = tmp_dir / "fuzz.bin"
+    path.write_bytes(blob)
+    try:
+        read(str(path))
+    except FormatError:
+        pass
+
+
+@settings(max_examples=150)
+@given(st.binary(max_size=64) | st.text(max_size=48).map(str.encode))
+@example(NON_UTF8_CONFIG)
+@example(b"stages = 2\nstages = 3\n")
+def test_any_bytes_parse_as_config_or_raise_format_error(tmp_path_factory, blob):
+    _parses_or_format_error(cli.parse_config_file, tmp_path_factory.getbasetemp(), blob)
+
+
+@settings(max_examples=150)
+@given(st.binary(max_size=96) | st.binary(max_size=96).map(DPRM_HEADER.__add__))
+@example(PARAM_CORRUPTIONS["overflowing-extents"]())
+@example(fileio.params_bytes(ParamStore()))
+def test_any_bytes_read_as_checkpoint_or_raise_format_error(tmp_path_factory, blob):
+    _parses_or_format_error(fileio.read_params, tmp_path_factory.getbasetemp(), blob)
 
 
 # ---------------------------------------------------------------------------
@@ -611,3 +648,130 @@ def test_tiny_training_run_writes_checkpoint_and_curve(tmp_path):
     assert lines[0] == "step,lr,loss"
     assert len(lines) == 3
 
+
+@pytest.mark.parametrize("blob,message", [
+    (NON_UTF8_CONFIG, "can't decode byte 0xff"),
+    (b"stages = 2\n# again\nstages = 3\n", ":3: duplicate key 'stages'"),
+    (b"mask-seed = 2\nmask_seed = 3\n", ":2: duplicate key 'mask_seed'"),
+], ids=["non-utf8", "duplicate", "duplicate-spelled-with-dash"])
+def test_unreadable_or_ambiguous_config_exits_2_naming_it(workbench, tmp_path, capsys, blob,
+                                                          message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(blob)
+    out = tmp_path / "out.hsic"
+    code = cli.main(["reconstruct", "--measurement", str(workbench["meas"]),
+                     "--mask", str(workbench["mask"]), "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err and message in err
+    assert not out.exists()
+
+
+def test_checkpoint_with_overflowing_extents_exits_2_naming_the_entry(workbench, tmp_path,
+                                                                      capsys):
+    bad = tmp_path / "bad.dprm"
+    bad.write_bytes(PARAM_CORRUPTIONS["overflowing-extents"]())
+    code = cli.main(["reconstruct", "--measurement", str(workbench["meas"]),
+                     "--mask", str(workbench["mask"]), "--denoiser", "lnlt",
+                     "--params", str(bad), "--out", str(tmp_path / "out.hsic")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: entry 'w' of shape (2147483648, 2147483648, 2147483648) "
+        f"overruns the file\n")
+
+
+EXPECTED_EXIT_CODES = {
+    "CassikitError": 2, "FormatError": 2, "ParameterError": 2, "GraphStateError": 2,
+    "OracleCapError": 2, "ShapeError": 3, "OperatorError": 3, "MissingParamsError": 4,
+    "DivergenceError": 5, "NumericalError": 6, "MetricError": 8,
+}
+
+
+def _error_types(cls=CassikitError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_types(sub)
+
+
+def test_every_error_type_has_its_documented_exit_code(tmp_path, monkeypatch, capsys):
+    types = list(_error_types())
+    assert {t.__name__ for t in types} == set(EXPECTED_EXIT_CODES)
+    for exc_type in types:
+        assert getattr(errors, exc_type.__name__) is exc_type
+
+        def raise_it(*args, **kwargs):
+            raise exc_type("stop")
+
+        monkeypatch.setattr(cli, "generate_phantom", raise_it)
+        code = cli.main(["phantom", "--out", str(tmp_path / "p.hsic")])
+        assert code == EXPECTED_EXIT_CODES[exc_type.__name__], exc_type.__name__
+        assert capsys.readouterr().err == "error: stop\n"
+
+
+# Every config-settable option of each command: a value other than its
+# default, and a second value that a command-line flag must override.
+SETTING_VALUES = {
+    "simulate": {"mask_seed": (3, 4), "step": (1, 2), "noise": ("shot", "none"),
+                 "bits": (8, 9), "seed": (5, 6), "mask_out": ("m.hsic", "other.hsic")},
+    "reconstruct": {"stages": (1, 2), "denoiser": ("lnlt", "tv"), "use_den": ("true", "false"),
+                    "init": ("adjoint", "normalized-adjoint"), "step": (1, 2), "bands": (2, 3),
+                    "channels": (4, 8), "blocks": (1, 2), "window": (1, 2), "grid": (1, 2)},
+    "train": {"stages": (1, 2), "steps": (2, 3), "lr": ("1e-3", "2e-3"), "warmup": (1, 2),
+              "seed": (3, 4), "mask_seed": (4, 5), "step": (1, 2), "channels": (4, 6),
+              "blocks": (2, 1), "window": (1, 2), "grid": (1, 2)},
+}
+
+
+@pytest.fixture(scope="module")
+def settings_inputs(tmp_path_factory):
+    """12x12x2 truth, a mask plane, a step-1 measurement of them and a C=4,
+    window-1, grid-1 checkpoint: inputs on which every setting above runs."""
+    root = tmp_path_factory.mktemp("settings")
+    files = {k: root / f"{k}.hsic" for k in ("truth", "plane", "meas")}
+    files["ckpt"] = root / "ckpt.dprm"
+    fileio.write_cube(str(files["truth"]), generate_phantom(12, 12, 2, seed=1).numpy())
+    fileio.write_cube(str(files["plane"]), random_binary_mask(12, 12, 2).data.data)
+    assert cli.main(["simulate", "--truth", str(files["truth"]), "--mask", str(files["plane"]),
+                     "--step", "1", "--out", str(files["meas"])]) == 0
+    arch = LnltConfig(base_channels=4, blocks_per_level=1, local_window=1, nonlocal_grid=1)
+    fileio.write_params(str(files["ckpt"]), cli.init_pipeline_params(2, arch, seed=7))
+    return files
+
+
+def _flags(values: dict) -> list:
+    return [arg for key, value in values.items()
+            for arg in ("--" + key.replace("_", "-"), str(value))]
+
+
+@pytest.mark.parametrize("command", sorted(SETTING_VALUES))
+def test_every_setting_reads_the_same_from_config_and_flag(settings_inputs, tmp_path,
+                                                           monkeypatch, capsys, command):
+    assert set(SETTING_VALUES[command]) == {row[0] for row in cli.SETTINGS[command]}
+    for key, _, default, _ in cli.SETTINGS[command]:
+        assert str(SETTING_VALUES[command][key][0]) != str(default), key
+    chosen = {key: pair[0] for key, pair in SETTING_VALUES[command].items()}
+    overridden = {key: pair[1] for key, pair in SETTING_VALUES[command].items()}
+    f = {k: str(v) for k, v in settings_inputs.items()}
+    files = {"simulate": ["--truth", f["truth"], "--out", "meas.hsic"],
+             "reconstruct": ["--measurement", f["meas"], "--mask", f["plane"], "--params",
+                             f["ckpt"], "--truth", f["truth"], "--out", "recon.hsic",
+                             "--trace", "trace.csv"],
+             "train": ["--truth", f["truth"], "--out", "w.dprm", "--curve", "curve.csv"]}[command]
+
+    def run(name: str, flags: dict, config: dict) -> tuple:
+        # outputs go to a fresh working directory, by relative paths, so runs
+        # that agree print the same lines and write the same files
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = [command, *files, *_flags(flags)]
+        if config:
+            (tmp_path / f"{name}.cfg").write_text(
+                "".join(f"{key} = {value}\n" for key, value in config.items()))
+            argv += ["--config", str(tmp_path / f"{name}.cfg")]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        return capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+
+    by_flag = run("flags", chosen, {})
+    assert run("config", {}, chosen) == by_flag
+    assert run("flags-over-config", chosen, overridden) == by_flag

@@ -336,9 +336,11 @@ def test_sam_skips_zero_spectra_and_counts_them():
     b = np.ones((2, 2, 3))
     a[0, 0] = 0.0
     b[1, 1] = 0.0
-    angle, skipped = sam(a, b, return_skipped=True)
-    assert angle == pytest.approx(0.0, abs=1e-6)
-    assert skipped == 2
+    b[0, 1] = [1.0, 0.0, 0.0]
+    # two pixels skipped: the mean runs over the other two, one of them at
+    # arccos(1/sqrt(3)); counting a skipped pixel at 0 or 90 degrees moves it
+    angle = sam(a, b)
+    assert angle == pytest.approx(np.degrees(np.arccos(1 / np.sqrt(3))) / 2, abs=1e-12)
     with pytest.raises(MetricError):
         sam(np.zeros((2, 2, 3)), np.ones((2, 2, 3)))
 
