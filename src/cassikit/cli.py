@@ -173,6 +173,8 @@ def _operator_from_mask_file(path: str, step: int, bands: int | None) -> Sensing
         if bands is None:
             raise ParameterError("--bands is required with a single-plane mask file")
         return SensingOperator.from_mask(Mask2D(Tensor(cube[:, :, 0])), bands, step)
+    if bands is not None and bands != cube.shape[2]:
+        raise ShapeError(f"--bands {bands} does not match the mask stack's {cube.shape[2]} bands")
     # sheared stack written by `simulate`; support structure revalidated here
     return SensingOperator(Tensor(cube), step)
 

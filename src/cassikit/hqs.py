@@ -190,12 +190,12 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
             mu_k = _mu_schedule(cfg, k)
             eta_k = mu_k / LAM
 
-        x = data_step(z, y, phi_k, mu_k)
-
         mu_f = float(as_tensor(mu_k).data.reshape(()))
         eta_f = float(as_tensor(eta_k).data.reshape(()))
         if mu_f <= 0 or eta_f <= 0:
             raise NumericalError(f"non-positive mu/eta at stage {k}: mu={mu_f}, eta={eta_f}")
+
+        x = data_step(z, y, phi_k, mu_k)
 
         if cfg.denoiser == "identity":
             z = x

@@ -337,20 +337,6 @@ def reshape(a, shape) -> Tensor:
     return make_op("reshape", out, (a,), bwd)
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"transpose axes {axes} invalid for rank {a.data.ndim}")
-    inv = tuple(np.argsort(axes))
-    out = np.transpose(a.data, axes)
-
-    def bwd(g):
-        return (np.transpose(g, inv),)
-
-    return make_op("transpose", out, (a,), bwd)
-
-
 def concat(tensors: Sequence, axis: int) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     if not ts:

@@ -16,7 +16,9 @@ so its attention matrix is (N^2 x N^2) per head regardless of the image
 size; the per-head width is H*W*C/(heads*N^2).  In the core, Q, K, V each
 come from a pointwise conv followed by a depthwise 3x3 conv, the logits get
 a learned (zero-initialized) position bias before softmax, and a pointwise
-output projection finishes.
+output projection finishes.  Each token cut (of Q, K and V) and the merge
+back to the plane is one recorded op: `cut` and `merge` are mutual inverses,
+so each is the other's backward.
 
 The denoiser conditions on the stage's fidelity weight eta by appending one
 constant eta-valued channel to its input before the embedding conv, and it
@@ -35,8 +37,7 @@ from .cassi import HsiCube
 from .errors import ParameterError, ShapeError
 from .params import Initializer, ParamScope
 from .tensor import (Tensor, add, as_tensor, concat, conv2d, conv_transpose2d,
-                     gelu, layer_norm, matmul, mul, reshape, softmax_lastdim,
-                     transpose)
+                     gelu, layer_norm, make_op, matmul, mul, softmax_lastdim)
 
 GDFN_EXPANSION = 2
 SECTIONS = ("enc1", "enc2", "mid", "dec2", "dec1")
@@ -134,19 +135,22 @@ def qkv_project(x: Tensor, w: ParamScope) -> Tensor:
     return conv2d(t, w["depth.w"], w["depth.b"], padding=1, groups=c)
 
 
-def _to_windows(t: Tensor, mh: int, mw: int) -> Tensor:
-    """[H, W, C] -> [T, Mh*Mw, C]: row-major Mh x Mw windows, row-major pixels inside."""
-    h, w, c = t.shape
-    t = reshape(t, (h // mh, mh, w // mw, mw, c))
-    t = transpose(t, (0, 2, 1, 3, 4))
-    return reshape(t, ((h // mh) * (w // mw), mh * mw, c))
+def cut(a: np.ndarray, mh: int, mw: int, heads: int, cell_tokens: bool) -> np.ndarray:
+    """[H, W, C] -> [sets, heads, length, d] over row-major Mh x Mw windows with
+    row-major pixels inside.  A window is a set of pixel tokens, or with
+    `cell_tokens` one token of a single set; heads are contiguous width-d chunks
+    of each token.  `merge` is its exact inverse (and adjoint)."""
+    h, w, c = a.shape
+    count = (h // mh) * (w // mw)
+    sets, length = (1, count) if cell_tokens else (count, mh * mw)
+    t = a.reshape(h // mh, mh, w // mw, mw, c).transpose(0, 2, 1, 3, 4).reshape(count, mh * mw, c)
+    return t.reshape(sets, length, heads, -1).transpose(0, 2, 1, 3)
 
 
-def _from_windows(t: Tensor, h: int, w: int, mh: int, mw: int) -> Tensor:
-    c = t.shape[-1]
-    t = reshape(t, (h // mh, w // mw, mh, mw, c))
-    t = transpose(t, (0, 2, 1, 3, 4))
-    return reshape(t, (h, w, c))
+def merge(t: np.ndarray, h: int, w: int, mh: int, mw: int) -> np.ndarray:
+    """[sets, heads, length, d] -> [H, W, C]; the exact inverse of `cut`."""
+    t = t.transpose(0, 2, 1, 3).reshape((h // mh) * (w // mw), mh * mw, -1)
+    return t.reshape(h // mh, w // mw, mh, mw, -1).transpose(0, 2, 1, 3, 4).reshape(h, w, -1)
 
 
 def attention_layout(w: ParamScope) -> tuple:
@@ -160,24 +164,24 @@ def attention_layout(w: ParamScope) -> tuple:
 
 
 def _attend(x: Tensor, w: ParamScope, heads: int, mh: int, mw: int, cell_tokens: bool) -> Tensor:
-    """softmax(Q K^T / sqrt(d) + pos) V over tokens cut by Mh x Mw windows, projected, plus x.
-    A window is a set of pixel tokens, or with `cell_tokens` one token of a single set;
-    heads are contiguous width-d chunks of each token."""
+    """softmax(Q K^T / sqrt(d) + pos) V over the tokens `cut` makes, `merge`d back,
+    projected, plus x.  Each cut and the merge is one recorded op."""
     h, wdt, c = x.shape
-    count = (h // mh) * (wdt // mw)
-    sets, length, width = (1, count, mh * mw * c) if cell_tokens else (count, mh * mw, c)
+    width = mh * mw * c if cell_tokens else c
     if width % heads:
         raise ShapeError(f"token width {width} not divisible by {heads} heads")
     d = width // heads
 
-    def tokens(name):  # [sets, heads, length, d]
-        t = reshape(_to_windows(qkv_project(x, w.scope(name)), mh, mw), (sets, length, heads, d))
-        return transpose(t, (0, 2, 1, 3))
+    def tokens(name, axes=(0, 1, 2, 3)):  # cut, then permuted by an involution `axes`
+        t = qkv_project(x, w.scope(name))
+        return make_op("cut", cut(t.data, mh, mw, heads, cell_tokens).transpose(axes), (t,),
+                       lambda g: (merge(g.transpose(axes), h, wdt, mh, mw),))
 
-    q, k, v = tokens("q"), tokens("k"), tokens("v")
-    logits = add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), w["pos"])
-    mixed = transpose(matmul(softmax_lastdim(logits), v), (0, 2, 1, 3))
-    mixed = _from_windows(reshape(mixed, (count, mh * mw, c)), h, wdt, mh, mw)
+    q, k_t, v = tokens("q"), tokens("k", (0, 1, 3, 2)), tokens("v")
+    logits = add(mul(matmul(q, k_t), 1.0 / math.sqrt(d)), w["pos"])
+    out = matmul(softmax_lastdim(logits), v)
+    mixed = make_op("merge", merge(out.data, h, wdt, mh, mw), (out,),
+                    lambda g: (cut(g, mh, mw, heads, cell_tokens),))
     return add(conv2d(mixed, w["proj.w"], w["proj.b"]), x)
 
 

@@ -233,6 +233,19 @@ def test_any_bytes_read_as_checkpoint_or_raise_format_error(tmp_path_factory, bl
     _parses_or_format_error(fileio.read_params, tmp_path_factory.getbasetemp(), blob)
 
 
+HSIC_HEADER = b"HSIC" + struct.pack("<I", 1)
+
+
+@settings(max_examples=150)
+@given(st.binary(max_size=96) | st.binary(max_size=96).map(HSIC_HEADER.__add__))
+@example(CUBE_CORRUPTIONS["truncated-payload"](_valid_cube_blob()))
+@example(HSIC_HEADER + struct.pack("<3I", 2**15, 2**15, 1))        # 4*H*W*C wraps to 0 in int32
+@example(HSIC_HEADER + struct.pack("<3I", 2**31, 2**31, 2**31))    # ... and in int64
+@example(_valid_cube_blob()[:20] + np.full(4, np.nan, dtype="<f4").tobytes())
+def test_any_bytes_read_as_cube_or_raise_format_error(tmp_path_factory, blob):
+    _parses_or_format_error(fileio.read_cube, tmp_path_factory.getbasetemp(), blob)
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------
@@ -418,6 +431,17 @@ def test_plane_mask_without_bands_exits_2(workbench, tmp_path):
     assert "--bands" in proc.stderr
 
 
+def test_bands_must_match_a_sheared_mask_stack(workbench, tmp_path, capsys):
+    argv = ["reconstruct", "--measurement", str(workbench["meas"]), "--mask",
+            str(workbench["mask"]), "--stages", "1", "--out", str(tmp_path / "out.hsic")]
+    assert cli.main([*argv, "--bands", "9"]) == 3
+    assert capsys.readouterr().err == \
+        "error: --bands 9 does not match the mask stack's 4 bands\n"
+    assert not (tmp_path / "out.hsic").exists()
+    assert cli.main([*argv, "--bands", "4"]) == 0
+    assert fileio.read_cube(str(tmp_path / "out.hsic")).shape == (16, 16, 4)
+
+
 def test_invalid_architecture_flag_exits_2_on_every_route(workbench, tmp_path):
     # the TV route has no checkpoint to check an architecture flag against
     out = tmp_path / "out.hsic"
@@ -594,6 +618,21 @@ def test_estimated_eta_of_zero_exits_6_before_the_denoiser(tmp_path, capsys, den
     err = capsys.readouterr().err
     assert err.startswith("error: non-positive mu/eta at stage 1: mu=")
     assert err.endswith(", eta=0.0\n")
+
+
+@pytest.mark.parametrize("denoiser", ["tv", "lnlt"])
+def test_estimated_mu_of_zero_exits_6_before_the_data_step(tmp_path, capsys, denoiser):
+    files = _learned_inputs(tmp_path)
+    arrays = fileio.read_params(str(files["ckpt"])).arrays()
+    arrays["den.head.fc2.b"] = np.array([-1e4, 0.0])  # softplus(-1e4) underflows to 0
+    fileio.write_params(str(files["ckpt"]), ParamStore.from_arrays(arrays))
+    code = cli.main(["reconstruct", "--measurement", str(files["meas"]),
+                     "--mask", str(files["mask"]), "--params", str(files["ckpt"]),
+                     "--denoiser", denoiser, "--use-den", "true", "--stages", "2",
+                     "--out", str(tmp_path / "out.hsic")])
+    assert code == 6
+    assert capsys.readouterr().err.startswith(
+        "error: non-positive mu/eta at stage 1: mu=0.0, eta=")
 
 
 def test_tv_reconstruct_of_a_one_row_scene(tmp_path):

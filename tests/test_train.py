@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from cassikit.cassi import SensingOperator, random_binary_mask
+from cassikit.cassi import SensingOperator, forward_measure, random_binary_mask
 from cassikit.errors import DivergenceError, ParameterError
-from cassikit.hqs import ReconConfig
+from cassikit.hqs import ReconConfig, run_hqs
 from cassikit.metrics import charbonnier
 from cassikit.params import ParamStore
 from cassikit.phantom import generate_phantom
-from cassikit.tensor import Tensor, add, backward, mul, reduce_sum
+from cassikit.tensor import Graph, Tensor, add, backward, mul, reduce_sum
 from cassikit.train import (ADAM_EPS, AdamState, TrainConfig, adam_step, charbonnier_loss,
                             clip_global_norm, curve_csv, lr_at, train_overfit)
 from cassikit.transformer import LnltConfig
@@ -222,3 +222,18 @@ def test_curve_csv_layout():
     assert lines[0] == "step,lr,loss"
     assert lines[1] == "0,0,1.25"
     assert lines[2] == "1,0.0004,0.75"
+
+
+def test_desk_train_step_records_at_most_1115_graph_nodes():
+    """One step of the 32x32x4, C=8, 3-stage reference training: each attention
+    token cut and its merge is one node, so no `transpose` op is recorded."""
+    from cassikit.cli import init_pipeline_params
+    truth = generate_phantom(32, 32, 4, seed=1)
+    op = SensingOperator.from_mask(random_binary_mask(32, 32, 0), 4, 2)
+    arch = LnltConfig(base_channels=8, blocks_per_level=1, local_window=4, nonlocal_grid=4)
+    params = init_pipeline_params(4, arch, seed=0)
+    rcfg = ReconConfig(stages=3, denoiser="lnlt", use_den=True)
+    result = run_hqs(forward_measure(truth, op), op, rcfg, params)
+    order = Graph.from_output(charbonnier_loss(result.z.data, truth.data.detach())).order
+    assert len(order) <= 1115
+    assert not any(node._op == "transpose" for node in order)

@@ -3,6 +3,8 @@ cases, residual wiring, the U-shaped pipeline, and gradient fidelity."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cassikit.cassi import HsiCube
 from cassikit.errors import ParameterError, ShapeError
@@ -10,8 +12,8 @@ from cassikit.params import Initializer, ParamStore
 from cassikit.tensor import Tensor, fd_gradcheck, mul, reduce_mean
 from cassikit.transformer import (GDFN_EXPANSION, LnltConfig, SECTIONS,
                                   _register_block, _register_msa,
-                                  block_forward, gdfn, lnlt_denoise,
-                                  local_msa, nonlocal_msa, qkv_project,
+                                  block_forward, cut, gdfn, lnlt_denoise,
+                                  local_msa, merge, nonlocal_msa, qkv_project,
                                   register_lnlt_params)
 
 from conftest import make_rng
@@ -199,6 +201,38 @@ def test_nonlocal_attention_matches_loops(hw, n, heads, c):
     got = nonlocal_msa(Tensor(x), w).data
     want = oracle_nonlocal(x, msa_arrays(store), n, heads)
     assert np.abs(got - want).max() <= 1e-5
+
+
+@st.composite
+def token_layouts(draw):
+    """(h, w, mh, mw, heads, c, cell_tokens): a plane of gh x gw windows (or
+    grid cells) of mh x mw pixels, and a head count that divides the token width."""
+    mh, mw, gh, gw = (draw(st.integers(1, 3)) for _ in range(4))
+    c = draw(st.integers(1, 4))
+    cell_tokens = draw(st.booleans())
+    width = mh * mw * c if cell_tokens else c
+    heads = draw(st.sampled_from([k for k in range(1, width + 1) if width % k == 0]))
+    return gh * mh, gw * mw, mh, mw, heads, c, cell_tokens
+
+
+@settings(max_examples=100)
+@given(token_layouts(), st.integers(0, 2**32 - 1))
+@example((4, 6, 2, 3, 3, 1, True), 0)   # 2x3 cells, width-2 heads split each cell row
+@example((4, 4, 2, 2, 4, 2, True), 1)   # width-2 heads end mid-row of a 2-pixel, 2-channel row
+@example((4, 4, 2, 2, 2, 4, False), 2)  # local: 2x2 windows, two heads of width 2
+def test_cut_and_merge_are_exact_inverses_and_adjoints(layout, seed):
+    h, w, mh, mw, heads, c, cell_tokens = layout
+    count = (h // mh) * (w // mw)
+    sets, length = (1, count) if cell_tokens else (count, mh * mw)
+    rng = make_rng(seed)
+    # small integers, so every inner product below is exact in float64
+    a = rng.integers(-8, 9, size=(h, w, c)).astype(np.float64)
+    t = cut(a, mh, mw, heads, cell_tokens)
+    assert t.shape == (sets, heads, length, h * w * c // (sets * heads * length))
+    b = rng.integers(-8, 9, size=t.shape).astype(np.float64)
+    assert np.array_equal(merge(t, h, w, mh, mw), a)
+    assert np.array_equal(cut(merge(b, h, w, mh, mw), mh, mw, heads, cell_tokens), b)
+    assert np.vdot(t, b) == np.vdot(a, merge(b, h, w, mh, mw))
 
 
 def test_uniform_local_attention_is_window_mean_plus_input():
