@@ -116,13 +116,19 @@ def _bool_flag(raw: str) -> bool:
 
 def _apply_config(args: argparse.Namespace) -> None:
     """Write each of the command's SETTINGS onto `args`: command line > config
-    file > default.  A bad value or an unknown key in the file is a FormatError."""
+    file > default.  A bad value or an unknown key in the file is a FormatError.
+
+    `args.given` names the settings set on the command line or set by the file
+    to a value other than the default: a shared config file that repeats a
+    default does not count as asking for that setting."""
+    args.given = set()
     if args.command not in SETTINGS:
         return
     config = parse_config_file(args.config) if args.config else {}
     for key, kind, default, _ in SETTINGS[args.command]:
         raw = config.pop(key, None)
         if getattr(args, key) is not None:
+            args.given.add(key)
             continue
         if raw is None:
             setattr(args, key, default)
@@ -131,8 +137,17 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, key, _bool_flag(raw) if kind is bool else kind(raw))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise FormatError(f"config value {key} = {raw!r} is not a valid {kind.__name__}") from exc
+        if getattr(args, key) != default:
+            args.given.add(key)
     if config:
         raise FormatError(f"unknown config keys: {sorted(config)}")
+
+
+def _refuse_unused(args: argparse.Namespace, keys: tuple, reason: str) -> None:
+    """A given setting that this run would ignore is a ParameterError."""
+    for key in keys:
+        if key in args.given:
+            raise ParameterError(f"--{key.replace('_', '-')} {reason}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -146,6 +161,10 @@ def _write_text(path: str, text: str) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.noise not in NOISE_KINDS:
         raise ParameterError(f"unknown noise kind {args.noise!r}")
+    if args.noise != "shot":
+        _refuse_unused(args, ("bits", "seed"), "applies only to --noise shot")
+    if args.mask is not None:
+        _refuse_unused(args, ("mask_seed",), "draws a mask, so it does not apply with --mask")
 
     truth = HsiCube(Tensor(fileio.read_cube(args.truth)))
     h, w, n_bands = truth.shape
@@ -213,6 +232,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         if args.params is None:
             raise MissingParamsError("learned components need --params CHECKPOINT")
         params = fileio.read_params(args.params)
+    elif args.params is not None:
+        raise ParameterError("--params applies only to --denoiser lnlt or --use-den true, "
+                             "which read weights")
     _check_arch_flags(args, params)
     truth = HsiCube(Tensor(fileio.read_cube(args.truth))) if args.truth else None
 

@@ -22,11 +22,20 @@ losses.  GELU uses the tanh approximation
 
     gelu(x) = 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3)))
 
-with constants sqrt(2/pi) = 0.7978845608028654 and 0.044715.
+with constants sqrt(2/pi) = 0.7978845608028654 and 0.044715, evaluated in
+place in fresh buffers with the cube as x*x*x.
+
+`conv2d` sums shifted strided views of its input over the kernel taps, so it
+never copies input windows.  Its forward runs in strips of output rows sized
+so that a strip (about 256 KB) stays in a core's L2 cache while every tap
+adds into it; each output element still adds the same taps in the same
+order, so the strip size does not change any bit.  A dense 1x1 conv with
+stride 1 and no padding is a single matmul each way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from contextlib import contextmanager
@@ -298,9 +307,17 @@ def gelu(a) -> Tensor:
     """GELU, tanh approximation (constants in the module docstring)."""
     a = as_tensor(a)
     x = a.data
-    u = _GELU_C0 * (x + _GELU_C1 * x ** 3)
-    th = np.tanh(u)
-    out = 0.5 * x * (1.0 + th)
+    # tanh of the inner polynomial, built in place in one fresh buffer; the cube
+    # is x*x*x, since numpy's power has a fast path for ** 2 but not for ** 3
+    th = np.multiply(x, x, out=np.empty_like(x))
+    th *= x
+    th *= _GELU_C1
+    th += x
+    th *= _GELU_C0
+    np.tanh(th, out=th)
+    out = np.add(th, 1.0, out=np.empty_like(x))
+    out *= x
+    out *= 0.5
 
     def bwd(g):
         sech2 = 1.0 - th * th
@@ -469,21 +486,46 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
 # convolutions (channels-last [H, W, C])
 # ---------------------------------------------------------------------------
 
-def _tap_spans(k: int, n_in: int, n_out: int, stride: int, padding: int) -> list:
-    """[(i, output slice, input slice)] along one axis for each kernel offset i
-    that reads inside the unpadded input for at least one output.
+# Output bytes per row strip of a conv2d forward: a strip's accumulator stays
+# in a core's L2 while every kernel tap adds into it.
+_STRIP_BYTES = 256 * 1024
+
+
+def _tap_spans(k: int, n_in: int, o0: int, o1: int, stride: int, padding: int) -> list:
+    """[(i, output slice, input slice)] along one axis, for outputs o0 <= o < o1
+    and each kernel offset i that reads inside the unpadded input for at least
+    one of them.
 
     Output o reads input o*stride + i - padding at offset i; the zero padding
     adds nothing, so it is never built.
     """
     spans = []
     for i in range(k):
-        lo = max(0, -((i - padding) // stride))
-        hi = min(n_out, (n_in - 1 + padding - i) // stride + 1)
+        lo = max(o0, -((i - padding) // stride))
+        hi = min(o1, (n_in - 1 + padding - i) // stride + 1)
         start = lo * stride + i - padding
         if hi > lo:
             spans.append((i, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
     return spans
+
+
+@functools.lru_cache(maxsize=256)
+def _tap_plan(h: int, wdt: int, kh: int, kw: int, stride: int, padding: int,
+              strip: int) -> tuple:
+    """Per strip of `strip` output rows: (output rows, ((i, j, output window,
+    input view), ...) over the kernel taps in row-major order).  Memoized: a
+    plan depends only on the geometry, and a network has few geometries."""
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wdt + 2 * padding - kw) // stride + 1
+    cols = _tap_spans(kw, wdt, 0, wo, stride, padding)
+    plan = []
+    for r0 in range(0, ho, strip):
+        r1 = min(r0 + strip, ho)
+        taps = tuple((i, j, (ro, co), (ri, ci))
+                     for i, ro, ri in _tap_spans(kh, h, r0, r1, stride, padding)
+                     for j, co, ci in cols)
+        plan.append((slice(r0, r1), taps))
+    return tuple(plan)
 
 
 def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -493,7 +535,11 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
     only input channel c).  Output extents follow
     (H + 2*padding - kh) // stride + 1.  Forward and backward accumulate
     over the kh*kw kernel taps, each reading a shifted strided view of the
-    input, so no window copy of the input is made or kept.
+    input, so no window copy of the input is made or kept.  The forward adds
+    all taps, then the bias, into one strip of output rows (_STRIP_BYTES)
+    before the next; every output element sums the same taps in the same
+    order as a whole-plane loop, so its bits do not depend on the strips.
+    A dense 1x1 conv with stride 1 and no padding is one matmul each way.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -512,27 +558,38 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
     bias = as_tensor(b)
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {bias.shape} != ({cout},)")
-
-    cols = _tap_spans(kw, wdt, wo, stride, padding)
-    taps = [(i, j, (ro, co), (ri, ci)) for i, ro, ri in _tap_spans(kh, h, ho, stride, padding)
-            for j, co, ci in cols]
     depthwise = groups == cin == cout
+
+    if kh == kw == 1 and stride == 1 and padding == 0 and not depthwise:
+        w11 = w.data[0, 0]
+        out = np.matmul(x.data, w11)
+        out += bias.data
+
+        def bwd_pointwise(g):
+            dw = np.matmul(x.data.transpose(0, 2, 1), g).sum(axis=0)
+            return np.matmul(g, w11.T), dw.reshape(w.data.shape), g.sum(axis=(0, 1))
+
+        return make_op("conv2d", out, (x, w, bias), bwd_pointwise)
+
     if depthwise:
         # each tap's weights repeated along an output row: numpy then runs the
         # products over whole rows instead of C-long pieces
         w_rows = np.repeat(w.data, wo, axis=2)
 
+    strip = max(1, _STRIP_BYTES // (wo * cout * x.data.itemsize))
     out = np.zeros((ho, wo, cout))
-    for i, j, o, v in taps:
-        if depthwise:
-            out[o] += x.data[v] * w_rows[i, j, o[1]]
-        else:
-            out[o] += np.matmul(x.data[v], w.data[i, j])
-    out += bias.data
+    for rows, taps in _tap_plan(h, wdt, kh, kw, stride, padding, strip):
+        for i, j, o, v in taps:
+            if depthwise:
+                out[o] += x.data[v] * w_rows[i, j, o[1]]
+            else:
+                out[o] += np.matmul(x.data[v], w.data[i, j])
+        out[rows] += bias.data
 
     def bwd(g):
         dx = np.zeros_like(x.data)
         dw = np.zeros_like(w.data)
+        (_, taps), = _tap_plan(h, wdt, kh, kw, stride, padding, ho)
         for i, j, o, v in taps:
             if depthwise:
                 dw[i, j, 0] = np.einsum("xyc,xyc->c", x.data[v], g[o])

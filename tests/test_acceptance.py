@@ -306,6 +306,7 @@ def _reference_training():
     return train_overfit(truth, op, params, tcfg, rcfg)
 
 
+@pytest.mark.slow
 def test_09_overfit_training_converges_and_reproduces(checklist):
     started = time.perf_counter()
     first = _reference_training()

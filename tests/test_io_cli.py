@@ -442,6 +442,47 @@ def test_bands_must_match_a_sheared_mask_stack(workbench, tmp_path, capsys):
     assert fileio.read_cube(str(tmp_path / "out.hsic")).shape == (16, 16, 4)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--bits", "8"), "--bits applies only to --noise shot"),
+    (("--noise", "none", "--seed", "0"), "--seed applies only to --noise shot"),
+    (("--mask", "PLANE", "--mask-seed", "3"),
+     "--mask-seed draws a mask, so it does not apply with --mask"),
+], ids=["bits-without-noise", "seed-without-noise", "mask-seed-with-mask"])
+def test_simulate_setting_that_does_nothing_exits_2(workbench, tmp_path, capsys, argv, message):
+    plane, out = tmp_path / "plane.hsic", tmp_path / "out.hsic"
+    fileio.write_cube(str(plane), np.ones((16, 16)))
+    argv = [str(plane) if a == "PLANE" else a for a in argv]
+    code = cli.main(["simulate", "--truth", str(workbench["truth"]), *argv, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_may_repeat_a_default_that_does_nothing(workbench, tmp_path, capsys):
+    plane, out, cfg = tmp_path / "plane.hsic", tmp_path / "out.hsic", tmp_path / "sim.cfg"
+    fileio.write_cube(str(plane), np.ones((16, 16)))
+    argv = ["simulate", "--truth", str(workbench["truth"]), "--mask", str(plane),
+            "--config", str(cfg), "--out", str(out)]
+    cfg.write_text("noise = none\nbits = 11\nseed = 0\nmask_seed = 0\n")
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    cfg.write_text("bits = 8\n")
+    out.unlink()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.endswith("error: --bits applies only to --noise shot\n")
+    assert not out.exists()
+
+
+def test_params_on_a_route_without_weights_exits_2(workbench, tmp_path, capsys):
+    out = tmp_path / "out.hsic"
+    code = cli.main(["reconstruct", "--measurement", str(workbench["meas"]),
+                     "--mask", str(workbench["mask"]), "--denoiser", "tv",
+                     "--params", str(tmp_path / "w.dprm"), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: --params applies only to --denoiser lnlt or "
+                                       "--use-den true, which read weights\n")
+    assert not out.exists()
+
+
 def test_invalid_architecture_flag_exits_2_on_every_route(workbench, tmp_path):
     # the TV route has no checkpoint to check an architecture flag against
     out = tmp_path / "out.hsic"

@@ -84,6 +84,26 @@ def test_gelu_matches_tanh_formula():
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
+@pytest.mark.parametrize("value", [0.5, [0.5], [[-1.5]]], ids=["0-d", "1-element", "1x1"])
+def test_gelu_of_a_single_value(value):
+    a = leaf(value)
+    out = T.gelu(a)
+    assert out.shape == a.shape
+    x = 0.5 if np.ndim(value) == 0 else np.ravel(value)[0]
+    want = 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
+    assert float(out.data.reshape(())) == want
+    assert np.isfinite(backward(out)[a]).all()
+
+
+def test_gelu_leaves_its_input_unchanged():
+    x = make_rng(19).normal(size=(4, 5, 3))
+    a = leaf(x.copy())
+    out = T.gelu(a)
+    backward(out, seed=np.ones(out.shape))
+    np.testing.assert_array_equal(a.data, x)
+    assert not np.shares_memory(out.data, a.data)
+
+
 def test_softplus_is_stable_and_correct():
     x = np.array([-700.0, -10.0, 0.0, 10.0, 700.0])
     got = T.softplus(Tensor(x)).data
@@ -304,6 +324,113 @@ def test_conv_transpose2d_random_geometry_is_adjoint(stride, h, w, cin, cout):
     k = rng.normal(size=(stride, stride, cin, cout))
     _assert_adjoint(lambda xt, wt: T.conv_transpose2d(xt, wt, np.zeros(cout), stride),
                     x, k, (h * stride, w * stride, cout), seed=33)
+
+
+# Row strips: the forward sums each strip of output rows over all kernel taps
+# before the next strip.  A small strip constant splits the oracle planes.
+
+def _strip_bytes(rows: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int,
+                 cout: int) -> int:
+    """tensor._STRIP_BYTES that makes conv2d forward `rows` output rows at a time."""
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    assert ho > rows, "the plane must span more than one strip"
+    return rows * wo * cout * 8
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("kh,kw,stride,padding,cin,cout,groups", CONV_CASES)
+def test_conv2d_in_row_strips_matches_loop_oracle(monkeypatch, kh, kw, stride, padding, cin,
+                                                  cout, groups, rows):
+    monkeypatch.setattr(T, "_STRIP_BYTES", _strip_bytes(rows, 8, 9, kh, kw, stride, padding, cout))
+    rng = make_rng(17)
+    x = rng.normal(size=(8, 9, cin))
+    w = rng.normal(size=(kh, kw, cin // groups, cout))
+    b = rng.normal(size=cout)
+    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                   padding=padding, groups=groups).data
+    np.testing.assert_allclose(got, conv2d_loops(x, w, b, stride, padding, groups), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@example((4, 4, 2, 1, 3, 4, 1, 8, 8), 1)
+@example((3, 3, 1, 1, 4, 4, 4, 5, 6), 2)
+@example((5, 3, 2, 2, 2, 4, 1, 8, 7), 1)
+@given(conv_geometries().filter(lambda g: (g[7] + 2 * g[3] - g[0]) // g[2] >= 1),
+       st.integers(1, 3))
+def test_conv2d_in_row_strips_random_geometry_matches_oracle_and_adjoint(geometry, rows):
+    kh, kw, stride, padding, cin, cout, groups, h, w = geometry
+    rows = min(rows, (h + 2 * padding - kh) // stride)
+    rng = make_rng(30)
+    x = rng.normal(size=(h, w, cin))
+    k = rng.normal(size=(kh, kw, cin // groups, cout))
+    b = rng.normal(size=cout)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_STRIP_BYTES", _strip_bytes(rows, h, w, kh, kw, stride, padding, cout))
+        got = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride, padding, groups).data
+        want = conv2d_loops(x, k, b, stride, padding, groups)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        _assert_adjoint(lambda xt, wt: T.conv2d(xt, wt, np.zeros(cout), stride, padding, groups),
+                        x, k, want.shape, seed=31)
+
+
+def conv2d_whole_plane(x, w, b, stride, padding, depthwise):
+    """The tap loop without strips: zeros, then each kernel tap in row-major
+    order added over the whole output plane, then the bias."""
+    h, wd, _ = x.shape
+    kh, kw, _, cout = w.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+
+    def span(i, n_in, n_out):
+        # outputs o whose input o*stride + i - padding lies inside [0, n_in)
+        lo = max(0, -((i - padding) // stride))
+        hi = min(n_out, (n_in - 1 + padding - i) // stride + 1)
+        start = lo * stride + i - padding
+        return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride), hi > lo
+
+    out = np.zeros((ho, wo, cout))
+    for i in range(kh):
+        ro, ri, rows_ok = span(i, h, ho)
+        for j in range(kw):
+            co, ci, cols_ok = span(j, wd, wo)
+            if rows_ok and cols_ok:
+                tap = x[ri, ci] * w[i, j, 0] if depthwise else np.matmul(x[ri, ci], w[i, j])
+                out[ro, co] += tap
+    out += b
+    return out
+
+
+@pytest.mark.parametrize("h,w,cin,kh,kw,cout,stride,padding,groups", [
+    (64, 118, 56, 3, 3, 56, 1, 1, 1),
+    (64, 64, 32, 3, 3, 32, 1, 1, 32),
+    (150, 121, 6, 5, 3, 24, 2, 2, 1),
+], ids=["den-dense", "depthwise", "5x3-stride2-pad2"])
+def test_conv2d_strips_are_bit_identical_to_the_whole_plane_sum(h, w, cin, kh, kw, cout, stride,
+                                                                padding, groups):
+    rng = make_rng(35)
+    x = rng.normal(size=(h, w, cin))
+    k = rng.normal(size=(kh, kw, cin // groups, cout))
+    b = rng.normal(size=cout)
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    assert ho * wo * cout * 8 > T._STRIP_BYTES, "the plane must span more than one strip"
+    got = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride, padding, groups).data
+    assert np.array_equal(got, conv2d_whole_plane(x, k, b, stride, padding, groups > 1))
+
+
+@pytest.mark.parametrize("kh,kw,padding,groups", [(3, 3, 1, 1), (3, 3, 1, 4), (1, 1, 0, 1)],
+                         ids=["dense", "depthwise", "pointwise"])
+def test_conv2d_leaves_its_operands_unchanged(kh, kw, padding, groups):
+    rng = make_rng(36)
+    arrays = [rng.normal(size=(6, 7, 4)), rng.normal(size=(kh, kw, 4 // groups, 4)),
+              rng.normal(size=4)]
+    x, w, b = (leaf(a.copy()) for a in arrays)
+    out = T.conv2d(x, w, b, padding=padding, groups=groups)
+    backward(out, seed=rng.normal(size=out.shape))
+    for t, a in zip((x, w, b), arrays):
+        np.testing.assert_array_equal(t.data, a)
+        assert not np.shares_memory(out.data, t.data)
 
 
 @pytest.mark.parametrize("groups", [1, 32], ids=["dense", "depthwise"])
