@@ -30,7 +30,7 @@ never copies input windows.  Its forward runs in strips of output rows sized
 so that a strip (about 256 KB) stays in a core's L2 cache while every tap
 adds into it; each output element still adds the same taps in the same
 order, so the strip size does not change any bit.  A dense 1x1 conv with
-stride 1 and no padding is a single matmul each way.
+stride 1 and no padding runs its forward as a single matmul.
 """
 
 from __future__ import annotations
@@ -539,7 +539,8 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
     all taps, then the bias, into one strip of output rows (_STRIP_BYTES)
     before the next; every output element sums the same taps in the same
     order as a whole-plane loop, so its bits do not depend on the strips.
-    A dense 1x1 conv with stride 1 and no padding is one matmul each way.
+    A dense 1x1 conv with stride 1 and no padding runs its forward as one
+    matmul; its backward is the tap loop's, with its single tap.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -560,31 +561,24 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
         raise ShapeError(f"conv2d bias shape {bias.shape} != ({cout},)")
     depthwise = groups == cin == cout
 
-    if kh == kw == 1 and stride == 1 and padding == 0 and not depthwise:
-        w11 = w.data[0, 0]
-        out = np.matmul(x.data, w11)
-        out += bias.data
-
-        def bwd_pointwise(g):
-            dw = np.matmul(x.data.transpose(0, 2, 1), g).sum(axis=0)
-            return np.matmul(g, w11.T), dw.reshape(w.data.shape), g.sum(axis=(0, 1))
-
-        return make_op("conv2d", out, (x, w, bias), bwd_pointwise)
-
     if depthwise:
         # each tap's weights repeated along an output row: numpy then runs the
         # products over whole rows instead of C-long pieces
         w_rows = np.repeat(w.data, wo, axis=2)
 
-    strip = max(1, _STRIP_BYTES // (wo * cout * x.data.itemsize))
-    out = np.zeros((ho, wo, cout))
-    for rows, taps in _tap_plan(h, wdt, kh, kw, stride, padding, strip):
-        for i, j, o, v in taps:
-            if depthwise:
-                out[o] += x.data[v] * w_rows[i, j, o[1]]
-            else:
-                out[o] += np.matmul(x.data[v], w.data[i, j])
-        out[rows] += bias.data
+    if kh == kw == 1 and stride == 1 and padding == 0 and not depthwise:
+        out = np.matmul(x.data, w.data[0, 0])
+        out += bias.data
+    else:
+        strip = min(ho, max(1, _STRIP_BYTES // (wo * cout * x.data.itemsize)))
+        out = np.zeros((ho, wo, cout))
+        for rows, taps in _tap_plan(h, wdt, kh, kw, stride, padding, strip):
+            for i, j, o, v in taps:
+                if depthwise:
+                    out[o] += x.data[v] * w_rows[i, j, o[1]]
+                else:
+                    out[o] += np.matmul(x.data[v], w.data[i, j])
+            out[rows] += bias.data
 
     def bwd(g):
         dx = np.zeros_like(x.data)

@@ -416,7 +416,8 @@ def test_conv2d_strips_are_bit_identical_to_the_whole_plane_sum(h, w, cin, kh, k
     wo = (w + 2 * padding - kw) // stride + 1
     assert ho * wo * cout * 8 > T._STRIP_BYTES, "the plane must span more than one strip"
     got = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride, padding, groups).data
-    assert np.array_equal(got, conv2d_whole_plane(x, k, b, stride, padding, groups > 1))
+    want = conv2d_whole_plane(x, k, b, stride, padding, groups > 1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # sign of zero too
 
 
 @pytest.mark.parametrize("kh,kw,padding,groups", [(3, 3, 1, 1), (3, 3, 1, 4), (1, 1, 0, 1)],
