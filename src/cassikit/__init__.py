@@ -17,7 +17,7 @@ from .errors import (CassikitError, DivergenceError, FormatError,
                      ParameterError, ShapeError)
 from .hqs import (ReconConfig, ReconResult, TraceRow, data_step, init_estimate,
                   run_hqs, trace_csv)
-from .metrics import charbonnier, psnr, sam, ssim
+from .metrics import psnr, sam, ssim
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom
 from .priors import total_variation, tv_denoise

@@ -252,10 +252,8 @@ def materialize_dense(op: SensingOperator, cap: int = 50_000) -> np.ndarray:
     return dense
 
 
-def random_binary_mask(h: int, w: int, seed: int, density: float = 0.5) -> Mask2D:
-    """Seeded Bernoulli coded aperture (PCG64 stream from `seed`)."""
-    if not 0.0 < density < 1.0:
-        raise ParameterError(f"mask density must be in (0, 1), got {density}")
+def random_binary_mask(h: int, w: int, seed: int) -> Mask2D:
+    """Seeded Bernoulli(0.5) coded aperture (PCG64 stream from `seed`)."""
     rng = seeded_rng(seed)
-    bits = (rng.random((h, w)) < density).astype(np.float64)
+    bits = (rng.random((h, w)) < 0.5).astype(np.float64)
     return Mask2D(Tensor(bits))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -150,13 +150,12 @@ def _mu_schedule(cfg: ReconConfig, k: int) -> float:
 
 
 def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
-            params: Union[ParamStore, Sequence[ParamStore], None] = None,
+            params: Optional[ParamStore] = None,
             truth: Optional[HsiCube] = None) -> ReconResult:
     """Run K stages and return the final estimate plus one trace row per stage.
 
-    `params` holds the learned weights: one shared store (the default,
-    recurrent weight sharing) or a sequence of K stores for the
-    stage-specific ablation.  Classical configurations pass None.
+    `params` holds the learned weights, one store shared by every stage
+    (recurrent weight sharing).  Classical configurations pass None.
     K = 0 returns the initialization unchanged.
     """
     cfg.validate()
@@ -164,13 +163,6 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
     if needs_params and params is None:
         raise MissingParamsError(
             f"denoiser={cfg.denoiser!r} use_den={cfg.use_den} requires a parameter store")
-    if isinstance(params, ParamStore) or params is None:
-        stage_params = [params] * cfg.stages
-    else:
-        stage_params = list(params)
-        if len(stage_params) != cfg.stages:
-            raise ParameterError(
-                f"per-stage parameter list has {len(stage_params)} entries for {cfg.stages} stages")
 
     truth_np = truth.data.data if truth is not None else None
 
@@ -181,9 +173,8 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
     z = init_estimate(y, op, cfg.init)
     trace = [row(0, None, None, z, op)]
     for k in range(1, cfg.stages + 1):
-        p = stage_params[k - 1]
         if cfg.use_den:
-            est = den_forward(z, op, p.scope("den"))
+            est = den_forward(z, op, params.scope("den"))
             phi_k, mu_k, eta_k = est.phi_hat, est.mu, est.eta
         else:
             phi_k = op
@@ -202,7 +193,7 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
         elif cfg.denoiser == "tv":
             z = HsiCube(Tensor(tv_denoise(x.data.data, TV_SCALE / eta_f, TV_ITERS)))
         else:
-            z = lnlt_denoise(x, eta_k, p.scope("lnlt"))
+            z = lnlt_denoise(x, eta_k, params.scope("lnlt"))
 
         trace.append(row(k, mu_f, eta_f, z, phi_k))
 

@@ -116,11 +116,3 @@ def sam(a, b) -> float:
     cosines = np.clip(dots / (na[valid] * nb[valid]), -1.0, 1.0)
     return float(np.mean(np.degrees(np.arccos(cosines))))
 
-
-def charbonnier(a, b, eps: float = 1e-3) -> float:
-    """Smooth L1 distance: mean of sqrt(diff^2 + eps^2); equals eps at a == b."""
-    a, b = _check_pair(a, b)
-    if eps <= 0:
-        raise ParameterError(f"charbonnier eps must be > 0, got {eps}")
-    return float(np.mean(np.sqrt((a - b) ** 2 + eps * eps)))
-

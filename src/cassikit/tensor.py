@@ -48,6 +48,7 @@ from .errors import GraphStateError, NumericalError, ParameterError, ShapeError
 
 _GELU_C0 = math.sqrt(2.0 / math.pi)
 _GELU_C1 = 0.044715
+LAYER_NORM_EPS = 1e-5  # variance guard of every layer_norm
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -86,18 +87,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return tuple(self.data.shape)
-
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def __float__(self) -> float:
-        return self.item()
 
     def detach(self) -> "Tensor":
         """Return a view of the same values with no recorded history."""
@@ -358,7 +347,10 @@ def concat(tensors: Sequence, axis: int) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     if not ts:
         raise ShapeError("concat of zero tensors")
-    out = np.concatenate([t.data for t in ts], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in ts], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"concat: {exc}") from None
     sizes = [t.data.shape[axis] for t in ts]
     splits = np.cumsum(sizes)[:-1]
 
@@ -455,17 +447,15 @@ def softmax_lastdim(a) -> Tensor:
     return make_op("softmax_lastdim", y, (a,), bwd)
 
 
-def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gamma, beta) -> Tensor:
     """Normalize over the last axis, then apply a per-channel affine."""
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    if eps <= 0:
-        raise ParameterError(f"layer_norm eps must be > 0, got {eps}")
     c = a.data.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} != ({c},)")
     mu = a.data.mean(axis=-1, keepdims=True)
     var = ((a.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (a.data - mu) * inv
     out = xhat * gamma.data + beta.data
 
@@ -596,8 +586,8 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
     return make_op("conv2d", out, (x, w, bias), bwd)
 
 
-def conv_transpose2d(x, w, b, stride: int = 2) -> Tensor:
-    """Transposed conv with kernel extent equal to the stride (no overlap).
+def conv_transpose2d(x, w, b) -> Tensor:
+    """Transposed conv whose stride is its kernel extent (no overlap).
 
     Kernel is [s, s, Cin, Cout] and bias [Cout]; each input pixel expands
     into an s-by-s output block, so output extents are exactly (s*H, s*W).
@@ -605,12 +595,10 @@ def conv_transpose2d(x, w, b, stride: int = 2) -> Tensor:
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise ShapeError(f"conv_transpose2d expects rank-3 input and rank-4 kernel")
-    s = stride
-    if s < 1:
-        raise ParameterError(f"conv_transpose2d stride={s}")
+    s = w.shape[0]
     h, wdt, cin = x.shape
-    if w.shape[0] != s or w.shape[1] != s or w.shape[2] != cin:
-        raise ShapeError(f"conv_transpose2d kernel {w.shape} incompatible with stride {s}, Cin {cin}")
+    if w.shape[1] != s or w.shape[2] != cin:
+        raise ShapeError(f"conv_transpose2d kernel {w.shape} is not [s, s, Cin={cin}, Cout]")
     cout = w.shape[3]
     bias = as_tensor(b)
     if bias.shape != (cout,):

@@ -259,9 +259,9 @@ def lnlt_denoise(x: HsiCube, eta, w: ParamScope) -> HsiCube:
     e1 = run_section(x0, "enc1")
     e2 = run_section(conv2d(e1, w["down1.w"], w["down1.b"], stride=2, padding=1), "enc2")
     m = run_section(conv2d(e2, w["down2.w"], w["down2.b"], stride=2, padding=1), "mid")
-    u2 = conv_transpose2d(m, w["up2.w"], w["up2.b"], stride=2)
+    u2 = conv_transpose2d(m, w["up2.w"], w["up2.b"])
     d2 = run_section(conv2d(concat([u2, e2], axis=2), w["fuse2.w"], w["fuse2.b"]), "dec2")
-    u1 = conv_transpose2d(d2, w["up1.w"], w["up1.b"], stride=2)
+    u1 = conv_transpose2d(d2, w["up1.w"], w["up1.b"])
     d1 = run_section(conv2d(concat([u1, e1], axis=2), w["fuse1.w"], w["fuse1.b"]), "dec1")
     res = conv2d(d1, w["out.w"], w["out.b"], padding=1)
     return HsiCube(add(x.data, res))

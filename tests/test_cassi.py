@@ -203,8 +203,6 @@ def test_mask_validation():
         Mask2D(Tensor(np.array([[0.5, -0.1]])))
     with pytest.raises(ShapeError):
         Mask2D(Tensor(np.ones((2, 2, 2))))
-    with pytest.raises(ParameterError):
-        random_binary_mask(4, 4, 0, density=1.5)
     with pytest.raises(ParameterError, match="seed must be >= 0"):
         random_binary_mask(4, 4, -1)
 

@@ -214,21 +214,6 @@ def test_learned_pipeline_requires_params(square_operator):
         run_hqs(y, square_operator, ReconConfig(stages=1, use_den=True))
 
 
-def test_per_stage_parameter_lists_are_supported(square_operator):
-    from cassikit.cli import init_pipeline_params
-    from cassikit.transformer import LnltConfig
-    arch = LnltConfig(base_channels=8, local_window=4, nonlocal_grid=4)
-    params = init_pipeline_params(8, arch, seed=0)
-    truth = generate_phantom(16, 16, 8, seed=2)
-    y = forward_measure(truth, square_operator)
-    cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True)
-    shared = run_hqs(y, square_operator, cfg, params=params)
-    listed = run_hqs(y, square_operator, cfg, params=[params, params])
-    np.testing.assert_array_equal(shared.z.numpy(), listed.z.numpy())
-    with pytest.raises(ParameterError):
-        run_hqs(y, square_operator, cfg, params=[params])  # 1 store, 2 stages
-
-
 def test_config_validation():
     with pytest.raises(ParameterError):
         ReconConfig(stages=-1).validate()

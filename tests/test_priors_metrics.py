@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cassikit.errors import MetricError, ParameterError, ShapeError
-from cassikit.metrics import (PSNR_CAP_DB, SSIM_SIGMA, SSIM_WINDOW,
-                              charbonnier, psnr, sam, ssim)
+from cassikit.metrics import PSNR_CAP_DB, SSIM_SIGMA, SSIM_WINDOW, psnr, sam, ssim
 from cassikit.priors import (DUAL_STEP, _div_flat, _grad_flat, total_variation,
                              tv_denoise)
+from cassikit.tensor import Tensor
+from cassikit.train import charbonnier_loss
 
 from conftest import make_rng
 
@@ -351,17 +352,19 @@ def test_sam_requires_cubes():
 
 
 # ---------------------------------------------------------------------------
-# charbonnier and CSV rendering
+# the Charbonnier training loss (eps 1e-3)
 # ---------------------------------------------------------------------------
+
+def charbonnier(a, b) -> float:
+    return float(charbonnier_loss(Tensor(a), Tensor(b)).data)
+
 
 def test_charbonnier_hand_values():
     a = np.zeros((2, 2))
-    assert charbonnier(a, a, eps=1e-3) == pytest.approx(1e-3, abs=1e-18)
+    assert charbonnier(a, a) == pytest.approx(1e-3, abs=1e-18)
     b = np.full((2, 2), 3.0)
     want = np.sqrt(9.0 + 1e-6)
-    assert charbonnier(a, b, eps=1e-3) == pytest.approx(want, abs=1e-12)
-    with pytest.raises(ParameterError):
-        charbonnier(a, b, eps=0.0)
+    assert charbonnier(a, b) == pytest.approx(want, abs=1e-12)
 
 
 def test_charbonnier_interpolates_between_l2_and_l1():

@@ -162,6 +162,19 @@ def test_denoiser_checks_band_count():
         lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 6)))), 1.0, store.scope("lnlt"))
 
 
+def test_denoiser_rejects_an_upsampling_kernel_that_is_not_the_down_stride():
+    # conv_transpose2d's stride is its kernel extent, so a 3x3 up kernel
+    # yields a decoder map that the skip join must refuse
+    store = ParamStore()
+    cfg = LnltConfig(base_channels=8, local_window=4, nonlocal_grid=2)
+    register_lnlt_params(Initializer(store, 3), cfg, n_bands=4)
+    arrays = dict(store.arrays())
+    arrays["lnlt.up2.w"] = np.zeros((3, 3) + arrays["lnlt.up2.w"].shape[2:])
+    with pytest.raises(ShapeError):
+        lnlt_denoise(HsiCube(Tensor(np.ones((16, 16, 4)))), 1.0,
+                     ParamStore.from_arrays(arrays).scope("lnlt"))
+
+
 # ---------------------------------------------------------------------------
 # attention against brute force
 # ---------------------------------------------------------------------------
