@@ -122,12 +122,11 @@ def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu) -> HsiCube:
     return HsiCube(z.data + corr.data)
 
 
-def init_estimate(y: Measurement, op: SensingOperator, mode: str = "normalized-adjoint",
-                  eps: float = INIT_EPS) -> HsiCube:
+def init_estimate(y: Measurement, op: SensingOperator, mode: str = "normalized-adjoint") -> HsiCube:
     """Initial scene estimate from the measurement.
 
     'adjoint' is plain Phi^T y; 'normalized-adjoint' first divides the
-    measurement by eps + diag(Phi Phi^T), which equalizes per-pixel band
+    measurement by INIT_EPS + diag(Phi Phi^T), which equalizes per-pixel band
     coverage and is the default starting point.
     """
     if mode not in INIT_MODES:
@@ -135,7 +134,7 @@ def init_estimate(y: Measurement, op: SensingOperator, mode: str = "normalized-a
     if mode == "adjoint":
         return adjoint_apply(y, op)
     gram = phi_gram_diag(op)
-    return adjoint_apply(Measurement(div(y.data, eps + gram)), op)
+    return adjoint_apply(Measurement(div(y.data, INIT_EPS + gram)), op)
 
 
 def _residual_norm(y: Measurement, z: HsiCube, op: SensingOperator) -> float:

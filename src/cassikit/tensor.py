@@ -432,17 +432,28 @@ def matmul(a, b) -> Tensor:
     return make_op("matmul", out, (a, b), bwd)
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with max-subtraction for stability; one
+    buffer besides x, updated in place (the same bits as fresh outputs)."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the softmax input, from its output y and output gradient g."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - dot)
+
+
 def softmax_lastdim(a) -> Tensor:
     """Softmax over the last axis with max-subtraction for stability."""
     a = as_tensor(a)
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(a.data)
 
     def bwd(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_vjp(y, g),)
 
     return make_op("softmax_lastdim", y, (a,), bwd)
 

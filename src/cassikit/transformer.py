@@ -16,9 +16,13 @@ so its attention matrix is (N^2 x N^2) per head regardless of the image
 size; the per-head width is H*W*C/(heads*N^2).  In the core, Q, K, V each
 come from a pointwise conv followed by a depthwise 3x3 conv, the logits get
 a learned (zero-initialized) position bias before softmax, and a pointwise
-output projection finishes.  Each token cut (of Q, K and V) and the merge
-back to the plane is one recorded op: `cut` and `merge` are mutual inverses,
-so each is the other's backward.
+output projection finishes.  The core, from the Q, K, V planes and the bias
+to the attended plane, is one recorded op, `attend`, that keeps only its
+four inputs: its backward cuts the tokens again and recomputes the logits
+and softmax with the forward's numpy calls, so no (tokens x tokens) array
+outlives the forward and the gradients equal those of separate ops bit for
+bit.  `cut` and `merge` are mutual inverses and adjoints, so each carries
+the other's gradient.
 
 The denoiser conditions on the stage's fidelity weight eta by appending one
 constant eta-valued channel to its input before the embedding conv, and it
@@ -36,8 +40,8 @@ import numpy as np
 from .cassi import HsiCube
 from .errors import ParameterError, ShapeError
 from .params import Initializer, ParamScope
-from .tensor import (Tensor, add, as_tensor, concat, conv2d, conv_transpose2d,
-                     gelu, layer_norm, make_op, matmul, mul, softmax_lastdim)
+from .tensor import (Tensor, _softmax, _softmax_vjp, add, as_tensor, concat, conv2d,
+                     conv_transpose2d, gelu, layer_norm, make_op, mul)
 
 GDFN_EXPANSION = 2
 SECTIONS = ("enc1", "enc2", "mid", "dec2", "dec1")
@@ -163,25 +167,46 @@ def attention_layout(w: ParamScope) -> tuple:
     return shape[0], side
 
 
-def _attend(x: Tensor, w: ParamScope, heads: int, mh: int, mw: int, cell_tokens: bool) -> Tensor:
-    """softmax(Q K^T / sqrt(d) + pos) V over the tokens `cut` makes, `merge`d back,
-    projected, plus x.  Each cut and the merge is one recorded op."""
-    h, wdt, c = x.shape
+def attend(q: Tensor, k: Tensor, v: Tensor, pos: Tensor, mh: int, mw: int,
+           cell_tokens: bool) -> Tensor:
+    """softmax(Q K^T / sqrt(d) + pos) V over the tokens `cut` makes from the
+    [H, W, C] planes q, k, v, `merge`d back to [H, W, C]; heads come from the
+    (heads, length, length) bias.  One recorded op: its backward recomputes
+    the cuts, the logits and the softmax from the four inputs."""
+    h, wdt, c = q.shape
+    heads = pos.shape[0]
     width = mh * mw * c if cell_tokens else c
     if width % heads:
         raise ShapeError(f"token width {width} not divisible by {heads} heads")
-    d = width // heads
+    scale = 1.0 / math.sqrt(width // heads)
 
-    def tokens(name, axes=(0, 1, 2, 3)):  # cut, then permuted by an involution `axes`
-        t = qkv_project(x, w.scope(name))
-        return make_op("cut", cut(t.data, mh, mw, heads, cell_tokens).transpose(axes), (t,),
-                       lambda g: (merge(g.transpose(axes), h, wdt, mh, mw),))
+    def tokens():  # the same numpy calls in forward and backward
+        qt, kt, vt = (cut(t.data, mh, mw, heads, cell_tokens) for t in (q, k, v))
+        k_t = kt.transpose(0, 1, 3, 2)
+        logits = np.matmul(qt, k_t)
+        logits *= scale
+        logits += pos.data
+        return qt, k_t, vt, _softmax(logits)
 
-    q, k_t, v = tokens("q"), tokens("k", (0, 1, 3, 2)), tokens("v")
-    logits = add(mul(matmul(q, k_t), 1.0 / math.sqrt(d)), w["pos"])
-    out = matmul(softmax_lastdim(logits), v)
-    mixed = make_op("merge", merge(out.data, h, wdt, mh, mw), (out,),
-                    lambda g: (cut(g, mh, mw, heads, cell_tokens),))
+    def bwd(g):
+        qt, k_t, vt, p = tokens()
+        g = cut(g, mh, mw, heads, cell_tokens)
+        dv = np.matmul(np.swapaxes(p, -1, -2), g)
+        dlogits = _softmax_vjp(p, np.matmul(g, np.swapaxes(vt, -1, -2)))
+        dqk = dlogits * scale
+        dq = np.matmul(dqk, np.swapaxes(k_t, -1, -2))
+        dk_t = np.matmul(np.swapaxes(qt, -1, -2), dqk)
+        return (merge(dq, h, wdt, mh, mw), merge(dk_t.transpose(0, 1, 3, 2), h, wdt, mh, mw),
+                merge(dv, h, wdt, mh, mw), dlogits.sum(axis=0))
+
+    _, _, vt, p = tokens()
+    return make_op("attend", merge(np.matmul(p, vt), h, wdt, mh, mw), (q, k, v, pos), bwd)
+
+
+def _msa(x: Tensor, w: ParamScope, mh: int, mw: int, cell_tokens: bool) -> Tensor:
+    """`attend` over the `qkv_project`ed planes of x, projected, plus x."""
+    q, k, v = (qkv_project(x, w.scope(name)) for name in ("q", "k", "v"))
+    mixed = attend(q, k, v, w["pos"], mh, mw, cell_tokens)
     return add(conv2d(mixed, w["proj.w"], w["proj.b"]), x)
 
 
@@ -189,20 +214,20 @@ def local_msa(x: Tensor, w: ParamScope) -> Tensor:
     """Attention among the pixels of each M x M window, [windows, heads, M^2, M^2];
     heads and M come from the position bias."""
     h, wdt, _ = x.shape
-    heads, m = attention_layout(w)
+    m = attention_layout(w)[1]
     if h % m or wdt % m:
         raise ShapeError(f"extents {(h, wdt)} not divisible by window {m}")
-    return _attend(x, w, heads, m, m, cell_tokens=False)
+    return _msa(x, w, m, m, cell_tokens=False)
 
 
 def nonlocal_msa(x: Tensor, w: ParamScope) -> Tensor:
     """Attention among the cells of an N x N grid, [1, heads, N^2, N^2] at any
     image size; heads and N come from the position bias."""
     h, wdt, _ = x.shape
-    heads, n = attention_layout(w)
+    n = attention_layout(w)[1]
     if h % n or wdt % n:
         raise ShapeError(f"extents {(h, wdt)} not divisible by grid {n}")
-    return _attend(x, w, heads, h // n, wdt // n, cell_tokens=True)
+    return _msa(x, w, h // n, wdt // n, cell_tokens=True)
 
 
 def gdfn(x: Tensor, w: ParamScope) -> Tensor:

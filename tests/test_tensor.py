@@ -122,6 +122,19 @@ def test_softmax_rows_normalize():
     np.testing.assert_allclose(y, e / e.sum(axis=-1, keepdims=True), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 3), (4, 2, 16, 16), (1, 4, 9, 9), (2, 3, 7, 13)])
+def test_softmax_in_place_keeps_the_bits_of_fresh_outputs(shape):
+    """The shared softmax exponentiates and normalizes in its own buffer; the
+    result matches fresh numpy outputs bit for bit, SIMD tail lengths too."""
+    x = make_rng(14).normal(size=shape) * 5.0
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    kept = x.copy()
+    got = T._softmax(x)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(x, kept)
+
+
 def test_layer_norm_matches_manual_formula():
     rng = make_rng(13)
     x = rng.normal(size=(6, 5))

@@ -233,9 +233,10 @@ def test_curve_csv_layout():
     assert lines[2] == "1,0.0004,0.75"
 
 
-def test_desk_train_step_records_at_most_1115_graph_nodes():
-    """One step of the 32x32x4, C=8, 3-stage reference training: each attention
-    token cut and its merge is one node, so no `transpose` op is recorded."""
+@pytest.fixture(scope="module")
+def desk_step_graph():
+    """The recorded graph of one step of the 32x32x4, C=8, 3-stage reference
+    training (acceptance 09's set-up), in topological order."""
     from cassikit.cli import init_pipeline_params
     truth = generate_phantom(32, 32, 4, seed=1)
     op = SensingOperator.from_mask(random_binary_mask(32, 32, 0), 4, 2)
@@ -243,6 +244,20 @@ def test_desk_train_step_records_at_most_1115_graph_nodes():
     params = init_pipeline_params(4, arch, seed=0)
     rcfg = ReconConfig(stages=3, denoiser="lnlt", use_den=True)
     result = run_hqs(forward_measure(truth, op), op, rcfg, params)
-    order = Graph.from_output(charbonnier_loss(result.z.data, truth.data.detach())).order
-    assert len(order) <= 1115
-    assert not any(node._op == "transpose" for node in order)
+    return Graph.from_output(charbonnier_loss(result.z.data, truth.data.detach())).order
+
+
+def test_desk_train_step_records_at_most_875_graph_nodes(desk_step_graph):
+    """Each attention core is one `attend` node: no token cut, merge, softmax
+    or `transpose` is recorded on its own."""
+    assert len(desk_step_graph) <= 875
+    recorded = {node._op for node in desk_step_graph}
+    assert not recorded & {"cut", "merge", "softmax_lastdim", "transpose"}
+
+
+def test_desk_train_step_graph_holds_at_most_27_6_mib_of_outputs(desk_step_graph):
+    """The recorded ops' outputs, which stay alive until backward, fit in 27.6 MiB
+    (27.56 measured): an attention that kept its (tokens x tokens) logits or
+    probabilities in the graph again would hold about 37.5 MiB."""
+    held = sum(node.data.nbytes for node in desk_step_graph if node._bwd is not None)
+    assert held <= 27.6 * 2**20

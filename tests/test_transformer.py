@@ -1,6 +1,8 @@
 """Denoiser tests: attention against brute-force token loops, exact trivial
 cases, residual wiring, the U-shaped pipeline, and gradient fidelity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 from cassikit.cassi import HsiCube
 from cassikit.errors import ParameterError, ShapeError
 from cassikit.params import Initializer, ParamStore
-from cassikit.tensor import Tensor, fd_gradcheck, mul, reduce_mean
+from cassikit.tensor import (Tensor, add, backward, fd_gradcheck, make_op, matmul, mul,
+                            no_grad, reduce_mean, softmax_lastdim)
 from cassikit.transformer import (GDFN_EXPANSION, LnltConfig, SECTIONS,
-                                  _register_block, _register_msa,
+                                  _register_block, _register_msa, attend,
                                   block_forward, cut, gdfn, lnlt_denoise,
                                   local_msa, merge, nonlocal_msa, qkv_project,
                                   register_lnlt_params)
@@ -246,6 +249,71 @@ def test_cut_and_merge_are_exact_inverses_and_adjoints(layout, seed):
     assert np.array_equal(merge(t, h, w, mh, mw), a)
     assert np.array_equal(cut(merge(b, h, w, mh, mw), mh, mw, heads, cell_tokens), b)
     assert np.vdot(t, b) == np.vdot(a, merge(b, h, w, mh, mw))
+
+
+def unfused_attend(q, k, v, pos, mh, mw, cell_tokens):
+    """The attention core as separate engine ops: a recorded `cut` of each
+    operand (K's transposed), matmul, scale, bias, softmax, matmul and a
+    recorded `merge`."""
+    h, w, c = q.shape
+    heads = pos.shape[0]
+    d = (mh * mw * c if cell_tokens else c) // heads
+
+    def tokens(t, axes=(0, 1, 2, 3)):
+        return make_op("cut", cut(t.data, mh, mw, heads, cell_tokens).transpose(axes), (t,),
+                       lambda g: (merge(g.transpose(axes), h, w, mh, mw),))
+
+    logits = add(mul(matmul(tokens(q), tokens(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), pos)
+    out = matmul(softmax_lastdim(logits), tokens(v))
+    return make_op("merge", merge(out.data, h, w, mh, mw), (out,),
+                   lambda g: (cut(g, mh, mw, heads, cell_tokens),))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def closure_arrays(fn):
+    """The arrays a function's closure keeps alive, also through nested closures."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value) and hasattr(value, "__closure__"):
+            found += closure_arrays(value)
+    return found
+
+
+@settings(max_examples=40)
+@given(token_layouts(), st.integers(0, 2**32 - 1))
+@example((4, 6, 2, 3, 3, 1, True), 0)   # 2x3 cells, width-2 heads split each cell row
+@example((4, 4, 2, 2, 4, 2, True), 1)   # width-2 heads end mid-row of a 2-pixel, 2-channel row
+@example((8, 8, 4, 4, 2, 4, False), 2)  # local: 4x4 windows, two heads of width 2
+@example((8, 12, 4, 4, 4, 8, False), 3)  # local: 2x3 windows, four heads of width 2
+def test_attend_matches_the_unfused_ops_bit_for_bit(layout, seed):
+    """Output, dQ, dK, dV and dpos of the one-op core, whose backward
+    recomputes the softmax, equal those of the separate ops as uint64 bits;
+    the recorded op keeps only its four inputs, and a `no_grad` forward gives
+    the same bits."""
+    h, w, mh, mw, heads, c, cell_tokens = layout
+    length = (h // mh) * (w // mw) if cell_tokens else mh * mw
+    rng = make_rng(seed)
+    q, k, v = (Tensor(rng.normal(size=(h, w, c)), requires_grad=True) for _ in range(3))
+    pos = Tensor(rng.normal(size=(heads, length, length)) * 0.2, requires_grad=True)
+    seed_grad = rng.normal(size=(h, w, c))
+    fused = attend(q, k, v, pos, mh, mw, cell_tokens)
+    assert fused._op == "attend" and fused._parents == (q, k, v, pos)
+    assert closure_arrays(fused._bwd) == []
+    with no_grad():
+        plain = attend(q, k, v, pos, mh, mw, cell_tokens)
+    unfused = unfused_attend(q, k, v, pos, mh, mw, cell_tokens)
+    np.testing.assert_array_equal(bits(fused.data), bits(plain.data))
+    np.testing.assert_array_equal(bits(fused.data), bits(unfused.data))
+    got, want = backward(fused, seed=seed_grad), backward(unfused, seed=seed_grad)
+    for leaf in (q, k, v, pos):
+        assert got[leaf].shape == leaf.shape
+        np.testing.assert_array_equal(bits(got[leaf]), bits(want[leaf]))
 
 
 def test_uniform_local_attention_is_window_mean_plus_input():
