@@ -30,7 +30,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, NumericalError, ShapeError
 from .params import ParamStore
 
 HSIC_MAGIC = b"HSIC"
@@ -73,13 +73,25 @@ def cube_bytes(arr: np.ndarray) -> bytes:
         raise ShapeError(f"cube container expects rank 2 or 3, got rank {arr.ndim}")
     h, w, c = arr.shape
     header = HSIC_MAGIC + struct.pack("<IIII", HSIC_VERSION, h, w, c)
-    payload = np.ascontiguousarray(arr.transpose(2, 0, 1), dtype="<f4").tobytes()
-    return header + payload
+    # a value beyond the float32 range casts to inf, which is tested just below
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(arr.transpose(2, 0, 1), dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise NumericalError("cube holds a value that is not finite as float32 "
+                             f"(|x| > {np.finfo(np.float32).max:.8g} or NaN/Inf)")
+    return header + payload.tobytes()
 
 
 def write_cube(path: str, arr: np.ndarray) -> None:
-    """Write a cube (or a single plane) to an HSIC container atomically."""
-    _atomic_write(path, cube_bytes(arr))
+    """Write a cube (or a single plane) to an HSIC container atomically.
+
+    Raises NumericalError, and writes nothing, when a value is not finite
+    as float32: `read_cube` would reject the file."""
+    try:
+        blob = cube_bytes(arr)
+    except NumericalError as exc:
+        raise NumericalError(f"cannot write {path}: {exc}") from exc
+    _atomic_write(path, blob)
 
 
 def read_cube(path: str) -> np.ndarray:

@@ -27,6 +27,7 @@ TV_SCALE / eta_k (larger eta means a tighter data fit and lighter smoothing).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,8 +81,10 @@ class ReconConfig:
             raise ParameterError(f"unknown denoiser {self.denoiser!r}")
         if self.init not in INIT_MODES:
             raise ParameterError(f"unknown init mode {self.init!r}")
-        if self.mu_start <= 0 or self.mu_growth <= 0:
-            raise ParameterError("mu_start and mu_growth must be > 0")
+        for key in ("mu_start", "mu_growth"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{key} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

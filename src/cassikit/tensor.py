@@ -13,8 +13,14 @@ the same values, and no parents or backward closures are kept.  Inference
 uses it so that weights loaded with `requires_grad=True` do not pin a
 backward graph for every stage.  `backward` walks the graph in reverse
 topological order, visiting each node exactly once, and returns a gradient
-per leaf parameter.  `fd_gradcheck` verifies analytic gradients against
-central finite differences.
+per leaf parameter.  It consumes the graph as it walks: once a node has
+pushed its gradients to its parents, its backward closure and parent links
+are dropped, so every buffer is freed as soon as no remaining backward reads
+it.  A graph is therefore backpropagated once: a second `backward` on the
+same root or the same `Graph`, or a graph that reaches one of its consumed
+nodes, raises GraphStateError.  The leaf parameters stay usable for a new
+graph.  `fd_gradcheck` verifies analytic gradients against central finite
+differences.
 
 The op set is deliberately small: exactly what the learned degradation
 estimator and the windowed-attention denoiser need, plus reductions for
@@ -69,8 +75,9 @@ class Tensor:
 
     `requires_grad=True` marks a leaf parameter.  Tensors produced by ops
     carry parent links and a backward closure when any input is on a
-    gradient path.  Do not override __eq__: tensors hash and compare by
-    identity so they can key gradient maps.
+    gradient path, until `backward` consumes them (`_parents` becomes
+    None).  Do not override __eq__: tensors hash and compare by identity so
+    they can key gradient maps.
     """
 
     __slots__ = ("data", "requires_grad", "_parents", "_bwd", "_op")
@@ -639,6 +646,7 @@ class Graph:
 
     Holds the output node plus every tracked ancestor in an order where
     parents precede children; leaves are the reachable parameters.
+    `backward` empties `order` as it walks it.
     """
 
     def __init__(self, output: Tensor, order: list, leaves: list):
@@ -648,6 +656,8 @@ class Graph:
 
     @classmethod
     def from_output(cls, output: Tensor) -> "Graph":
+        if output._parents is None:
+            raise GraphStateError("graph was already backpropagated")
         if output._bwd is None and not output.requires_grad:
             raise GraphStateError("tensor is not attached to a recorded graph (detached or constant)")
         order = []
@@ -663,6 +673,9 @@ class Graph:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
+                if p._parents is None:
+                    raise GraphStateError(f"graph reaches a node of an already backpropagated "
+                                          f"graph (op {p._op!r})")
                 if p._tracked() and id(p) not in seen:
                     stack.append((p, False))
         leaves = [n for n in order if n.requires_grad and n._bwd is None]
@@ -676,9 +689,19 @@ def backward(graph, seed=None, params=None) -> dict:
     output shape.  Returns {leaf Tensor: ndarray}.  When `params` (a
     ParamStore) is given, parameters that do not appear in the graph get
     explicit zero gradients.
+
+    The walk consumes the graph: each node leaves `graph.order` and loses its
+    backward closure and parent links once its gradients reach its parents,
+    so intermediate buffers die during the walk.  A consumed op node keeps
+    `_parents = None`, which marks it: backpropagating the same root or
+    `Graph` again, or any graph through a consumed node, raises
+    GraphStateError instead of treating the node as a constant.
     """
     if isinstance(graph, Tensor):
         graph = Graph.from_output(graph)
+    order = graph.order
+    if not order:
+        raise GraphStateError("graph was already backpropagated")
     out = graph.output
     if seed is None:
         seed_arr = np.ones_like(out.data)
@@ -688,16 +711,22 @@ def backward(graph, seed=None, params=None) -> dict:
             raise ShapeError(f"backward seed shape {seed_arr.shape} != output {out.data.shape}")
     grads: dict = {out: seed_arr.astype(np.float64, copy=True)}
     result: dict = {}
-    for node in reversed(graph.order):
+    while order:
+        node = order.pop()
+        bwd, parents = node._bwd, node._parents
+        if parents is None:  # consumed by another graph's walk since `order` was built
+            raise GraphStateError(f"graph reaches a node of an already backpropagated graph "
+                                  f"(op {node._op!r})")
+        if bwd is not None:
+            node._bwd, node._parents = None, None
         g = grads.pop(node, None)
         if g is None:
             continue
-        if node._bwd is None:
+        if bwd is None:
             if node.requires_grad:
                 result[node] = g
             continue
-        parent_grads = node._bwd(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(parents, bwd(g)):
             if pg is None or not parent._tracked():
                 continue
             _check_finite(np.asarray(pg), f"backward:{node._op}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cassi import HsiCube, SensingOperator, forward_measure
+from .cassi import HsiCube, Measurement, SensingOperator, forward_measure
 from .errors import DivergenceError, NumericalError, ParameterError
 from .hqs import ReconConfig, run_hqs
 from .params import ParamStore
@@ -43,8 +43,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if self.lr < 0:
-            raise ParameterError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ParameterError(f"lr must be finite and >= 0, got {self.lr}")
         if self.warmup_steps < 0 or self.warmup_steps > self.steps:
             raise ParameterError(f"warmup {self.warmup_steps} invalid for {self.steps} steps")
 
@@ -132,17 +132,29 @@ def train_overfit(truth: HsiCube, op: SensingOperator, params: ParamStore,
     for step in range(tcfg.steps):
         lr = lr_at(step, tcfg)
         try:
-            result = run_hqs(y, op, rcfg, params)
-            loss = charbonnier_loss(result.z.data, truth_t)
-            grad_map = backward(loss, params=params)
+            loss_val, grads = _loss_and_grads(y, op, rcfg, params, truth_t)
         except NumericalError as exc:
             raise DivergenceError(f"non-finite training state at step {step}: {exc}") from exc
-        loss_val = float(loss.data.reshape(()))
         curve.append((step, lr, loss_val))
-        grads = {name: grad_map[params[name]] for name in params.names()}
         clip_global_norm(grads, CLIP_NORM)
         adam_step(params, grads, state, lr)
     return TrainResult(params=params, curve=curve)
+
+
+def _loss_and_grads(y: Measurement, op: SensingOperator, rcfg: ReconConfig, params: ParamStore,
+                    truth_t: Tensor) -> tuple:
+    """One step's forward and backward: (loss value, {name: gradient}).
+
+    The step's graph lives only in this call, and `backward` frees it as it
+    walks, so no tensor of one step is alive during the next step's forward.
+    """
+    # `result` stays bound through the walk: the final estimate, allocated
+    # last, keeps the freed graph below the heap top, so the allocator does
+    # not return it to the OS for the next forward to fault back in.
+    result = run_hqs(y, op, rcfg, params)
+    loss = charbonnier_loss(result.z.data, truth_t)
+    grad_map = backward(loss, params=params)
+    return float(loss.data.reshape(())), {name: grad_map[params[name]] for name in params.names()}
 
 
 def curve_csv(curve: list) -> str:

@@ -1,6 +1,7 @@
 """Recurrence tests: the closed-form data step against a dense solve, the
 initialization modes, and the stage trace bookkeeping."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -223,6 +224,10 @@ def test_config_validation():
         ReconConfig(init="zeros").validate()
     with pytest.raises(ParameterError):
         ReconConfig(mu_start=0.0).validate()
+    for key in ("mu_start", "mu_growth"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match=f"^{key} must be finite and > 0"):
+                ReconConfig(**{key: value}).validate()
 
 
 def test_trace_csv_layout():

@@ -7,6 +7,7 @@ are exercised exactly as a user would hit them.
 """
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -72,6 +73,15 @@ def test_cube_bytes_rejects_bad_rank():
         fileio.cube_bytes(np.zeros(4))
     with pytest.raises(ShapeError):
         fileio.cube_bytes(np.zeros((2, 2, 2, 2)))
+
+
+def test_write_cube_refuses_values_beyond_float32_and_writes_nothing(tmp_path):
+    out = tmp_path / "big.hsic"
+    with pytest.raises(errors.NumericalError, match="^" + re.escape(f"cannot write {out}: ")):
+        fileio.write_cube(str(out), np.full((2, 2, 1), 3.5e38))
+    assert list(tmp_path.iterdir()) == []
+    fileio.write_cube(str(out), np.full((2, 2, 1), 3.4e38))  # the largest float32 is 3.4028e38
+    assert np.isfinite(fileio.read_cube(str(out))).all()
 
 
 def test_read_plane_rejects_multiband(tmp_path):
@@ -358,6 +368,32 @@ def test_out_of_range_seed_or_bits_exits_2(workbench, tmp_path, capsys, argv, me
     code = cli.main([*argv, *truth, "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_of_a_measurement_beyond_float32_exits_6_writing_nothing(tmp_path, capsys):
+    truth, meas = tmp_path / "truth.hsic", tmp_path / "meas.hsic"
+    fileio.write_cube(str(truth), np.full((4, 4, 2), 3e38))
+    code = cli.main(["simulate", "--truth", str(truth), "--out", str(meas)])
+    assert code == 6
+    assert capsys.readouterr().err.startswith(f"error: cannot write {meas}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["truth.hsic"]
+
+
+@pytest.mark.parametrize("source", [("--lr", "nan"), ("--lr", "inf"), ("--lr=-inf",),
+                                    "lr = nan\n", "lr = inf\n"],
+                         ids=["flag-nan", "flag-inf", "flag-minus-inf", "config-nan", "config-inf"])
+def test_non_finite_lr_exits_2_before_any_step(workbench, tmp_path, capsys, monkeypatch, source):
+    from cassikit import train
+    monkeypatch.setattr(train, "run_hqs", lambda *a, **k: pytest.fail("a training step ran"))
+    if isinstance(source, str):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(source)
+        source = ("--config", str(cfg))
+    out = tmp_path / "w.dprm"
+    code = cli.main(["train", "--truth", str(workbench["truth"]), *source, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: lr must be finite and >= 0, got ")
     assert not out.exists()
 
 

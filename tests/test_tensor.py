@@ -4,6 +4,7 @@ differences, and the graph bookkeeping rules."""
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -605,6 +606,62 @@ def test_backward_seed_shape_checked():
     out = T.mul(a, a)
     with pytest.raises(ShapeError):
         backward(Graph.from_output(out), seed=np.ones(3))
+
+
+def _branching_graph():
+    """A leaf `a` feeding a diamond (two paths into one add), plus a constant."""
+    a = leaf(make_rng(30).normal(size=(3, 4)))
+    sq = T.mul(a, a)
+    out = T.reduce_sum(T.add(T.gelu(sq), T.mul(sq, Tensor(np.full((3, 4), 2.0)))))
+    return a, sq, out
+
+
+def test_backward_consumes_the_graph_it_walks():
+    twin, _, twin_out = _branching_graph()
+    want = backward(twin_out)[twin]
+    a, sq, out = _branching_graph()
+    graph = Graph.from_output(out)
+    nodes = list(graph.order)
+    sq_data = weakref.ref(sq.data)
+    del sq
+    got = backward(graph)
+    np.testing.assert_array_equal(got[a], want)
+    assert graph.order == []
+    for node in nodes:
+        assert node._bwd is None, node._op
+        assert node._parents == (() if node is a else None), node._op
+    del nodes
+    assert sq_data() is None  # held only by the walked graph
+    # the leaf is untouched and roots a fresh graph
+    assert a.requires_grad and a._tracked()
+    np.testing.assert_array_equal(backward(T.reduce_sum(T.mul(a, 3.0)))[a], np.full((3, 4), 3.0))
+
+
+def test_a_graph_is_backpropagated_once():
+    _, _, out = _branching_graph()
+    backward(out)
+    with pytest.raises(GraphStateError, match="already backpropagated"):
+        backward(out)
+    _, _, out = _branching_graph()
+    graph = Graph.from_output(out)
+    backward(graph)
+    with pytest.raises(GraphStateError, match="already backpropagated"):
+        backward(graph)
+
+
+def test_a_graph_through_a_consumed_node_raises():
+    """A consumed node is not mistaken for a constant, which would drop the
+    gradient through it without a word."""
+    a, sq, out = _branching_graph()
+    backward(out)
+    with pytest.raises(GraphStateError, match=r"already backpropagated graph \(op 'mul'\)"):
+        backward(T.reduce_sum(T.add(sq, a)))
+    # the same when both graphs were built before either walk
+    a, sq, out = _branching_graph()
+    other = Graph.from_output(T.reduce_sum(T.mul(sq, 3.0)))
+    backward(out)
+    with pytest.raises(GraphStateError, match="already backpropagated graph"):
+        backward(other)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 gradient accumulation across shared stages, and bit-reproducible loops."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +63,10 @@ def test_config_validation():
         TrainConfig(steps=0).validate()
     with pytest.raises(ParameterError):
         TrainConfig(steps=5, warmup_steps=6).validate()
+    for lr in (-1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="^lr must be finite and >= 0"):
+            TrainConfig(lr=lr).validate()
+    TrainConfig(lr=0.0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +228,28 @@ def test_divergence_raises_with_step_index():
     params[name].data[...] = 1e200
     with pytest.raises(DivergenceError, match="step 0"):
         train_overfit(truth, op, params, tcfg, rcfg)
+
+
+def test_no_array_of_a_step_outlives_it(monkeypatch):
+    """The buffers of step k's graph are dead when step k+1 enters `run_hqs`:
+    the step runs in its own scope and `backward` consumes its graph."""
+    from cassikit import train
+    held = []       # weakrefs to the output buffers of the previous step's ops
+    alive = []      # per step after the first: how many of them are still alive
+
+    def watched_run_hqs(*args, **kwargs):
+        if held:
+            alive.append(sum(ref() is not None for ref in held))
+            held.clear()
+        result = run_hqs(*args, **kwargs)
+        order = Graph.from_output(result.z.data).order
+        held.extend(weakref.ref(node.data) for node in order if node._bwd is not None)
+        return result
+
+    monkeypatch.setattr(train, "run_hqs", watched_run_hqs)
+    train_overfit(*micro_pipeline(steps=3))
+    assert len(alive) == 2 and held
+    assert alive == [0, 0]
 
 
 def test_curve_csv_layout():
