@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OperatorError, OracleCapError, ParameterError, ShapeError
-from .tensor import Tensor, as_tensor, make_op, mul, reduce_sum, reshape, seeded_rng
+from .tensor import Tensor, as_tensor, cast, make_op, mul, reduce_sum, reshape, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,12 @@ class SensingOperator:
             raise ParameterError(f"n_bands must be >= 1, got {n_bands}")
         planes = np.repeat(mask.data.data[:, :, None], n_bands, axis=2)
         return cls(shift_cube(Tensor(planes), step), step)
+
+    def astype(self, dtype) -> "SensingOperator":
+        """This operator with its mask stack in `dtype`; itself if it holds it."""
+        if self.shifted_mask.data.dtype == dtype:
+            return self
+        return SensingOperator(cast(self.shifted_mask, dtype), self.step)
 
     @property
     def scene_shape(self) -> tuple:

@@ -288,11 +288,14 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 
 
 def init_pipeline_params(n_bands: int, cfg: LnltConfig, seed: int) -> ParamStore:
-    """Fresh estimator + denoiser weights in one store (single PCG64 stream)."""
+    """Fresh estimator + denoiser weights in one store (single PCG64 stream),
+    drawn in float64 and held in float32, the learned route's precision."""
     store = ParamStore()
     init = Initializer(store, seed)
     register_den_params(init, n_bands)
     register_lnlt_params(init, cfg, n_bands)
+    for _, t in store.items():
+        t.data = t.data.astype(np.float32)  # finite draws in [-1, 1] round to finite values
     return store
 
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cassi import HsiCube, SensingOperator, shift_cube
 from .errors import ShapeError
 from .params import Initializer, ParamScope
@@ -93,8 +91,7 @@ def den_forward(z_prev: HsiCube, op: SensingOperator, w: ParamScope) -> Degradat
     for i in range(N_BLOCKS):
         t = residual_block(t, w.scope(f"block{i}"))
     raw = conv2d(t, exit_w, w["exit.b"])
-    support = Tensor(op.support.astype(np.float64))
-    residual = mul(raw, support)
+    residual = mul(raw, op.support)  # the boolean support as 0/1 in raw's dtype
     phi_hat_mask = clamp(add(op.shifted_mask, residual), 0.0, 1.5)
     phi_hat = SensingOperator(phi_hat_mask, op.step)
     mu, eta = gap_mlp(residual, w.scope("head"))

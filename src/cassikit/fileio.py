@@ -15,10 +15,13 @@ Parameter checkpoint ("DPRM"):
             rank extents u32 LE, payload float64 LE row-major
 
 Entries serialize in store order, so save/load preserves registration
-order and byte-identical rewrites.  Cube payloads are float32 (images are
-stored at sensor precision); checkpoints keep float64 so optimizer state
-round-trips without loss.  All writers are atomic: write to a temp file in
-the destination directory, then rename over the target.
+order.  Cube payloads are float32 (images are stored at sensor precision).
+Checkpoint payloads are float64, but `read_params` loads them as float32,
+the learned route's precision: widening float32 to float64 is exact, so a
+float32 store round-trips byte for byte, while a checkpoint written from
+float64 weights is rounded to the nearest float32 on load (an entry with a
+value beyond the float32 range is refused).  All writers are atomic: write
+to a temp file in the destination directory, then rename over the target.
 """
 
 from __future__ import annotations
@@ -142,7 +145,8 @@ def write_params(path: str, store: ParamStore) -> None:
 
 
 def read_params(path: str) -> ParamStore:
-    """Read a checkpoint back into a fresh store (registration order kept)."""
+    """Read a checkpoint back into a fresh float32 store (registration order
+    kept); a float64 value rounds to the nearest float32."""
     blob = _read_blob(path)
     if len(blob) < 12:
         raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
@@ -180,7 +184,12 @@ def read_params(path: str) -> ParamStore:
             raise FormatError(f"{path}: entry {name!r} is empty, shape {shape}")
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: entry {name!r} contains non-finite values")
-        arrays[name] = arr.astype(np.float64)
+        with np.errstate(over="ignore"):  # beyond the float32 range casts to inf, tested next
+            arr = arr.astype(np.float32)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: entry {name!r} holds a value that is not finite as "
+                              f"float32 (|x| > {np.finfo(np.float32).max:.8g})")
+        arrays[name] = arr
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
     return ParamStore.from_arrays(arrays)

@@ -18,7 +18,11 @@ instances.  Two ways to drive the recurrence:
   eta_k = mu_k / lambda, and a training-free denoiser (identity or TV);
 * learned: a degradation estimator refines Phi and predicts (mu_k, eta_k)
   from z_{k-1} each stage, and the windowed-attention denoiser consumes
-  eta_k.  One shared parameter store serves every stage.
+  eta_k.  One shared parameter store serves every stage, and its dtype sets
+  the route's precision: the measurement and the operator are cast to it
+  (float32 for the weights `init_pipeline_params` makes and `read_params`
+  loads).  The classical route keeps its inputs' precision, float64 from
+  the CLI.
 
 The TV denoiser is used as the proximal map of weight * TV at weight
 TV_SCALE / eta_k (larger eta means a tighter data fit and lighter smoothing).
@@ -40,7 +44,7 @@ from .degradation import den_forward
 from .errors import MissingParamsError, NumericalError, ParameterError, ShapeError
 from .params import ParamStore
 from .priors import tv_denoise
-from .tensor import Tensor, as_tensor, div, no_grad, sub
+from .tensor import Tensor, add, as_tensor, cast, div, no_grad, sub
 from .transformer import LnltConfig, lnlt_denoise
 
 DENOISERS = ("identity", "tv", "lnlt")
@@ -118,7 +122,7 @@ def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu) -> HsiCube:
     if y.shape != op.measurement_shape:
         raise ShapeError(f"y {y.shape} does not match operator {op.measurement_shape}")
     resid = sub(y.data, forward_measure(z, op).data)
-    denom = mu_t + phi_gram_diag(op)
+    denom = add(mu, phi_gram_diag(op))  # a float mu takes the operator's dtype
     if denom.data.min() <= 0:
         raise NumericalError("degenerate denominator in data step")
     corr = adjoint_apply(Measurement(div(resid, denom)), op)
@@ -157,14 +161,17 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
     """Run K stages and return the final estimate plus one trace row per stage.
 
     `params` holds the learned weights, one store shared by every stage
-    (recurrent weight sharing).  Classical configurations pass None.
+    (recurrent weight sharing); the learned route runs in their dtype.
+    Classical configurations pass None.
     K = 0 returns the initialization unchanged.
     """
     cfg.validate()
     needs_params = cfg.use_den or cfg.denoiser == "lnlt"
-    if needs_params and params is None:
-        raise MissingParamsError(
-            f"denoiser={cfg.denoiser!r} use_den={cfg.use_den} requires a parameter store")
+    if needs_params:
+        if params is None:
+            raise MissingParamsError(
+                f"denoiser={cfg.denoiser!r} use_den={cfg.use_den} requires a parameter store")
+        y, op = Measurement(cast(y.data, params.dtype)), op.astype(params.dtype)
 
     truth_np = truth.data.data if truth is not None else None
 
@@ -193,7 +200,9 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
         if cfg.denoiser == "identity":
             z = x
         elif cfg.denoiser == "tv":
-            z = HsiCube(Tensor(tv_denoise(x.data.data, TV_SCALE / eta_f, TV_ITERS)))
+            # the prox runs in float64; its output returns to the route's dtype
+            z_tv = tv_denoise(x.data.data, TV_SCALE / eta_f, TV_ITERS)
+            z = HsiCube(Tensor(z_tv.astype(x.data.data.dtype, copy=False)))
         else:
             z = lnlt_denoise(x, eta_k, params.scope("lnlt"))
 

@@ -10,7 +10,11 @@ parameters draw from it strictly in registration order.  Conv and linear
 weights are uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)] with fan_in the
 number of input values feeding one output (kh*kw*Cin/groups for convs, the
 input width for linear maps).  Biases, position embeddings and layer-norm
-shifts start at zero; layer-norm scales start at one.
+shifts start at zero; layer-norm scales start at one.  A store keeps the
+dtype of the arrays it is given (anything but float32 becomes float64), so
+`Initializer` draws make a float64 store, the precision the selftest and
+gradient checks run in; the learned route's entry points hand it float32
+arrays (`cli.init_pipeline_params`, `fileio.read_params`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ class ParamStore:
     def add(self, name: str, array: np.ndarray) -> Tensor:
         if name in self._entries:
             raise ParameterError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(array, dtype=np.float64), requires_grad=True)
+        t = Tensor(array, requires_grad=True)
         self._entries[name] = t
         return t
 
@@ -55,6 +59,11 @@ class ParamStore:
 
     def items(self):
         return self._entries.items()
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The weights' common dtype, which sets the learned route's precision."""
+        return np.result_type(np.float32, *{t.data.dtype for t in self._entries.values()})
 
     @property
     def n_values(self) -> int:

@@ -1,10 +1,18 @@
 """Minimal dense tensor engine with reverse-mode differentiation.
 
-Values live in float64 numpy buffers (row-major, innermost axis last).  Ops
-are pure: they allocate fresh outputs and never mutate their inputs.  Each op
-validates its result and raises NumericalError naming the op if any output
-value is NaN or Inf; silent propagation of non-finite values is a bug by
-policy.
+Values live in numpy buffers (row-major, innermost axis last) of one of two
+precisions, float32 or float64; a Tensor made from anything else holds
+float64.  The engine is dtype-generic: every op allocates its outputs, and
+its backward's gradients, in its inputs' dtype, and a constant that is not
+yet a Tensor (a Python number or an array) takes the dtype of the tensor it
+meets, so `mul(x, 0.5)` on a float32 x stays float32.  The weights decide a
+route's precision: the learned route runs in float32, while the classical
+route, the selftest oracles and `fd_gradcheck` run in float64.  `cast`
+changes a tensor's dtype; two tensors of different dtypes promote as numpy
+does.  Ops are pure: they allocate fresh outputs and never mutate their
+inputs.  Each op validates its result and raises NumericalError naming the
+op if any output value is NaN or Inf; silent propagation of non-finite
+values is a bug by policy.
 
 A computation graph is recorded implicitly whenever an op consumes a tensor
 that requires gradients (directly or transitively), unless the op runs
@@ -13,14 +21,14 @@ the same values, and no parents or backward closures are kept.  Inference
 uses it so that weights loaded with `requires_grad=True` do not pin a
 backward graph for every stage.  `backward` walks the graph in reverse
 topological order, visiting each node exactly once, and returns a gradient
-per leaf parameter.  It consumes the graph as it walks: once a node has
-pushed its gradients to its parents, its backward closure and parent links
-are dropped, so every buffer is freed as soon as no remaining backward reads
-it.  A graph is therefore backpropagated once: a second `backward` on the
-same root or the same `Graph`, or a graph that reaches one of its consumed
-nodes, raises GraphStateError.  The leaf parameters stay usable for a new
-graph.  `fd_gradcheck` verifies analytic gradients against central finite
-differences.
+per leaf parameter in that leaf's dtype.  It consumes the graph as it walks:
+once a node has pushed its gradients to its parents, its backward closure
+and parent links are dropped, so every buffer is freed as soon as no
+remaining backward reads it.  A graph is therefore backpropagated once: a
+second `backward` on the same root or the same `Graph`, or a graph that
+reaches one of its consumed nodes, raises GraphStateError.  The leaf
+parameters stay usable for a new graph.  `fd_gradcheck` verifies analytic
+gradients against central finite differences.
 
 The op set is deliberately small: exactly what the learned degradation
 estimator and the windowed-attention denoiser need, plus reductions for
@@ -57,11 +65,12 @@ _GELU_C1 = 0.044715
 LAYER_NORM_EPS = 1e-5  # variance guard of every layer_norm
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if arr.size == 0:
         raise ShapeError(f"op '{op}' produced an empty tensor")
-    # one pass: a finite sum rules out inf and NaN; an overflowing sum of
-    # finite values only falls through to the exact test
+    # one pass: a finite sum rules out inf and NaN; a sum of finite values
+    # that overflows (silently, by the errstate) falls through to the exact test
     if np.isfinite(arr.sum()):
         return
     lo = arr.min()
@@ -83,7 +92,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_parents", "_bwd", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32 and arr.dtype != np.float64:
+            arr = arr.astype(np.float64)
         _check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -112,8 +123,10 @@ class Tensor:
         return self.requires_grad or self._bwd is not None
 
     def _assign(self, arr: np.ndarray) -> None:
-        """In-place value replacement for optimizers and gradcheck only."""
-        arr = np.asarray(arr, dtype=np.float64)
+        """In-place value replacement for optimizers and gradcheck only; the
+        tensor keeps its dtype, and a value that overflows it raises."""
+        with np.errstate(over="ignore"):
+            arr = np.asarray(arr, dtype=self.data.dtype)
         if arr.shape != self.data.shape:
             raise ShapeError(f"assign shape {arr.shape} != {self.data.shape}")
         _check_finite(arr, "assign")
@@ -153,6 +166,18 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _pair(a, b) -> tuple:
+    """Both operands as tensors; a constant takes its tensor partner's dtype,
+    so a Python float never upcasts a float32 operand."""
+    if isinstance(a, Tensor):
+        if isinstance(b, Tensor):
+            return a, b
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return Tensor(a), Tensor(b)
 
 
 class _GradMode(threading.local):
@@ -209,7 +234,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out = a.data + b.data
 
     def bwd(g):
@@ -219,7 +244,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out = a.data - b.data
 
     def bwd(g):
@@ -229,7 +254,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out = a.data * b.data
 
     def bwd(g):
@@ -239,7 +264,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.data / b.data  # non-finite results rejected by make_op
 
@@ -336,8 +361,22 @@ def softplus(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape ops
+# shape and dtype ops
 # ---------------------------------------------------------------------------
+
+def cast(a, dtype) -> Tensor:
+    """a's values in `dtype`, float32 or float64; the gradient returns in a's
+    dtype.  A tensor that already holds `dtype` comes back as it is."""
+    a = as_tensor(a)
+    dtype = np.dtype(dtype)
+    if dtype != np.float32 and dtype != np.float64:
+        raise ParameterError(f"cast to {dtype}: tensors hold float32 or float64")
+    if a.data.dtype == dtype:
+        return a
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: make_op raises
+        out = a.data.astype(dtype)
+    return make_op("cast", out, (a,), lambda g: (g.astype(a.data.dtype),))
+
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
@@ -426,7 +465,7 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Batched matrix product over the last two axes."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul operands must have rank >= 2")
     out = np.matmul(a.data, b.data)
@@ -578,8 +617,9 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
         out = np.matmul(x.data, w.data[0, 0])
         out += bias.data
     else:
-        strip = min(ho, max(1, _STRIP_BYTES // (wo * cout * x.data.itemsize)))
-        out = np.zeros((ho, wo, cout))
+        dtype = np.result_type(x.data, w.data)
+        strip = min(ho, max(1, _STRIP_BYTES // (wo * cout * dtype.itemsize)))
+        out = np.zeros((ho, wo, cout), dtype)
         for rows, taps in _tap_plan(h, wdt, kh, kw, stride, padding, strip):
             for i, j, o, v in taps:
                 if depthwise:
@@ -686,9 +726,9 @@ def backward(graph, seed=None, params=None) -> dict:
     """Accumulate gradients of the graph output into its leaf parameters.
 
     `seed` is the upstream gradient; it defaults to ones and must match the
-    output shape.  Returns {leaf Tensor: ndarray}.  When `params` (a
-    ParamStore) is given, parameters that do not appear in the graph get
-    explicit zero gradients.
+    output shape.  Returns {leaf Tensor: ndarray}, each in its leaf's dtype.
+    When `params` (a ParamStore) is given, parameters that do not appear in
+    the graph get explicit zero gradients.
 
     The walk consumes the graph: each node leaves `graph.order` and loses its
     backward closure and parent links once its gradients reach its parents,
@@ -706,10 +746,10 @@ def backward(graph, seed=None, params=None) -> dict:
     if seed is None:
         seed_arr = np.ones_like(out.data)
     else:
-        seed_arr = seed.data if isinstance(seed, Tensor) else np.asarray(seed, dtype=np.float64)
+        seed_arr = np.array(seed.data if isinstance(seed, Tensor) else seed, dtype=out.data.dtype)
         if seed_arr.shape != out.data.shape:
             raise ShapeError(f"backward seed shape {seed_arr.shape} != output {out.data.shape}")
-    grads: dict = {out: seed_arr.astype(np.float64, copy=True)}
+    grads: dict = {out: seed_arr}
     result: dict = {}
     while order:
         node = order.pop()
@@ -729,11 +769,9 @@ def backward(graph, seed=None, params=None) -> dict:
         for parent, pg in zip(parents, bwd(g)):
             if pg is None or not parent._tracked():
                 continue
-            _check_finite(np.asarray(pg), f"backward:{node._op}")
-            if parent in grads:
-                grads[parent] = grads[parent] + pg
-            else:
-                grads[parent] = np.asarray(pg, dtype=np.float64)
+            pg = np.asarray(pg, dtype=parent.data.dtype)
+            _check_finite(pg, f"backward:{node._op}")
+            grads[parent] = grads[parent] + pg if parent in grads else pg
     if params is not None:
         for name in params.names():
             t = params[name]

@@ -8,7 +8,10 @@ over the warmup steps, then follows a half-cosine decay to zero; gradients
 are clipped to a global L2 norm before the update.
 
 `train_overfit` is the supported desk-scale regime: simulate one measurement
-from a small truth patch, then fit the pipeline to reproduce the patch.
+from a small truth patch, then fit the pipeline to reproduce the patch.  It
+runs in the weights' dtype (float32 for the weights `init_pipeline_params`
+makes): the truth, the operator and so the measurement are cast to it, and
+Adam's moments follow the weights.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .cassi import HsiCube, Measurement, SensingOperator, forward_measure
 from .errors import DivergenceError, NumericalError, ParameterError
 from .hqs import ReconConfig, run_hqs
 from .params import ParamStore
-from .tensor import Tensor, add, backward, mul, reduce_mean, sqrt, sub
+from .tensor import Tensor, add, backward, cast, mul, reduce_mean, sqrt, sub
 
 
 # Fixed optimizer and loss settings: one value in use each, so no config field.
@@ -72,8 +75,9 @@ class AdamState:
 def clip_global_norm(grads: dict, max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm <= max_norm.
 
-    Returns the pre-clip norm."""
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    Returns the pre-clip norm, summed in float64 so that float32 gradients
+    cannot overflow it."""
+    total = math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / (total + 1e-12)
         for name in grads:
@@ -121,23 +125,27 @@ def train_overfit(truth: HsiCube, op: SensingOperator, params: ParamStore,
     Simulates one noiseless measurement, then runs `steps` iterations of
     forward / backward / clip / Adam.  The loss curve records (step, lr,
     loss) with the loss evaluated before each update.
-    Raises DivergenceError if the loss ever goes non-finite.
+    Raises DivergenceError naming the step if the loss, a gradient or an
+    updated weight ever goes non-finite.
     """
     tcfg.validate()
     rcfg.validate()
-    y = forward_measure(truth, op)
-    truth_t = truth.data.detach()
+    if rcfg.stages < 1:
+        raise ParameterError(f"training needs at least one stage, got stages={rcfg.stages}")
+    op = op.astype(params.dtype)
+    truth_t = cast(truth.data, params.dtype).detach()
+    y = forward_measure(HsiCube(truth_t), op)
     state = AdamState(params)
     curve: list = []
     for step in range(tcfg.steps):
         lr = lr_at(step, tcfg)
         try:
             loss_val, grads = _loss_and_grads(y, op, rcfg, params, truth_t)
+            curve.append((step, lr, loss_val))
+            clip_global_norm(grads, CLIP_NORM)
+            adam_step(params, grads, state, lr)
         except NumericalError as exc:
             raise DivergenceError(f"non-finite training state at step {step}: {exc}") from exc
-        curve.append((step, lr, loss_val))
-        clip_global_norm(grads, CLIP_NORM)
-        adam_step(params, grads, state, lr)
     return TrainResult(params=params, curve=curve)
 
 

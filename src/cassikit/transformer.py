@@ -273,7 +273,7 @@ def lnlt_denoise(x: HsiCube, eta, w: ParamScope) -> HsiCube:
     if eta_t.data.size != 1:
         raise ShapeError(f"eta must be a scalar, got shape {eta_t.shape}")
 
-    chan = mul(Tensor(np.ones((h, wdt, 1))), eta_t)
+    chan = mul(Tensor(np.ones((h, wdt, 1), x.data.data.dtype)), eta)
     x0 = conv2d(concat([x.data, chan], axis=2), embed_w, w["embed.b"], padding=1)
 
     def run_section(t, section):

@@ -158,15 +158,37 @@ def test_params_header_layout():
 
 
 def test_params_roundtrip_keeps_order_values_and_bytes(tmp_path):
-    store = _demo_store()
+    """A float32 store (the learned route's) loads as float32 with the same
+    values, and rewrites to the same bytes: widening to float64 is exact."""
+    store = ParamStore.from_arrays({name: a.astype(np.float32)
+                                    for name, a in _demo_store().arrays().items()})
     path = str(tmp_path / "weights.dprm")
     fileio.write_params(path, store)
     back = fileio.read_params(path)
     assert back.names() == store.names()
     for name in store.names():
-        assert back[name].data.dtype == np.float64
+        assert back[name].data.dtype == np.float32
         np.testing.assert_array_equal(back[name].data, store[name].data)
     assert fileio.params_bytes(back) == fileio.params_bytes(store)
+
+
+def test_float64_checkpoint_loads_rounded_to_float32(tmp_path):
+    store = _demo_store()
+    path = str(tmp_path / "weights.dprm")
+    fileio.write_params(path, store)
+    back = fileio.read_params(path)
+    for name in store.names():
+        assert back[name].data.dtype == np.float32
+        np.testing.assert_array_equal(back[name].data, store[name].data.astype(np.float32))
+
+
+@pytest.mark.parametrize("value", [1e39, -3.5e38, 1e300])
+def test_checkpoint_value_beyond_float32_raises_format_error_naming_the_entry(tmp_path, value):
+    path = str(tmp_path / "big.dprm")
+    with open(path, "wb") as fh:
+        fh.write(_params_blob(2, _entry(b"ok", np.ones(2)) + _entry(b"big.w", np.array([1.0, value]))))
+    with pytest.raises(FormatError, match=r"entry 'big\.w' holds a value that is not finite as float32"):
+        fileio.read_params(path)
 
 
 def test_empty_store_roundtrip(tmp_path):
@@ -565,6 +587,17 @@ def test_divergent_training_exits_5(workbench, tmp_path):
     assert "step" in proc.stderr
 
 
+def test_training_with_zero_stages_exits_2_before_any_step(tmp_path, capsys):
+    truth = tmp_path / "tiny.hsic"
+    fileio.write_cube(str(truth), generate_phantom(8, 8, 2, seed=2).numpy())
+    code = cli.main(["train", "--truth", str(truth), "--stages", "0", "--steps", "1",
+                     "--warmup", "0", "--channels", "4", "--window", "1", "--grid", "1",
+                     "--out", str(tmp_path / "w.dprm")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: training needs at least one stage, got stages=0\n"
+    assert not (tmp_path / "w.dprm").exists()
+
+
 def test_undefined_metric_exits_8_after_writing_the_reconstruction(workbench, tmp_path):
     zeros, out = tmp_path / "zeros.hsic", tmp_path / "out.hsic"
     fileio.write_cube(str(zeros), np.zeros((16, 16, 4)))  # a valid cube, no spectrum to angle
@@ -673,7 +706,8 @@ def test_checkpoint_entry_of_the_wrong_rank_exits_3_naming_it(tmp_path, capsys, 
 
 
 def test_numerical_failure_exits_6(tmp_path):
-    files = _learned_inputs(tmp_path, weight_scale=1e200)
+    # finite as float32, but two stacked convs of such weights overflow it
+    files = _learned_inputs(tmp_path, weight_scale=1e30)
     proc = run_cli("reconstruct", "--measurement", files["meas"], "--mask", files["mask"],
                    "--params", files["ckpt"], *LEARNED_ARGS, "--out", tmp_path / "out.hsic")
     assert proc.returncode == 6

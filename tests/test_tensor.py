@@ -783,6 +783,23 @@ def test_finite_check_passes_finite_values_whose_sum_overflows():
             Tensor(arr)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_check_needs_no_errstate_for_an_overflowing_sum(dtype):
+    """Finite values whose sum overflows pass without a numpy warning (which
+    the test configuration turns into an error); an inf still raises."""
+    big = np.finfo(dtype).max / 2
+    t = Tensor(np.full(10, big, dtype))
+    assert t.data.dtype == dtype
+    T._check_finite(np.full(10, -big, dtype), "probe")
+    arr = np.full(10, big, dtype)
+    arr[3] = np.inf
+    with pytest.raises(NumericalError, match="non-finite values produced by op 'probe'"):
+        T._check_finite(arr, "probe")
+    arr[3], arr[7] = -np.inf, np.inf  # the sum is NaN, not inf
+    with pytest.raises(NumericalError):
+        T._check_finite(arr, "probe")
+
+
 def test_assign_validates_shape_and_values():
     t = leaf(np.ones((2, 2)))
     with pytest.raises(ShapeError):
@@ -810,6 +827,17 @@ def test_param_store_rejects_duplicates_and_unknowns():
         store.add("w", np.ones(2))
     with pytest.raises(ParameterError):
         store["missing"]
+
+
+def test_param_store_keeps_the_dtype_of_its_arrays():
+    store = ParamStore()
+    store.add("a", np.ones(2, np.float32))
+    assert (store["a"].data.dtype, store.dtype) == (np.float32, np.float32)
+    store.add("b", [1.0, 2.0])
+    assert (store["b"].data.dtype, store.dtype) == (np.float64, np.float64)
+    init = Initializer(ParamStore(), 0)
+    init.conv("c", 3, 3, 2, 2)
+    assert init.store.dtype == np.float64
 
 
 def test_param_store_scopes_resolve_registered_names():
@@ -853,3 +881,111 @@ def test_initializer_draws_are_seeded_and_bounded():
     np.testing.assert_array_equal(s0["n.gamma"].data, np.ones(8))
     np.testing.assert_array_equal(s0["n.beta"].data, np.zeros(8))
     np.testing.assert_array_equal(s0["pos"].data, np.zeros((2, 16, 16)))
+
+
+# ---------------------------------------------------------------------------
+# precision: float32 stays float32
+# ---------------------------------------------------------------------------
+
+def _case(fn, *shapes):
+    """rng -> (fn(*leaves), leaves) on fresh float32 leaves of `shapes`."""
+    def build(rng):
+        leaves = tuple(Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                       for s in shapes)
+        return fn(*leaves), leaves
+    return build
+
+
+def _op_cases():
+    """Every op on float32 leaves; each constant is a Python number or a
+    float64 or boolean array."""
+    from cassikit.cassi import dispersion_support, shift_cube, unshift_cube
+    from cassikit.transformer import attend
+    m = (3, 4)
+    return {
+        "add": _case(T.add, m, (4,)),
+        "sub": _case(T.sub, m, m),
+        "mul": _case(T.mul, m, m),
+        "div": _case(lambda a, b: T.div(a, T.add(T.mul(b, b), 1.0)), m, m),
+        "add-constant": _case(lambda a: T.add(1e-8, a), m),
+        "sub-constant": _case(lambda a: T.sub(a, np.full(m, 0.25)), m),
+        "mul-constant": _case(lambda a: T.mul(a, 0.5), m),
+        "rdiv-constant": _case(lambda a: 2.0 / T.add(T.mul(a, a), 1.0), m),
+        "mul-boolean-constant": _case(
+            lambda a: T.mul(shift_cube(a, 1), dispersion_support(3, 4, 2, 1)), (3, 4, 2)),
+        "neg": _case(T.neg, m),
+        "clamp": _case(lambda a: T.clamp(a, -0.5, 0.5), m),
+        "sqrt": _case(lambda a: T.sqrt(T.add(T.mul(a, a), 1e-3)), m),
+        "relu": _case(T.relu, m),
+        "gelu": _case(T.gelu, m),
+        "softplus": _case(T.softplus, m),
+        "reshape": _case(lambda a: T.reshape(a, (2, 6)), m),
+        "concat": _case(lambda a, b: T.concat([a, b], axis=0), m, m),
+        "slice": _case(lambda a: T.slice_lastdim(a, 1, 3), m),
+        "reduce-sum": _case(lambda a: T.reduce_sum(a, axis=0), m),
+        "reduce-mean": _case(T.reduce_mean, m),
+        "matmul": _case(T.matmul, m, (4, 2)),
+        "softmax": _case(T.softmax_lastdim, m),
+        "layer-norm": _case(T.layer_norm, m, (4,), (4,)),
+        "conv2d-dense": _case(lambda x, w, b: T.conv2d(x, w, b, padding=1),
+                              (5, 6, 3), (3, 3, 3, 2), (2,)),
+        "conv2d-1x1": _case(T.conv2d, (5, 6, 3), (1, 1, 3, 2), (2,)),
+        "conv2d-depthwise": _case(lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=1, groups=3),
+                                  (5, 6, 3), (3, 3, 1, 3), (3,)),
+        "conv-transpose2d": _case(T.conv_transpose2d, (3, 2, 3), (2, 2, 3, 2), (2,)),
+        "attend": _case(lambda q, k, v, pos: attend(q, k, v, pos, 2, 2, False),
+                        (4, 4, 4), (4, 4, 4), (4, 4, 4), (2, 4, 4)),
+        "shift-unshift": _case(lambda a: unshift_cube(T.mul(shift_cube(a, 2), 2.0), 2), (3, 4, 3)),
+    }
+
+
+OP_CASES = _op_cases()
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_float32_inputs_give_float32_outputs_and_gradients(name):
+    out, leaves = OP_CASES[name](make_rng(90))
+    assert out.data.dtype == np.float32
+    grads = backward(T.reduce_sum(out))
+    for t in leaves:
+        assert grads[t].dtype == np.float32, f"{name}: gradient of a {t.shape} leaf"
+
+
+def test_float64_constants_keep_float64_and_seeds_follow_the_output():
+    x = leaf(np.ones(3))
+    assert T.mul(x, np.float32(0.5)).data.dtype == np.float64
+    y = Tensor(np.ones(3, np.float32), requires_grad=True)
+    grads = backward(T.mul(y, 3.0), seed=np.array([1.0, 2.0, 3.0]))
+    assert grads[y].dtype == np.float32
+    np.testing.assert_array_equal(grads[y], [3.0, 6.0, 9.0])
+
+
+def test_tensor_keeps_float32_and_float64_and_widens_the_rest():
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    assert Tensor(np.ones(2)).data.dtype == np.float64
+    for data in (np.ones(2, np.float16), np.ones(2, np.int32), [1, 2], 0.5, True):
+        assert Tensor(data).data.dtype == np.float64
+
+
+def test_assign_keeps_the_tensor_dtype_and_refuses_overflow():
+    t = Tensor(np.ones(2, np.float32), requires_grad=True)
+    t._assign(np.array([0.1, 0.2]))
+    assert t.data.dtype == np.float32
+    np.testing.assert_array_equal(t.data, np.array([0.1, 0.2], np.float32))
+    with pytest.raises(NumericalError, match="'assign'"):
+        t._assign(np.array([1.0, 1e39]))
+
+
+def test_cast_rounds_forward_and_returns_the_gradient_in_the_source_dtype():
+    x = leaf([0.1, 1.0 / 3.0])
+    y = T.cast(x, np.float32)
+    assert y.data.dtype == np.float32
+    np.testing.assert_array_equal(y.data, np.array([0.1, 1.0 / 3.0], np.float32))
+    g = backward(T.mul(y, 2.0))[x]
+    assert g.dtype == np.float64
+    np.testing.assert_array_equal(g, [2.0, 2.0])
+    assert T.cast(x, np.float64) is x
+    with pytest.raises(ParameterError):
+        T.cast(x, np.float16)
+    with pytest.raises(NumericalError, match="'cast'"):
+        T.cast(Tensor([1e39]), np.float32)

@@ -7,13 +7,13 @@ import weakref
 import numpy as np
 import pytest
 
-from cassikit.cassi import SensingOperator, forward_measure, random_binary_mask
+from cassikit.cassi import HsiCube, SensingOperator, forward_measure, random_binary_mask
 from cassikit.errors import DivergenceError, ParameterError
 from cassikit.degradation import den_forward
 from cassikit.hqs import ReconConfig, data_step, init_estimate, run_hqs
 from cassikit.params import ParamStore
 from cassikit.phantom import generate_phantom
-from cassikit.tensor import Graph, Tensor, add, backward, mul, reduce_sum
+from cassikit.tensor import Graph, Tensor, add, backward, cast, mul, reduce_sum
 from cassikit.train import (ADAM_EPS, AdamState, TrainConfig, adam_step, charbonnier_loss,
                             clip_global_norm, curve_csv, lr_at, train_overfit)
 from cassikit.transformer import LnltConfig, lnlt_denoise
@@ -111,6 +111,22 @@ def test_adam_zero_gradient_is_a_no_op():
     np.testing.assert_array_equal(store["p"].data, before)
 
 
+def test_adam_moments_and_updates_follow_float32_weights():
+    store = ParamStore.from_arrays({"p": np.array([1.0, -2.0], np.float32)})
+    state = AdamState(store)
+    adam_step(store, {"p": np.array([0.5, -0.25], np.float32)}, state, 1e-2)
+    for arr in (store["p"].data, state.m["p"], state.v["p"]):
+        assert arr.dtype == np.float32
+
+
+def test_clip_norm_of_float32_gradients_is_summed_without_overflow():
+    big = np.full(4, 1e20, np.float32)  # its square overflows float32
+    grads = {"a": big.copy()}
+    assert clip_global_norm(grads, 1.0) == pytest.approx(2e20, rel=1e-6)
+    assert grads["a"].dtype == np.float32
+    np.testing.assert_allclose(grads["a"], 0.5, rtol=1e-6)
+
+
 def test_clip_rescales_only_above_the_threshold():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}  # joint norm 5
     norm = clip_global_norm(grads, max_norm=1.0)
@@ -155,6 +171,8 @@ def test_two_stage_shared_gradient_equals_sum_of_stagewise_gradients():
     cloned stores they must give the same loss, and the shared gradient
     must equal the sum of the two per-stage gradients."""
     truth, op, params, tcfg, rcfg = micro_pipeline()
+    # in the store's dtype, as train_overfit casts them
+    truth, op = HsiCube(cast(truth.data, params.dtype)), op.astype(params.dtype)
     y = forward_measure(truth, op)
     cfg2 = ReconConfig(stages=2, denoiser="lnlt", use_den=True)
 
@@ -230,6 +248,15 @@ def test_divergence_raises_with_step_index():
         train_overfit(truth, op, params, tcfg, rcfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_update_beyond_float32_raises_divergence_with_step_index():
+    """At lr 1e200 the first float32 Adam update overflows in the weights'
+    assignment, after the loss and gradients came out finite."""
+    truth, op, params, _, rcfg = micro_pipeline()
+    with pytest.raises(DivergenceError, match=r"^non-finite training state at step 0: .*'assign'"):
+        train_overfit(truth, op, params, TrainConfig(steps=3, lr=1e200, warmup_steps=0), rcfg)
+
+
 def test_no_array_of_a_step_outlives_it(monkeypatch):
     """The buffers of step k's graph are dead when step k+1 enters `run_hqs`:
     the step runs in its own scope and `backward` consumes its graph."""
@@ -270,8 +297,9 @@ def desk_step_graph():
     arch = LnltConfig(base_channels=8, blocks_per_level=1, local_window=4, nonlocal_grid=4)
     params = init_pipeline_params(4, arch, seed=0)
     rcfg = ReconConfig(stages=3, denoiser="lnlt", use_den=True)
+    truth, op = HsiCube(cast(truth.data, params.dtype)), op.astype(params.dtype)
     result = run_hqs(forward_measure(truth, op), op, rcfg, params)
-    return Graph.from_output(charbonnier_loss(result.z.data, truth.data.detach())).order
+    return Graph.from_output(charbonnier_loss(result.z.data, truth.data)).order
 
 
 def test_desk_train_step_records_at_most_875_graph_nodes(desk_step_graph):
@@ -282,9 +310,11 @@ def test_desk_train_step_records_at_most_875_graph_nodes(desk_step_graph):
     assert not recorded & {"cut", "merge", "softmax_lastdim", "transpose"}
 
 
-def test_desk_train_step_graph_holds_at_most_27_6_mib_of_outputs(desk_step_graph):
-    """The recorded ops' outputs, which stay alive until backward, fit in 27.6 MiB
-    (27.56 measured): an attention that kept its (tokens x tokens) logits or
-    probabilities in the graph again would hold about 37.5 MiB."""
+def test_desk_train_step_graph_holds_at_most_13_8_mib_of_outputs(desk_step_graph):
+    """The recorded ops' outputs, which stay alive until backward, are float32
+    and fit in 13.8 MiB (13.78 measured): a graph that held float64 again would
+    hold 27.6 MiB, and an attention that kept its (tokens x tokens) logits or
+    probabilities in the graph again about 18.8 MiB."""
+    assert {node.data.dtype for node in desk_step_graph} == {np.dtype(np.float32)}
     held = sum(node.data.nbytes for node in desk_step_graph if node._bwd is not None)
-    assert held <= 27.6 * 2**20
+    assert held <= 13.8 * 2**20
