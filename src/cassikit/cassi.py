@@ -27,6 +27,8 @@ import numpy as np
 from .errors import OperatorError, OracleCapError, ParameterError, ShapeError
 from .tensor import Tensor, as_tensor, cast, make_op, mul, reduce_sum, reshape, seeded_rng
 
+DENSE_CAP = 50_000  # largest row or column count materialize_dense builds
+
 
 @dataclass(frozen=True)
 class HsiCube:
@@ -239,17 +241,17 @@ def phi_gram_diag(op: SensingOperator) -> Tensor:
     return reduce_sum(mul(op.shifted_mask, op.shifted_mask), axis=2)
 
 
-def materialize_dense(op: SensingOperator, cap: int = 50_000) -> np.ndarray:
+def materialize_dense(op: SensingOperator) -> np.ndarray:
     """Dense Phi in R^{HW' x HW'N}, for small-instance oracle checks only.
 
     Flattening convention: measurement index p = h*W' + w'; scene (sheared)
     index j = n*H*W' + p, i.e. band-major planes each in row-major order.
-    Refuses instances whose column count exceeds `cap`.
+    Refuses instances with more than DENSE_CAP rows or columns.
     """
     rows = op.h * op.wp
     cols = rows * op.n_bands
-    if cols > cap or rows > cap:
-        raise OracleCapError(f"dense operator {rows}x{cols} exceeds cap {cap}")
+    if cols > DENSE_CAP or rows > DENSE_CAP:
+        raise OracleCapError(f"dense operator {rows}x{cols} exceeds cap {DENSE_CAP}")
     dense = np.zeros((rows, cols))
     mask = op.shifted_mask.data
     for band in range(op.n_bands):

@@ -10,6 +10,7 @@ Subcommands:
 Exit codes: 0 success, 1 selftest failure, 7 internal error (an exception
 that is not a CassikitError).  The exit codes of the CassikitError types live
 on the types, as `exit_code` (errors.py): 2 unless the type sets its own.
+A MemoryError becomes an OutOfMemoryError (exit 9) that names the command.
 
 `simulate`, `reconstruct` and `train` accept `--config FILE`, UTF-8 text of
 `key = value` lines (# comments; `-` and `_` alike in keys) for the options in
@@ -30,8 +31,9 @@ from . import fileio, metrics
 from .cassi import (HsiCube, Mask2D, Measurement, SensingOperator,
                     apply_shot_noise, forward_measure, random_binary_mask)
 from .degradation import register_den_params
-from .errors import CassikitError, FormatError, MissingParamsError, ParameterError, ShapeError
-from .hqs import DENOISERS, INIT_MODES, ReconConfig, run_hqs, trace_csv
+from .errors import (CassikitError, FormatError, MissingParamsError, OutOfMemoryError,
+                     ParameterError, ShapeError)
+from .hqs import DENOISERS, ReconConfig, run_hqs, trace_csv
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom
 from .selftest import format_report, run_selftest
@@ -67,7 +69,6 @@ SETTINGS = {
         ("stages", int, 9, None),
         ("denoiser", str, "tv", DENOISERS),
         ("use_den", bool, False, None),
-        ("init", str, "normalized-adjoint", INIT_MODES),
         ("step", int, 2, None),
         ("bands", int, None, None),
         *((key, int, None, None) for key in ARCH_FLAGS),
@@ -186,11 +187,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _operator_from_mask_file(path: str, step: int, bands: int | None) -> SensingOperator:
+def _operator_from_mask_file(path: str, step: int, bands: int | None,
+                             y_shape: tuple) -> SensingOperator:
     cube = fileio.read_cube(path)
     if cube.shape[2] == 1:
         if bands is None:
             raise ParameterError("--bands is required with a single-plane mask file")
+        # checked before from_mask builds the H x W' x bands stack, which a wrong
+        # --bands can make terabytes large; from_mask rejects bands < 1 and step < 0
+        op_shape = (cube.shape[0], cube.shape[1] + step * (bands - 1))
+        if bands >= 1 and step >= 0 and op_shape != y_shape:
+            raise ShapeError(f"measurement {y_shape} does not match operator {op_shape}")
         return SensingOperator.from_mask(Mask2D(Tensor(cube[:, :, 0])), bands, step)
     if bands is not None and bands != cube.shape[2]:
         raise ShapeError(f"--bands {bands} does not match the mask stack's {cube.shape[2]} bands")
@@ -221,12 +228,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if y_arr.shape[2] != 1:
         raise ShapeError(f"measurement must be a single plane, got {y_arr.shape[2]}")
     y = Measurement(Tensor(y_arr[:, :, 0]))
-    op = _operator_from_mask_file(args.mask, args.step, args.bands)
+    op = _operator_from_mask_file(args.mask, args.step, args.bands, y.shape)
     if y.shape != op.measurement_shape:
         raise ShapeError(f"measurement {y.shape} does not match operator {op.measurement_shape}")
 
-    cfg = ReconConfig(stages=args.stages, denoiser=args.denoiser, use_den=args.use_den,
-                      init=args.init)
+    cfg = ReconConfig(stages=args.stages, denoiser=args.denoiser, use_den=args.use_den)
     params = None
     if args.use_den or args.denoiser == "lnlt":
         if args.params is None:
@@ -242,11 +248,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     # requires_grad=True) would keep every stage's backward graph alive
     with no_grad():
         result = run_hqs(y, op, cfg, params=params, truth=truth)
-    z = result.z.data.data  # read in place: the report step copies no cube
+    z = result.z.data.data  # read in place
     fileio.write_cube(args.out, z)
     print(f"reconstruction {op.h}x{op.w}x{op.n_bands} -> {args.out}")
     if truth is not None:
-        t = truth.data.data
+        # the metrics read float64: the learned route's float32 cube widens once, not per metric
+        z, t = z.astype(np.float64, copy=False), truth.data.data
         print(f"psnr {metrics.psnr(z, t):.4f} dB  ssim {metrics.ssim(z, t):.5f}  "
               f"sam {metrics.sam(z, t):.4f} deg")
     if args.trace:
@@ -362,7 +369,9 @@ def main(argv=None) -> int:
         # numpy's RuntimeWarning would only repeat them on stderr
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except CassikitError as exc:
+    except (CassikitError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # numpy's message names the shape and the dtype
+            exc = OutOfMemoryError(f"{args.command} ran out of memory: {exc}")
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except Exception as exc:

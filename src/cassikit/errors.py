@@ -62,3 +62,9 @@ class DivergenceError(CassikitError):
 
 class OracleCapError(CassikitError):
     """A dense materialization exceeds the configured size cap."""
+
+
+class OutOfMemoryError(CassikitError):
+    """A command asked for more memory than the machine could give."""
+
+    exit_code = 9

@@ -69,7 +69,9 @@ def _read_blob(path: str) -> bytes:
 
 
 def cube_bytes(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr)
+    if arr.dtype != np.float32:  # float32 is the payload's type: no wider copy
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
@@ -82,7 +84,7 @@ def cube_bytes(arr: np.ndarray) -> bytes:
     if not np.isfinite(payload).all():
         raise NumericalError("cube holds a value that is not finite as float32 "
                              f"(|x| > {np.finfo(np.float32).max:.8g} or NaN/Inf)")
-    return header + payload.tobytes()
+    return b"".join((header, payload))  # joins the array buffer: no tobytes copy
 
 
 def write_cube(path: str, arr: np.ndarray) -> None:

@@ -48,7 +48,6 @@ from .tensor import Tensor, add, as_tensor, cast, div, no_grad, sub
 from .transformer import LnltConfig, lnlt_denoise
 
 DENOISERS = ("identity", "tv", "lnlt")
-INIT_MODES = ("adjoint", "normalized-adjoint")
 
 
 # bench/run.py still imports this name; drop it with the next benchmark change
@@ -74,7 +73,6 @@ class ReconConfig:
     stages: int = 9
     denoiser: str = "tv"
     use_den: bool = False
-    init: str = "normalized-adjoint"
     mu_start: float = 1e-4
     mu_growth: float = 3.0
 
@@ -83,8 +81,6 @@ class ReconConfig:
             raise ParameterError(f"stages must be >= 0, got {self.stages}")
         if self.denoiser not in DENOISERS:
             raise ParameterError(f"unknown denoiser {self.denoiser!r}")
-        if self.init not in INIT_MODES:
-            raise ParameterError(f"unknown init mode {self.init!r}")
         for key in ("mu_start", "mu_growth"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
@@ -129,17 +125,9 @@ def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu) -> HsiCube:
     return HsiCube(z.data + corr.data)
 
 
-def init_estimate(y: Measurement, op: SensingOperator, mode: str = "normalized-adjoint") -> HsiCube:
-    """Initial scene estimate from the measurement.
-
-    'adjoint' is plain Phi^T y; 'normalized-adjoint' first divides the
-    measurement by INIT_EPS + diag(Phi Phi^T), which equalizes per-pixel band
-    coverage and is the default starting point.
-    """
-    if mode not in INIT_MODES:
-        raise ParameterError(f"unknown init mode {mode!r}")
-    if mode == "adjoint":
-        return adjoint_apply(y, op)
+def init_estimate(y: Measurement, op: SensingOperator) -> HsiCube:
+    """Initial scene estimate: the normalized adjoint Phi^T [y / (INIT_EPS +
+    diag(Phi Phi^T))], which equalizes per-pixel band coverage."""
     gram = phi_gram_diag(op)
     return adjoint_apply(Measurement(div(y.data, INIT_EPS + gram)), op)
 
@@ -179,7 +167,7 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
         psnr = metrics.psnr(z_k.data.data, truth_np) if truth_np is not None else None
         return TraceRow(stage, mu, eta, _residual_norm(y, z_k, phi), psnr)
 
-    z = init_estimate(y, op, cfg.init)
+    z = init_estimate(y, op)
     trace = [row(0, None, None, z, op)]
     for k in range(1, cfg.stages + 1):
         if cfg.use_den:

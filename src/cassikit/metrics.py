@@ -1,17 +1,17 @@
 """Image-quality metrics for hyperspectral reconstructions.
 
-All metrics take plain numpy arrays (cubes [H, W, N] or single planes) in
-float64.  PSNR and SSIM assume a known peak / data range (1.0 by default for
-normalized cubes); SSIM follows the standard Gaussian-window formulation
-(11x11 window, sigma 1.5, K1 = 0.01, K2 = 0.03) averaged over bands; SAM is
-the mean per-pixel spectral angle in degrees.
+All metrics take plain numpy arrays (cubes [H, W, N] or single planes) and
+read them in float64.  PSNR and SSIM score cubes normalized to [0, 1], so
+peak and data range are 1; SSIM follows the standard Gaussian-window
+formulation (11x11 window, sigma 1.5, K1 = 0.01, K2 = 0.03) averaged over
+bands; SAM is the mean per-pixel spectral angle in degrees.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MetricError, ParameterError, ShapeError
+from .errors import MetricError, ShapeError
 
 PSNR_CAP_DB = 99.0
 
@@ -31,15 +31,13 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def psnr(a, b, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; identical inputs return the 99 dB cap."""
+def psnr(a, b) -> float:
+    """Peak signal-to-noise ratio in dB at peak 1; identical inputs give the 99 dB cap."""
     a, b = _check_pair(a, b)
-    if peak <= 0:
-        raise ParameterError(f"psnr peak must be > 0, got {peak}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / mse))
+    return min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / mse))
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -63,10 +61,10 @@ def _gaussian_filter(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ssim_plane(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
+def _ssim_plane(a: np.ndarray, b: np.ndarray) -> float:
     taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
-    c1 = (SSIM_K1 * data_range) ** 2
-    c2 = (SSIM_K2 * data_range) ** 2
+    c1 = SSIM_K1 ** 2  # (K * data range) ** 2 at data range 1
+    c2 = SSIM_K2 ** 2
 
     mu_a, mu_b, e_aa, e_bb, e_ab = (_gaussian_filter(img, taps)
                                     for img in (a, b, a * a, b * b, a * b))
@@ -78,11 +76,9 @@ def _ssim_plane(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     return float(np.mean(num / den))
 
 
-def ssim(a, b, data_range: float = 1.0) -> float:
-    """Mean structural similarity; cubes average the per-band SSIM values."""
+def ssim(a, b) -> float:
+    """Mean structural similarity at data range 1; cubes average the per-band values."""
     a, b = _check_pair(a, b)
-    if data_range <= 0:
-        raise ParameterError(f"ssim data_range must be > 0, got {data_range}")
     if a.ndim == 2:
         planes = [(a, b)]
     elif a.ndim == 3:
@@ -92,7 +88,7 @@ def ssim(a, b, data_range: float = 1.0) -> float:
     h, w = planes[0][0].shape
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ShapeError(f"ssim needs extents >= {SSIM_WINDOW}, got {(h, w)}")
-    return float(np.mean([_ssim_plane(pa, pb, data_range) for pa, pb in planes]))
+    return float(np.mean([_ssim_plane(pa, pb) for pa, pb in planes]))
 
 
 def sam(a, b) -> float:

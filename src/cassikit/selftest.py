@@ -284,7 +284,7 @@ def check_grad_block() -> float:
         out = block_forward(x, weights)
         return reduce_mean(mul(out, probe))
 
-    report = fd_gradcheck(f, store, h=1e-5, tol=1e-3, n_samples=12, seed=64)
+    report = fd_gradcheck(f, store, n_samples=12, seed=64)
     return report.max_rel_err
 
 
@@ -301,7 +301,7 @@ def check_grad_den() -> float:
         est = den_forward(z, op, weights)
         return reduce_mean(mul(est.phi_hat.shifted_mask, probe)) + est.mu + est.eta
 
-    report = fd_gradcheck(f, store, h=1e-5, tol=1e-3, n_samples=12, seed=74)
+    report = fd_gradcheck(f, store, n_samples=12, seed=74)
     return report.max_rel_err
 
 

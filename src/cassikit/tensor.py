@@ -432,30 +432,26 @@ def _norm_axis(axis, ndim):
     return tuple(ax % ndim for ax in axis)
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     axis = _norm_axis(axis, a.data.ndim)
-    out = np.sum(a.data, axis=axis, keepdims=keepdims)
+    out = np.sum(a.data, axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return make_op("reduce_sum", np.asarray(out), (a,), bwd)
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     axis_n = _norm_axis(axis, a.data.ndim)
     if axis_n is None:
         count = a.data.size
     else:
         count = int(np.prod([a.data.shape[ax] for ax in axis_n]))
-    s = reduce_sum(a, axis=axis_n, keepdims=keepdims)
+    s = reduce_sum(a, axis=axis_n)
     return mul(s, 1.0 / count)
 
 
@@ -685,14 +681,12 @@ class Graph:
     """Reverse topological view over a recorded computation.
 
     Holds the output node plus every tracked ancestor in an order where
-    parents precede children; leaves are the reachable parameters.
-    `backward` empties `order` as it walks it.
+    parents precede children.  `backward` empties `order` as it walks it.
     """
 
-    def __init__(self, output: Tensor, order: list, leaves: list):
+    def __init__(self, output: Tensor, order: list):
         self.output = output
         self.order = order
-        self.leaves = leaves
 
     @classmethod
     def from_output(cls, output: Tensor) -> "Graph":
@@ -718,8 +712,7 @@ class Graph:
                                           f"graph (op {p._op!r})")
                 if p._tracked() and id(p) not in seen:
                     stack.append((p, False))
-        leaves = [n for n in order if n.requires_grad and n._bwd is None]
-        return cls(output, order, leaves)
+        return cls(output, order)
 
 
 def backward(graph, seed=None, params=None) -> dict:
@@ -784,6 +777,10 @@ def backward(graph, seed=None, params=None) -> dict:
 # finite-difference gradient checking
 # ---------------------------------------------------------------------------
 
+FD_STEP = 1e-5  # central-difference step of fd_gradcheck
+FD_TOL = 1e-3   # relative error up to which a sampled coordinate passes
+
+
 @dataclass
 class GradCheckRow:
     name: str
@@ -798,7 +795,6 @@ class GradCheckRow:
 class GradCheckReport:
     rows: list
     max_rel_err: float
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -821,16 +817,14 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def fd_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-3,
-                 n_samples: int = 50, seed: int = 0) -> GradCheckReport:
+def fd_gradcheck(f, params, n_samples: int = 50, seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of scalar f(params) to central differences.
 
     Samples up to `n_samples` coordinates across all parameters (PCG64
-    stream from `seed`), perturbs each by +/-h in place (restoring after),
-    and reports relative error |a - n| / max(|a|, |n|, 1e-6).
+    stream from `seed`), perturbs each by +/-FD_STEP in place (restoring
+    after), and reports relative error |a - n| / max(|a|, |n|, 1e-6); a
+    coordinate passes at FD_TOL or below.
     """
-    if h <= 0:
-        raise ParameterError(f"fd step must be > 0, got {h}")
     out = f(params)
     if not isinstance(out, Tensor) or out.data.size != 1:
         raise ShapeError("gradcheck function must return a scalar Tensor")
@@ -851,14 +845,15 @@ def fd_gradcheck(f, params, h: float = 1e-5, tol: float = 1e-3,
     for name, t, flat in coords:
         idx = np.unravel_index(flat, t.data.shape)
         orig = t.data[idx]
-        t.data[idx] = orig + h
+        t.data[idx] = orig + FD_STEP
         f_plus = _eval_scalar(f, params)
-        t.data[idx] = orig - h
+        t.data[idx] = orig - FD_STEP
         f_minus = _eval_scalar(f, params)
         t.data[idx] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
+        numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
         analytic = float(grads[t][idx])
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-        rows.append(GradCheckRow(name, tuple(int(i) for i in idx), analytic, numeric, rel, rel <= tol))
+        rows.append(GradCheckRow(name, tuple(int(i) for i in idx), analytic, numeric, rel,
+                                 rel <= FD_TOL))
     max_err = max((r.rel_err for r in rows), default=0.0)
-    return GradCheckReport(rows=rows, max_rel_err=max_err, tol=tol)
+    return GradCheckReport(rows=rows, max_rel_err=max_err)

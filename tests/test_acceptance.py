@@ -207,7 +207,7 @@ def test_06_analytic_gradients_match_finite_differences(checklist):
     probe = Tensor(make_rng(63).normal(size=(8, 8, 8)))
     block_report = fd_gradcheck(
         lambda params: reduce_mean(mul(block_forward(x, weights), probe)),
-        store, h=1e-5, tol=1e-3, n_samples=55, seed=64)
+        store, n_samples=55, seed=64)
 
     store2 = ParamStore()
     register_den_params(Initializer(store2, 71), 3)
@@ -220,7 +220,7 @@ def test_06_analytic_gradients_match_finite_differences(checklist):
         est = den_forward(z, op, dweights)
         return reduce_mean(mul(est.phi_hat.shifted_mask, dprobe)) + est.mu + est.eta
 
-    den_report = fd_gradcheck(den_loss, store2, h=1e-5, tol=1e-3, n_samples=55, seed=74)
+    den_report = fd_gradcheck(den_loss, store2, n_samples=55, seed=74)
 
     ok = (block_report.passed and den_report.passed
           and len(block_report.rows) >= 50 and len(den_report.rows) >= 50)

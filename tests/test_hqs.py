@@ -90,17 +90,6 @@ def test_data_step_validates_inputs(tiny_operator):
 # initialization
 # ---------------------------------------------------------------------------
 
-def test_adjoint_init_is_plain_backprojection(tiny_operator):
-    y = Measurement(Tensor(make_rng(42).random(tiny_operator.measurement_shape)))
-    z = init_estimate(y, tiny_operator, mode="adjoint").numpy()
-    mask = tiny_operator.shifted_mask.data
-    for band in range(tiny_operator.n_bands):
-        d = tiny_operator.step * band
-        sl = slice(d, d + tiny_operator.w)
-        np.testing.assert_allclose(z[:, :, band], (mask[:, :, band] * y.numpy())[:, sl],
-                                   atol=1e-14)
-
-
 def test_normalized_init_on_ones_mask_recovers_band_means():
     """With an all-ones mask every covered pixel just averages its bands."""
     op = SensingOperator.from_mask(Tensor(np.ones((2, 3))), 2, 2)
@@ -108,7 +97,7 @@ def test_normalized_init_on_ones_mask_recovers_band_means():
     x[..., 0] = 1.0
     x[..., 1] = 3.0
     y = forward_measure(HsiCube(Tensor(x)), op)
-    z = init_estimate(y, op, mode="normalized-adjoint").numpy()
+    z = init_estimate(y, op).numpy()
     # column 2 of the measurement sees both bands, so it carries their sum
     # divided by the 2-band coverage; single-coverage columns pass through.
     np.testing.assert_allclose(z[:, 0, 0], 1.0, atol=1e-6)
@@ -123,12 +112,6 @@ def test_normalized_init_is_measurement_consistent(square_operator):
     z0 = init_estimate(y, square_operator)
     resid = np.linalg.norm(y.numpy() - forward_measure(z0, square_operator).numpy())
     assert resid <= 1e-5
-
-
-def test_init_mode_validated(tiny_operator):
-    y = Measurement(Tensor(np.zeros(tiny_operator.measurement_shape)))
-    with pytest.raises(ParameterError):
-        init_estimate(y, tiny_operator, mode="pseudoinverse")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +228,6 @@ def test_config_validation():
         ReconConfig(stages=-1).validate()
     with pytest.raises(ParameterError):
         ReconConfig(denoiser="bm3d").validate()
-    with pytest.raises(ParameterError):
-        ReconConfig(init="zeros").validate()
     with pytest.raises(ParameterError):
         ReconConfig(mu_start=0.0).validate()
     for key in ("mu_start", "mu_growth"):

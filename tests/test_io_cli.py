@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cassikit import cli, errors, fileio
+from cassikit import cli, errors, fileio, metrics
 from cassikit.cassi import (Measurement, SensingOperator, forward_measure,
                             random_binary_mask)
 from cassikit.errors import CassikitError, FormatError, ShapeError
@@ -66,6 +66,14 @@ def test_single_plane_roundtrip(tmp_path):
     fileio.write_cube(path, plane)
     assert fileio.read_cube(path).shape == (4, 5, 1)
     np.testing.assert_array_equal(fileio.read_plane(path), plane)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8, ">f4"])
+def test_cube_bytes_are_the_same_for_equal_values_of_any_dtype(dtype):
+    values = make_rng(8).integers(0, 200, size=(5, 6, 3)) / 8.0  # exact in every float type
+    if np.dtype(dtype).kind in "iu":
+        values = np.floor(values)
+    assert fileio.cube_bytes(values.astype(dtype)) == fileio.cube_bytes(values)
 
 
 def test_cube_bytes_rejects_bad_rank():
@@ -378,6 +386,22 @@ def test_config_file_supplies_defaults_and_cli_wins(workbench, tmp_path):
     assert len(trace.read_text().strip().splitlines()) == 2 + 2
 
 
+def test_the_normalized_adjoint_is_the_only_start(workbench, tmp_path, capsys):
+    argv = ["reconstruct", "--measurement", str(workbench["meas"]), "--mask",
+            str(workbench["mask"]), "--out", str(tmp_path / "out.hsic")]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--help"])
+    assert exit_info.value.code == 0 and "--init" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--init", "adjoint"])
+    assert exit_info.value.code == 2 and "--init" in capsys.readouterr().err
+    cfg = tmp_path / "recon.cfg"
+    cfg.write_text("init = adjoint\n")
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: ['init']\n"
+    assert not (tmp_path / "out.hsic").exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (("phantom", "--seed", "-1"), "seed must be >= 0, got -1"),
     (("simulate", "--mask-seed", "-1"), "seed must be >= 0, got -1"),
@@ -487,6 +511,29 @@ def test_plane_mask_without_bands_exits_2(workbench, tmp_path):
                    "--mask", plane, "--out", tmp_path / "out.hsic")
     assert proc.returncode == 2
     assert "--bands" in proc.stderr
+
+
+def test_plane_mask_bands_are_checked_before_the_operator_is_built(workbench, tmp_path, capsys,
+                                                                 monkeypatch):
+    plane, out = tmp_path / "plane.hsic", tmp_path / "out.hsic"
+    fileio.write_cube(str(plane), np.ones((16, 16)))
+    argv = ["reconstruct", "--measurement", str(workbench["meas"]), "--mask", str(plane),
+            "--stages", "1", "--out", str(out)]
+    built = []
+    from_mask = SensingOperator.from_mask.__func__
+
+    def spy(cls, *args):
+        built.append(args[1:])
+        return from_mask(cls, *args)
+
+    monkeypatch.setattr(SensingOperator, "from_mask", classmethod(spy))
+    # 16 + 1 * (500 - 1) columns against the 16x22 measurement of 4 bands at step 2
+    assert cli.main([*argv, "--bands", "500", "--step", "1"]) == 3
+    assert capsys.readouterr().err == \
+        "error: measurement (16, 22) does not match operator (16, 515)\n"
+    assert built == [] and not out.exists()
+    assert cli.main([*argv, "--bands", "4", "--step", "2"]) == 0
+    assert built == [(4, 2)] and fileio.read_cube(str(out)).shape == (16, 16, 4)
 
 
 def test_bands_must_match_a_sheared_mask_stack(workbench, tmp_path, capsys):
@@ -645,6 +692,22 @@ def test_learned_reconstruct_matches_tracked_in_process_run(tmp_path):
     assert trace.read_text() == trace_csv(result)
 
 
+def test_learned_metric_line_scores_the_float32_reconstruction(tmp_path, capsys):
+    files = _learned_inputs(tmp_path)
+    truth = tmp_path / "truth.hsic"
+    fileio.write_cube(str(truth), generate_phantom(32, 32, 4, seed=10).numpy())
+    assert cli.main(["reconstruct", "--measurement", str(files["meas"]), "--mask",
+                     str(files["mask"]), "--params", str(files["ckpt"]),
+                     *map(str, LEARNED_ARGS), "--truth", str(truth),
+                     "--out", str(tmp_path / "recon.hsic")]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+
+    z = fileio.read_cube(str(tmp_path / "recon.hsic")).astype(np.float32)  # the route's cube
+    t = fileio.read_cube(str(truth))
+    assert line == (f"psnr {metrics.psnr(z, t):.4f} dB  ssim {metrics.ssim(z, t):.5f}  "
+                    f"sam {metrics.sam(z, t):.4f} deg")
+
+
 def test_block_count_comes_from_the_checkpoint(tmp_path):
     files = _learned_inputs(tmp_path, blocks=2)
     out = tmp_path / "recon.hsic"
@@ -780,6 +843,22 @@ def test_internal_error_exits_7(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
+def test_running_out_of_memory_exits_9_naming_the_command(tmp_path, monkeypatch, capsys):
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000, 100) and data type float64")
+
+    # nothing is allocated: the generator raises what numpy would raise
+    monkeypatch.setattr(cli, "generate_phantom", too_big)
+    code = cli.main(["phantom", "--height", "100000", "--width", "100000", "--bands", "100",
+                     "--out", str(tmp_path / "p.hsic")])
+    assert code == 9
+    assert capsys.readouterr().err == (
+        "error: phantom ran out of memory: Unable to allocate 74.5 GiB for an array with "
+        "shape (100000, 100000, 100) and data type float64\n")
+    assert not (tmp_path / "p.hsic").exists()
+
+
 def test_tiny_training_run_writes_checkpoint_and_curve(tmp_path):
     truth = tmp_path / "tiny.hsic"
     proc = run_cli("phantom", "--height", 8, "--width", 8, "--bands", 2,
@@ -833,7 +912,7 @@ def test_checkpoint_with_overflowing_extents_exits_2_naming_the_entry(workbench,
 EXPECTED_EXIT_CODES = {
     "CassikitError": 2, "FormatError": 2, "ParameterError": 2, "GraphStateError": 2,
     "OracleCapError": 2, "ShapeError": 3, "OperatorError": 3, "MissingParamsError": 4,
-    "DivergenceError": 5, "NumericalError": 6, "MetricError": 8,
+    "DivergenceError": 5, "NumericalError": 6, "MetricError": 8, "OutOfMemoryError": 9,
 }
 
 
@@ -864,8 +943,7 @@ SETTING_VALUES = {
     "simulate": {"mask_seed": (3, 4), "step": (1, 2), "noise": ("shot", "none"),
                  "bits": (8, 9), "seed": (5, 6), "mask_out": ("m.hsic", "other.hsic")},
     "reconstruct": {"stages": (1, 2), "denoiser": ("lnlt", "tv"), "use_den": ("true", "false"),
-                    "init": ("adjoint", "normalized-adjoint"), "step": (1, 2), "bands": (2, 3),
-                    "channels": (4, 8), "blocks": (1, 2), "window": (1, 2), "grid": (1, 2)},
+                    "step": (1, 2), "bands": (2, 3), "channels": (4, 8), "blocks": (1, 2), "window": (1, 2), "grid": (1, 2)},
     "train": {"stages": (1, 2), "steps": (2, 3), "lr": ("1e-3", "2e-3"), "warmup": (1, 2),
               "seed": (3, 4), "mask_seed": (4, 5), "step": (1, 2), "channels": (4, 6),
               "blocks": (2, 1), "window": (1, 2), "grid": (1, 2)},

@@ -233,14 +233,6 @@ def test_psnr_constant_offset_hand_value():
     assert psnr(a, b) == pytest.approx(20.0, abs=1e-12)  # 10 log10(1 / 0.01)
 
 
-def test_psnr_peak_shifts_by_the_log_ratio():
-    rng = make_rng(107)
-    a, b = rng.random((8, 8)), rng.random((8, 8))
-    assert psnr(a, b, peak=2.0) == pytest.approx(psnr(a, b) + 20.0 * np.log10(2.0), abs=1e-10)
-    with pytest.raises(ParameterError):
-        psnr(a, b, peak=0.0)
-
-
 def test_psnr_rejects_bad_pairs():
     with pytest.raises(ShapeError):
         psnr(np.zeros((2, 2)), np.zeros((3, 3)))
@@ -310,8 +302,6 @@ def test_ssim_input_validation():
     small = np.ones((8, 8))
     with pytest.raises(ShapeError):
         ssim(small, small)  # below the 11x11 window
-    with pytest.raises(ParameterError):
-        ssim(np.ones((16, 16)), np.ones((16, 16)), data_range=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -176,16 +176,14 @@ def test_slice_bounds_checked():
         T.slice_lastdim(Tensor(np.ones((2, 3))), 0, 4)
 
 
-@pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True), ((0, 2), False), (-1, True)])
-def test_reductions_match_numpy(axis, keepdims):
+@pytest.mark.parametrize("axis", [None, 0, 1, (0, 2), -1])
+def test_reductions_match_numpy(axis):
     rng = make_rng(16)
     x = rng.normal(size=(3, 4, 5))
-    np.testing.assert_allclose(
-        T.reduce_sum(Tensor(x), axis=axis, keepdims=keepdims).data,
-        np.sum(x, axis=axis, keepdims=keepdims), atol=1e-13)
-    np.testing.assert_allclose(
-        T.reduce_mean(Tensor(x), axis=axis, keepdims=keepdims).data,
-        np.mean(x, axis=axis, keepdims=keepdims), atol=1e-13)
+    np.testing.assert_allclose(T.reduce_sum(Tensor(x), axis=axis).data, np.sum(x, axis=axis),
+                               atol=1e-13)
+    np.testing.assert_allclose(T.reduce_mean(Tensor(x), axis=axis).data, np.mean(x, axis=axis),
+                               atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -810,8 +808,6 @@ def test_assign_validates_shape_and_values():
 
 def test_fd_gradcheck_rejects_bad_step_and_nonscalar():
     store = _store_with({"a": np.ones(2)})
-    with pytest.raises(ParameterError):
-        fd_gradcheck(lambda p: T.reduce_sum(p["a"]), store, h=0.0)
     with pytest.raises(ShapeError):
         fd_gradcheck(lambda p: T.mul(p["a"], 1.0), store)
 

@@ -177,7 +177,7 @@ def test_two_stage_shared_gradient_equals_sum_of_stagewise_gradients():
     cfg2 = ReconConfig(stages=2, denoiser="lnlt", use_den=True)
 
     def two_stages(store_1, store_2):
-        z = init_estimate(y, op, cfg2.init)
+        z = init_estimate(y, op)
         for store in (store_1, store_2):
             est = den_forward(z, op, store.scope("den"))
             x = data_step(z, y, est.phi_hat, est.mu)
