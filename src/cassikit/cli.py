@@ -251,14 +251,17 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     z = result.z.data.data  # read in place
     fileio.write_cube(args.out, z)
     print(f"reconstruction {op.h}x{op.w}x{op.n_bands} -> {args.out}")
-    if truth is not None:
-        # the metrics read float64: the learned route's float32 cube widens once, not per metric
-        z, t = z.astype(np.float64, copy=False), truth.data.data
-        print(f"psnr {metrics.psnr(z, t):.4f} dB  ssim {metrics.ssim(z, t):.5f}  "
-              f"sam {metrics.sam(z, t):.4f} deg")
     if args.trace:
         _write_text(args.trace, trace_csv(result))
         print(f"trace -> {args.trace}")
+    if truth is not None:
+        # the metrics read float64: the learned route's float32 cube widens once, not per metric
+        z, t = z.astype(np.float64, copy=False), truth.data.data
+        psnr = metrics.psnr(z, t)  # checks the shapes before SSIM reads the extents
+        # SSIM's window does not fit a scene under SSIM_WINDOW pixels on a side
+        fits = min(z.shape[:2]) >= metrics.SSIM_WINDOW
+        ssim = f"{metrics.ssim(z, t):.5f}" if fits else "n/a"
+        print(f"psnr {psnr:.4f} dB  ssim {ssim}  sam {metrics.sam(z, t):.4f} deg")
     return EXIT_OK
 
 

@@ -69,6 +69,19 @@ class ParamStore:
     def n_values(self) -> int:
         return sum(t.data.size for t in self._entries.values())
 
+    def flatten(self) -> np.ndarray:
+        """Move every value into one contiguous buffer of the store's dtype, in
+        store order, and make each tensor's data a view of it.  Returns the
+        buffer: an in-place update of it updates every weight at once."""
+        flat = np.empty(self.n_values, self.dtype)
+        offset = 0
+        for t in self._entries.values():
+            view = flat[offset:offset + t.data.size].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            offset += view.size
+        return flat
+
     def arrays(self) -> dict[str, np.ndarray]:
         """Copies of all values, for serialization."""
         return {name: t.copy_array() for name, t in self._entries.items()}
@@ -114,11 +127,25 @@ class Initializer:
         self.store = store
         self.rng = seeded_rng(seed)
 
+    def _kernel(self, kh: int, kw: int, cin_per_group: int, cout: int) -> np.ndarray:
+        bound = 1.0 / np.sqrt(kh * kw * cin_per_group)
+        return self.rng.uniform(-bound, bound, size=(kh, kw, cin_per_group, cout))
+
     def conv(self, name: str, kh: int, kw: int, cin_per_group: int, cout: int) -> None:
-        fan_in = kh * kw * cin_per_group
-        bound = 1.0 / np.sqrt(fan_in)
-        self.store.add(name + ".w", self.rng.uniform(-bound, bound, size=(kh, kw, cin_per_group, cout)))
+        self.store.add(name + ".w", self._kernel(kh, kw, cin_per_group, cout))
         self.store.add(name + ".b", np.zeros(cout))
+
+    def stacked_convs(self, parts: int, *convs: tuple) -> None:
+        """Register each conv of `convs`, (name, kh, kw, cin_per_group, cout),
+        `parts` times wider: output channels [p*cout, (p+1)*cout) are part p.
+
+        The kernels draw the values and the order that `parts` chains of the
+        convs registered one after the other with `conv` would draw, so part p
+        of every conv holds what chain p's conv would hold."""
+        chains = [[self._kernel(*conv[1:]) for conv in convs] for _ in range(parts)]
+        for i, (name, *_, cout) in enumerate(convs):
+            self.store.add(name + ".w", np.concatenate([chain[i] for chain in chains], axis=3))
+            self.store.add(name + ".b", np.zeros(parts * cout))
 
     def conv_transpose(self, name: str, stride: int, cin: int, cout: int) -> None:
         fan_in = cin  # each output value sees one input pixel across Cin channels

@@ -75,9 +75,13 @@ def _np_depthwise3(x, w, b):
     return out + b
 
 
-def _np_qkv(x, arrs, name):
-    t = _np_conv1x1(x, arrs[f"{name}.point.w"], arrs[f"{name}.point.b"])
-    return _np_depthwise3(t, arrs[f"{name}.depth.w"], arrs[f"{name}.depth.b"])
+def _np_qkv(x, arrs, part):
+    """Q (part 0), K (1) or V (2): the part's channel third of the fused
+    pointwise and depthwise weights, applied on its own."""
+    c = x.shape[-1]
+    cs = slice(part * c, (part + 1) * c)
+    t = _np_conv1x1(x, arrs["qkv.point.w"][..., cs], arrs["qkv.point.b"][cs])
+    return _np_depthwise3(t, arrs["qkv.depth.w"][..., cs], arrs["qkv.depth.b"][cs])
 
 
 def _np_softmax(v):
@@ -88,9 +92,7 @@ def _np_softmax(v):
 def _oracle_local_msa(x: np.ndarray, arrs: dict, m: int, heads: int) -> np.ndarray:
     h, w, c = x.shape
     d = c // heads
-    q = _np_qkv(x, arrs, "q")
-    k = _np_qkv(x, arrs, "k")
-    v = _np_qkv(x, arrs, "v")
+    q, k, v = (_np_qkv(x, arrs, part) for part in range(3))
     pos = arrs["pos"]
     mixed = np.zeros_like(x)
     for wi in range(h // m):
@@ -114,9 +116,7 @@ def _oracle_nonlocal_msa(x: np.ndarray, arrs: dict, n: int, heads: int) -> np.nd
     bh, bw = h // n, w // n
     width = bh * bw * c
     d = width // heads
-    q = _np_qkv(x, arrs, "q")
-    k = _np_qkv(x, arrs, "k")
-    v = _np_qkv(x, arrs, "v")
+    q, k, v = (_np_qkv(x, arrs, part) for part in range(3))
     pos = arrs["pos"]
 
     def grid_tokens(t):

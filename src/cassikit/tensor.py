@@ -44,7 +44,10 @@ never copies input windows.  Its forward runs in strips of output rows sized
 so that a strip (about 256 KB) stays in a core's L2 cache while every tap
 adds into it; each output element still adds the same taps in the same
 order, so the strip size does not change any bit.  A dense 1x1 conv with
-stride 1 and no padding runs its forward as a single matmul.
+stride 1 and no padding runs forward and backward as GEMMs.  Every
+per-channel gradient sum (a conv's bias, layer_norm's gamma and beta) is one
+GEMV against a vector of ones.  `gate` fuses a GELU-gated product over the
+two halves of one plane's channels into one op.
 """
 
 from __future__ import annotations
@@ -123,8 +126,8 @@ class Tensor:
         return self.requires_grad or self._bwd is not None
 
     def _assign(self, arr: np.ndarray) -> None:
-        """In-place value replacement for optimizers and gradcheck only; the
-        tensor keeps its dtype, and a value that overflows it raises."""
+        """In-place value replacement for fixtures that set weights; the tensor
+        keeps its dtype, and a value that overflows it raises."""
         with np.errstate(over="ignore"):
             arr = np.asarray(arr, dtype=self.data.dtype)
         if arr.shape != self.data.shape:
@@ -324,28 +327,64 @@ def relu(a) -> Tensor:
     return make_op("relu", a.data * mask, (a,), bwd)
 
 
-def gelu(a) -> Tensor:
-    """GELU, tanh approximation (constants in the module docstring)."""
-    a = as_tensor(a)
-    x = a.data
-    # tanh of the inner polynomial, built in place in one fresh buffer; the cube
-    # is x*x*x, since numpy's power has a fast path for ** 2 but not for ** 3
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh of GELU's inner polynomial, built in place in one fresh buffer; the
+    cube is x*x*x, since numpy's power has a fast path for ** 2 but not ** 3."""
     th = np.multiply(x, x, out=np.empty_like(x))
     th *= x
     th *= _GELU_C1
     th += x
     th *= _GELU_C0
-    np.tanh(th, out=th)
+    return np.tanh(th, out=th)
+
+
+def _gelu_from_tanh(x: np.ndarray, th: np.ndarray) -> np.ndarray:
     out = np.add(th, 1.0, out=np.empty_like(x))
     out *= x
     out *= 0.5
+    return out
+
+
+def _gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """d gelu(x) / dx from x and the forward's tanh."""
+    sech2 = 1.0 - th * th
+    du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x * x)
+    return 0.5 * (1.0 + th) + 0.5 * x * sech2 * du
+
+
+def gelu(a) -> Tensor:
+    """GELU, tanh approximation (constants in the module docstring)."""
+    a = as_tensor(a)
+    x = a.data
+    th = _gelu_tanh(x)
 
     def bwd(g):
-        sech2 = 1.0 - th * th
-        du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x * x)
-        return (g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * du),)
+        return (g * _gelu_slope(x, th),)
 
-    return make_op("gelu", out, (a,), bwd)
+    return make_op("gelu", _gelu_from_tanh(x, th), (a,), bwd)
+
+
+def gate(a) -> Tensor:
+    """gelu(first half) * second half of the last axis, as one op: the values,
+    and the gradient's, of mul(gelu(a[..., :e]), a[..., e:]) bit for bit.  Its
+    backward writes both halves of one gradient buffer and copies no slice."""
+    a = as_tensor(a)
+    e, odd = divmod(a.data.shape[-1], 2)
+    if odd or e == 0:
+        raise ShapeError(f"gate needs an even, non-zero last extent, got {a.data.shape[-1]}")
+    x, y = a.data[..., :e], a.data[..., e:]
+    th = _gelu_tanh(x)
+    out = _gelu_from_tanh(x, th)
+    out *= y
+
+    def bwd(g):
+        grad = np.empty_like(a.data)
+        dx = np.multiply(g, y, out=grad[..., :e])
+        dx *= _gelu_slope(x, th)
+        np.multiply(g, _gelu_from_tanh(x, th), out=grad[..., e:])
+        return (grad,)
+
+    return make_op("gate", out, (a,), bwd)
 
 
 def softplus(a) -> Tensor:
@@ -489,6 +528,12 @@ def _softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y * (g - dot)
 
 
+def _channel_sum(g: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last, as one GEMV: ones @ g as [N, C]."""
+    g2d = g.reshape(-1, g.shape[-1])
+    return np.ones(g2d.shape[0], g2d.dtype) @ g2d
+
+
 def softmax_lastdim(a) -> Tensor:
     """Softmax over the last axis with max-subtraction for stability."""
     a = as_tensor(a)
@@ -513,9 +558,8 @@ def layer_norm(a, gamma, beta) -> Tensor:
     out = xhat * gamma.data + beta.data
 
     def bwd(g):
-        lead = tuple(range(g.ndim - 1))
-        ggamma = (g * xhat).sum(axis=lead)
-        gbeta = g.sum(axis=lead)
+        ggamma = _channel_sum(g * xhat)
+        gbeta = _channel_sum(g)
         gg = g * gamma.data
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)
@@ -582,8 +626,10 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
     all taps, then the bias, into one strip of output rows (_STRIP_BYTES)
     before the next; every output element sums the same taps in the same
     order as a whole-plane loop, so its bits do not depend on the strips.
-    A dense 1x1 conv with stride 1 and no padding runs its forward as one
-    matmul; its backward is the tap loop's, with its single tap.
+    A dense 1x1 conv with stride 1 and no padding is a GEMM each way: its
+    forward is one matmul, and its backward two (dx = g W^T, dW = X^T g) with
+    no zeroed buffer.  The backward computes no dx for an input that carries
+    no gradient, and sums the bias gradient as one GEMV.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -609,7 +655,8 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
         # products over whole rows instead of C-long pieces
         w_rows = np.repeat(w.data, wo, axis=2)
 
-    if kh == kw == 1 and stride == 1 and padding == 0 and not depthwise:
+    pointwise = kh == kw == 1 and stride == 1 and padding == 0 and not depthwise
+    if pointwise:
         out = np.matmul(x.data, w.data[0, 0])
         out += bias.data
     else:
@@ -625,17 +672,25 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tenso
             out[rows] += bias.data
 
     def bwd(g):
-        dx = np.zeros_like(x.data)
+        need_dx = x._tracked()
+        if pointwise:
+            g2d = g.reshape(-1, cout)
+            dx = (g2d @ w.data[0, 0].T).reshape(x.data.shape) if need_dx else None
+            dw = (x.data.reshape(-1, cin).T @ g2d).reshape(w.data.shape)
+            return dx, dw, _channel_sum(g2d)
+        dx = np.zeros_like(x.data) if need_dx else None
         dw = np.zeros_like(w.data)
         (_, taps), = _tap_plan(h, wdt, kh, kw, stride, padding, ho)
         for i, j, o, v in taps:
             if depthwise:
                 dw[i, j, 0] = np.einsum("xyc,xyc->c", x.data[v], g[o])
-                dx[v] += g[o] * w_rows[i, j, o[1]]
+                if need_dx:
+                    dx[v] += g[o] * w_rows[i, j, o[1]]
             else:
                 dw[i, j] = np.matmul(x.data[v].transpose(0, 2, 1), g[o]).sum(axis=0)
-                dx[v] += np.matmul(g[o], w.data[i, j].T)
-        return dx, dw, g.sum(axis=(0, 1))
+                if need_dx:
+                    dx[v] += np.matmul(g[o], w.data[i, j].T)
+        return dx, dw, _channel_sum(g)
 
     return make_op("conv2d", out, (x, w, bias), bwd)
 
@@ -668,7 +723,7 @@ def conv_transpose2d(x, w, b) -> Tensor:
         gm = g.reshape(h, s, wdt, s, cout).transpose(0, 2, 1, 3, 4).reshape(h * wdt, s * s * cout)
         dx = (gm @ wm.T).reshape(h, wdt, cin)
         dw = (x.data.reshape(h * wdt, cin).T @ gm).reshape(cin, s, s, cout).transpose(1, 2, 0, 3)
-        return dx, dw, g.sum(axis=(0, 1))
+        return dx, dw, _channel_sum(g)
 
     return make_op("conv_transpose2d", out, (x, w, bias), bwd)
 

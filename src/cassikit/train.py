@@ -5,7 +5,9 @@ and the ground-truth cube.  One shared parameter store serves all stages, so
 each weight's gradient accumulates contributions from every stage through
 plain reverse-mode backprop.  The learning rate ramps linearly from zero
 over the warmup steps, then follows a half-cosine decay to zero; gradients
-are clipped to a global L2 norm before the update.
+are clipped to a global L2 norm before the update.  Gradients, Adam's
+moments and the weights each live in one flat buffer in store order, so a
+clip or an update is a few whole-buffer numpy calls, not a few per tensor.
 
 `train_overfit` is the supported desk-scale regime: simulate one measurement
 from a small truth patch, then fit the pipeline to reproduce the patch.  It
@@ -26,7 +28,7 @@ from .cassi import HsiCube, Measurement, SensingOperator, forward_measure
 from .errors import DivergenceError, NumericalError, ParameterError
 from .hqs import ReconConfig, run_hqs
 from .params import ParamStore
-from .tensor import Tensor, add, backward, cast, mul, reduce_mean, sqrt, sub
+from .tensor import Tensor, _check_finite, add, backward, cast, mul, reduce_mean, sqrt, sub
 
 
 # Fixed optimizer and loss settings: one value in use each, so no config field.
@@ -64,38 +66,58 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 
 class AdamState:
-    """First/second moment accumulators, bias-corrected at each step."""
+    """Adam over one flat buffer.  `weights` is the store's values moved into
+    one contiguous buffer (`ParamStore.flatten`: each tensor's data becomes a
+    view of it); `m` and `v`, the first and second moments, and the scratch
+    buffers share its layout and dtype."""
 
     def __init__(self, params: ParamStore):
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.weights = params.flatten()
+        self.m = np.zeros_like(self.weights)
+        self.v = np.zeros_like(self.weights)
+        self._scratch = (np.empty_like(self.weights), np.empty_like(self.weights))
         self.t = 0
 
 
-def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm <= max_norm.
+def clip_global_norm(grads: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient in place so its L2 norm is at most max_norm.
 
     Returns the pre-clip norm, summed in float64 so that float32 gradients
     cannot overflow it."""
-    total = math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values()))
+    wide = grads.astype(np.float64)
+    total = math.sqrt(wide @ wide)
     if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for name in grads:
-            grads[name] = grads[name] * scale
+        grads *= max_norm / (total + 1e-12)
     return total
 
 
-def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update: grads maps name -> ndarray."""
+def adam_step(state: AdamState, grads: np.ndarray, lr: float) -> None:
+    """One bias-corrected Adam update of `state.weights` in place; `grads` is
+    the flat gradient in the same layout.
+
+    Each element takes the operations of the per-tensor formula
+    w - lr * m_hat / (sqrt(v_hat) + eps) in the same order, so it gets the
+    same bits.  The new weights are checked before any weight changes: a
+    non-finite one raises NumericalError and leaves the weights as they were.
+    """
     state.t += 1
     t = state.t
-    for name, tensor in params.items():
-        g = grads[name]
-        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
-        m_hat = state.m[name] / (1.0 - BETA1 ** t)
-        v_hat = state.v[name] / (1.0 - BETA2 ** t)
-        tensor._assign(tensor.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    new, denom = state._scratch
+    state.m *= BETA1
+    state.m += np.multiply(grads, 1.0 - BETA1, out=new)
+    state.v *= BETA2
+    np.multiply(grads, grads, out=new)
+    new *= 1.0 - BETA2
+    state.v += new
+    np.divide(state.v, 1.0 - BETA2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(state.m, 1.0 - BETA1 ** t, out=new)
+    new *= lr
+    new /= denom
+    np.subtract(state.weights, new, out=new)
+    _check_finite(new, "assign")
+    np.copyto(state.weights, new)
 
 
 def charbonnier_loss(a: Tensor, b: Tensor) -> Tensor:
@@ -143,7 +165,7 @@ def train_overfit(truth: HsiCube, op: SensingOperator, params: ParamStore,
             loss_val, grads = _loss_and_grads(y, op, rcfg, params, truth_t)
             curve.append((step, lr, loss_val))
             clip_global_norm(grads, CLIP_NORM)
-            adam_step(params, grads, state, lr)
+            adam_step(state, grads, lr)
         except NumericalError as exc:
             raise DivergenceError(f"non-finite training state at step {step}: {exc}") from exc
     return TrainResult(params=params, curve=curve)
@@ -151,7 +173,8 @@ def train_overfit(truth: HsiCube, op: SensingOperator, params: ParamStore,
 
 def _loss_and_grads(y: Measurement, op: SensingOperator, rcfg: ReconConfig, params: ParamStore,
                     truth_t: Tensor) -> tuple:
-    """One step's forward and backward: (loss value, {name: gradient}).
+    """One step's forward and backward: (loss value, flat gradient in store
+    order, the layout of `AdamState.weights`).
 
     The step's graph lives only in this call, and `backward` frees it as it
     walks, so no tensor of one step is alive during the next step's forward.
@@ -162,7 +185,8 @@ def _loss_and_grads(y: Measurement, op: SensingOperator, rcfg: ReconConfig, para
     result = run_hqs(y, op, rcfg, params)
     loss = charbonnier_loss(result.z.data, truth_t)
     grad_map = backward(loss, params=params)
-    return float(loss.data.reshape(())), {name: grad_map[params[name]] for name in params.names()}
+    flat = np.concatenate([grad_map[t].ravel() for _, t in params.items()])
+    return float(loss.data.reshape(())), flat
 
 
 def curve_csv(curve: list) -> str:

@@ -13,16 +13,23 @@ attention is an (M^2 x M^2) matrix per window and head, and the per-head
 width is C/heads.  Non-local attention cuts the (H/N)x(W/N) cells of an NxN
 grid and makes each cell one token of width H*W*C/N^2, all in a single set,
 so its attention matrix is (N^2 x N^2) per head regardless of the image
-size; the per-head width is H*W*C/(heads*N^2).  In the core, Q, K, V each
-come from a pointwise conv followed by a depthwise 3x3 conv, the logits get
-a learned (zero-initialized) position bias before softmax, and a pointwise
-output projection finishes.  The core, from the Q, K, V planes and the bias
-to the attended plane, is one recorded op, `attend`, that keeps only its
-four inputs: its backward cuts the tokens again and recomputes the logits
-and softmax with the forward's numpy calls, so no (tokens x tokens) array
-outlives the forward and the gradients equal those of separate ops bit for
-bit.  `cut` and `merge` are mutual inverses and adjoints, so each carries
-the other's gradient.
+size; the per-head width is H*W*C/(heads*N^2).  In the core, Q, K and V
+come from one pointwise conv to 3C channels followed by one depthwise 3x3
+conv (the `qkv` weights; channel thirds are Q, K, V, as in Restormer), the
+logits get a learned (zero-initialized) position bias before softmax, and a
+pointwise output projection finishes.  The core, from the Q/K/V plane and
+the bias to the attended plane, is one recorded op, `attend`, that keeps
+only its two inputs: its backward cuts the tokens again and recomputes the
+logits and softmax with the forward's numpy calls, so no (tokens x tokens)
+array outlives the forward and the gradients equal those of separate ops
+bit for bit.  `cut` and `merge` are mutual inverses and adjoints, so each
+carries the other's gradient.  The gated feed-forward likewise runs its two
+branches as the channel halves of one pointwise + depthwise pair (the `in`
+weights) and gates them with one `gate` op.
+
+A checkpoint from before the fused layout (separate `q`/`k`/`v` and
+`gdfn.b1`/`gdfn.b2` entries) is refused with a FormatError naming the first
+fused entry it lacks.
 
 The denoiser conditions on the stage's fidelity weight eta by appending one
 constant eta-valued channel to its input before the embedding conv, and it
@@ -38,10 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cassi import HsiCube
-from .errors import ParameterError, ShapeError
+from .errors import FormatError, ParameterError, ShapeError
 from .params import Initializer, ParamScope
 from .tensor import (Tensor, _softmax, _softmax_vjp, add, as_tensor, concat, conv2d,
-                     conv_transpose2d, gelu, layer_norm, make_op, mul)
+                     conv_transpose2d, gate, layer_norm, make_op, mul)
 
 GDFN_EXPANSION = 2
 SECTIONS = ("enc1", "enc2", "mid", "dec2", "dec1")
@@ -83,9 +90,9 @@ _LEVEL_OF_SECTION = {"enc1": 0, "enc2": 1, "mid": 2, "dec2": 1, "dec1": 0}
 
 
 def _register_msa(init: Initializer, prefix: str, c: int, heads: int, tokens: int) -> None:
-    for name in ("q", "k", "v"):
-        init.conv(f"{prefix}.{name}.point", 1, 1, c, c)
-        init.conv(f"{prefix}.{name}.depth", 3, 3, 1, c)
+    # q, k, v as channel thirds of one pointwise + depthwise pair, drawn as
+    # three separate q, k, v pairs would be
+    init.stacked_convs(3, (f"{prefix}.qkv.point", 1, 1, c, c), (f"{prefix}.qkv.depth", 3, 3, 1, c))
     init.zeros(f"{prefix}.pos", (heads, tokens, tokens))
     init.conv(f"{prefix}.proj", 1, 1, c, c)
 
@@ -99,10 +106,9 @@ def _register_block(init: Initializer, prefix: str, c: int, heads: int, cfg: Lnl
     init.layer_norm(f"{prefix}.ln2", c)
     _register_msa(init, f"{prefix}.nonlocal", c, heads, n2)
     init.layer_norm(f"{prefix}.ln3", c)
-    init.conv(f"{prefix}.gdfn.b1.point", 1, 1, c, e)
-    init.conv(f"{prefix}.gdfn.b1.depth", 3, 3, 1, e)
-    init.conv(f"{prefix}.gdfn.b2.point", 1, 1, c, e)
-    init.conv(f"{prefix}.gdfn.b2.depth", 3, 3, 1, e)
+    # the gated and the gating branch as channel halves of one pair
+    init.stacked_convs(2, (f"{prefix}.gdfn.in.point", 1, 1, c, e),
+                       (f"{prefix}.gdfn.in.depth", 3, 3, 1, e))
     init.conv(f"{prefix}.gdfn.proj", 1, 1, e, c)
 
 
@@ -133,10 +139,10 @@ def register_lnlt_params(init: Initializer, cfg: LnltConfig, n_bands: int) -> No
 # ---------------------------------------------------------------------------
 
 def qkv_project(x: Tensor, w: ParamScope) -> Tensor:
-    """Pointwise conv then depthwise 3x3 conv (padding 1, shape-preserving)."""
+    """Pointwise conv then depthwise 3x3 conv (padding 1, shape-preserving):
+    with the `qkv` weights, the [H, W, 3C] plane of Q, K and V side by side."""
     t = conv2d(x, w["point.w"], w["point.b"])
-    c = t.shape[-1]
-    return conv2d(t, w["depth.w"], w["depth.b"], padding=1, groups=c)
+    return conv2d(t, w["depth.w"], w["depth.b"], padding=1, groups=t.shape[-1])
 
 
 def cut(a: np.ndarray, mh: int, mw: int, heads: int, cell_tokens: bool) -> np.ndarray:
@@ -167,13 +173,16 @@ def attention_layout(w: ParamScope) -> tuple:
     return shape[0], side
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, pos: Tensor, mh: int, mw: int,
-           cell_tokens: bool) -> Tensor:
+def attend(qkv: Tensor, pos: Tensor, mh: int, mw: int, cell_tokens: bool) -> Tensor:
     """softmax(Q K^T / sqrt(d) + pos) V over the tokens `cut` makes from the
-    [H, W, C] planes q, k, v, `merge`d back to [H, W, C]; heads come from the
-    (heads, length, length) bias.  One recorded op: its backward recomputes
-    the cuts, the logits and the softmax from the four inputs."""
-    h, wdt, c = q.shape
+    channel thirds Q, K, V of the [H, W, 3C] plane qkv, `merge`d back to
+    [H, W, C]; heads come from the (heads, length, length) bias.  One recorded
+    op: its backward recomputes the cuts, the logits and the softmax from its
+    two inputs and returns one [H, W, 3C] gradient."""
+    h, wdt, c3 = qkv.shape
+    c, rem = divmod(c3, 3)
+    if rem:
+        raise ShapeError(f"q/k/v plane width {c3} is not three equal parts")
     heads = pos.shape[0]
     width = mh * mw * c if cell_tokens else c
     if width % heads:
@@ -181,7 +190,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, pos: Tensor, mh: int, mw: int,
     scale = 1.0 / math.sqrt(width // heads)
 
     def tokens():  # the same numpy calls in forward and backward
-        qt, kt, vt = (cut(t.data, mh, mw, heads, cell_tokens) for t in (q, k, v))
+        qt, kt, vt = (cut(qkv.data[..., i * c:(i + 1) * c], mh, mw, heads, cell_tokens)
+                      for i in range(3))
         k_t = kt.transpose(0, 1, 3, 2)
         logits = np.matmul(qt, k_t)
         logits *= scale
@@ -196,17 +206,17 @@ def attend(q: Tensor, k: Tensor, v: Tensor, pos: Tensor, mh: int, mw: int,
         dqk = dlogits * scale
         dq = np.matmul(dqk, np.swapaxes(k_t, -1, -2))
         dk_t = np.matmul(np.swapaxes(qt, -1, -2), dqk)
-        return (merge(dq, h, wdt, mh, mw), merge(dk_t.transpose(0, 1, 3, 2), h, wdt, mh, mw),
-                merge(dv, h, wdt, mh, mw), dlogits.sum(axis=0))
+        dqkv = np.concatenate([merge(t, h, wdt, mh, mw)
+                               for t in (dq, dk_t.transpose(0, 1, 3, 2), dv)], axis=2)
+        return dqkv, dlogits.sum(axis=0)
 
     _, _, vt, p = tokens()
-    return make_op("attend", merge(np.matmul(p, vt), h, wdt, mh, mw), (q, k, v, pos), bwd)
+    return make_op("attend", merge(np.matmul(p, vt), h, wdt, mh, mw), (qkv, pos), bwd)
 
 
 def _msa(x: Tensor, w: ParamScope, mh: int, mw: int, cell_tokens: bool) -> Tensor:
-    """`attend` over the `qkv_project`ed planes of x, projected, plus x."""
-    q, k, v = (qkv_project(x, w.scope(name)) for name in ("q", "k", "v"))
-    mixed = attend(q, k, v, w["pos"], mh, mw, cell_tokens)
+    """`attend` over the `qkv_project`ed plane of x, projected, plus x."""
+    mixed = attend(qkv_project(x, w.scope("qkv")), w["pos"], mh, mw, cell_tokens)
     return add(conv2d(mixed, w["proj.w"], w["proj.b"]), x)
 
 
@@ -231,15 +241,12 @@ def nonlocal_msa(x: Tensor, w: ParamScope) -> Tensor:
 
 
 def gdfn(x: Tensor, w: ParamScope) -> Tensor:
-    """Gated feed-forward: two parallel pointwise+depthwise branches, one
-    GELU-gated, multiplied, projected back, plus the input."""
-    c1 = w.ranked("b1.point.w", 4).shape[3]
-    b1 = conv2d(conv2d(x, w["b1.point.w"], w["b1.point.b"]), w["b1.depth.w"], w["b1.depth.b"],
-                padding=1, groups=c1)
-    b2 = conv2d(conv2d(x, w["b2.point.w"], w["b2.point.b"]), w["b2.depth.w"], w["b2.depth.b"],
-                padding=1, groups=c1)
-    gated = mul(gelu(b1), b2)
-    return add(conv2d(gated, w["proj.w"], w["proj.b"]), x)
+    """Gated feed-forward: one pointwise+depthwise pair to 2e channels, whose
+    GELU'd first half gates its second half (`gate`), projected back, plus
+    the input."""
+    t = conv2d(x, w["in.point.w"], w["in.point.b"])
+    t = conv2d(t, w["in.depth.w"], w["in.depth.b"], padding=1, groups=t.shape[-1])
+    return add(conv2d(gate(t), w["proj.w"], w["proj.b"]), x)
 
 
 def block_forward(x: Tensor, w: ParamScope) -> Tensor:
@@ -260,6 +267,11 @@ def section_blocks(w: ParamScope, section: str) -> int:
 def lnlt_denoise(x: HsiCube, eta, w: ParamScope) -> HsiCube:
     """Denoise a cube conditioned on eta; returns input + predicted residual.
     Widths, heads, window and grid sides and block counts come from `w`."""
+    for entry in ("local.qkv.point.w", "nonlocal.qkv.point.w", "gdfn.in.point.w"):
+        if f"enc1.0.{entry}" not in w:
+            raise FormatError(f"checkpoint lacks {w.prefix}.enc1.0.{entry}: blocks hold fused qkv "
+                              f"and gdfn.in weights (a checkpoint written before that layout, "
+                              f"with q/k/v and gdfn.b1/b2 entries, cannot be read)")
     h, wdt, n_bands = x.shape
     embed_w = w.ranked("embed.w", 4)
     if embed_w.shape[2] != n_bands + 1:

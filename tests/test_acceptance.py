@@ -146,12 +146,13 @@ def _identity_msa(c: int, heads: int, tokens: int):
     store = ParamStore()
     init = Initializer(store, 0)
     _register_msa(init, "msa", c, heads, tokens)
-    for name in ("msa.q.point.w", "msa.q.depth.w", "msa.k.point.w", "msa.k.depth.w"):
-        store[name]._assign(np.zeros(store[name].shape))
-    store["msa.v.point.w"]._assign(np.eye(c)[None, None])
-    delta = np.zeros((3, 3, 1, c))
-    delta[1, 1, 0, :] = 1.0
-    store["msa.v.depth.w"]._assign(delta)
+    # channel thirds of the fused weights: zero Q and K, identity V
+    point = np.zeros((1, 1, c, 3 * c))
+    point[0, 0, :, 2 * c:] = np.eye(c)
+    depth = np.zeros((3, 3, 1, 3 * c))
+    depth[1, 1, 0, 2 * c:] = 1.0
+    store["msa.qkv.point.w"]._assign(point)
+    store["msa.qkv.depth.w"]._assign(depth)
     store["msa.proj.w"]._assign(np.eye(c)[None, None])
     return store.scope("msa")
 

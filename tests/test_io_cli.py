@@ -6,11 +6,14 @@ package in subprocesses so argument parsing, exit codes and file handling
 are exercised exactly as a user would hit them.
 """
 
+import contextlib
+import io
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -1003,3 +1006,217 @@ def test_every_setting_reads_the_same_from_config_and_flag(settings_inputs, tmp_
     by_flag = run("flags", chosen, {})
     assert run("config", {}, chosen) == by_flag
     assert run("flags-over-config", chosen, overridden) == by_flag
+
+
+def test_a_scene_smaller_than_the_ssim_window_scores_psnr_and_sam_and_writes_the_trace(
+        tmp_path, capsys):
+    truth, meas, out = (str(tmp_path / f"{k}.hsic") for k in ("truth", "meas", "out"))
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["phantom", "--height", "8", "--width", "8", "--bands", "2", "--seed", "3",
+                     "--out", truth]) == 0
+    assert cli.main(["simulate", "--truth", truth, "--out", meas]) == 0
+    capsys.readouterr()
+    code = cli.main(["reconstruct", "--measurement", meas, "--mask", str(tmp_path / "meas.mask.hsic"),
+                     "--stages", "1", "--truth", truth, "--out", out, "--trace", str(trace)])
+    printed = capsys.readouterr()
+    assert code == 0, printed.err
+    z, t = fileio.read_cube(out), fileio.read_cube(truth)
+    assert printed.out.splitlines()[1:] == [
+        f"trace -> {trace}",
+        f"psnr {metrics.psnr(z, t):.4f} dB  ssim n/a  sam {metrics.sam(z, t):.4f} deg"]
+    assert len(trace.read_text().splitlines()) == 3  # header, init row, one stage
+
+
+def test_the_trace_is_written_before_a_metric_fails(workbench, tmp_path):
+    zeros, out, trace = tmp_path / "zeros.hsic", tmp_path / "out.hsic", tmp_path / "trace.csv"
+    fileio.write_cube(str(zeros), np.zeros((16, 16, 4)))  # SAM has no angle: exit 8
+    proc = run_cli("reconstruct", "--measurement", workbench["meas"], "--mask", workbench["mask"],
+                   "--stages", 1, "--truth", zeros, "--out", out, "--trace", trace)
+    assert proc.returncode == 8
+    assert len(trace.read_text().splitlines()) == 3
+
+
+def _pre_fusion_store(store: ParamStore) -> ParamStore:
+    """The same weights in the layout written before q/k/v and the GDFN
+    branches were fused: per attention module q, k, v pairs of entries, per
+    GDFN gdfn.b1 and gdfn.b2 pairs, in registration order."""
+    arrays = {}
+    for name, t in store.items():
+        prefix, sep, _ = name.partition(".qkv.")
+        parts = ("q", "k", "v")
+        if not sep:
+            prefix, sep, _ = name.partition(".gdfn.in.")
+            parts = ("gdfn.b1", "gdfn.b2")
+        if not sep:
+            arrays[name] = t.data
+        elif name.endswith(".point.w"):  # a fused set's first entry: write the old set
+            for i, part in enumerate(parts):
+                for kind in ("point", "depth"):
+                    w, b = (store[f"{prefix}{sep}{kind}.{x}"].data for x in "wb")
+                    cs = slice(i * b.size // len(parts), (i + 1) * b.size // len(parts))
+                    arrays[f"{prefix}.{part}.{kind}.w"] = w[..., cs]
+                    arrays[f"{prefix}.{part}.{kind}.b"] = b[cs]
+    return ParamStore.from_arrays(arrays)
+
+
+def test_a_checkpoint_in_the_pre_fusion_layout_exits_2_naming_the_fused_entry(tmp_path, capsys):
+    files = _learned_inputs(tmp_path)
+    old = _pre_fusion_store(fileio.read_params(str(files["ckpt"])))
+    names = old.names()
+    assert "lnlt.enc1.0.local.q.point.w" in names and "lnlt.dec1.0.gdfn.b2.depth.b" in names
+    assert not any(".qkv." in n or ".gdfn.in." in n for n in names)
+    assert names.index("lnlt.enc1.0.local.k.point.w") < names.index("lnlt.enc1.0.local.pos")
+    fileio.write_params(str(files["ckpt"]), old)
+    out = tmp_path / "recon.hsic"
+    code = cli.main(["reconstruct", "--measurement", str(files["meas"]), "--mask",
+                     str(files["mask"]), "--params", str(files["ckpt"]), "--denoiser", "lnlt",
+                     "--use-den", "true", "--stages", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint lacks lnlt.enc1.0.local.qkv.point.w: blocks hold fused qkv and "
+        "gdfn.in weights")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# every command, generated arguments: only documented exit codes
+# ---------------------------------------------------------------------------
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4, 5, 6, 8, 9}  # README "Exit codes"; 7 is a defect
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Tiny valid inputs (a 16x16x2 scene, the smallest that `train`'s default
+    window and grid tile, and a C=4 checkpoint) and the corrupt files of the
+    container and config tests, by name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    f = {k: root / f"{k}.hsic" for k in ("truth", "plane", "meas")}
+    fileio.write_cube(str(f["truth"]), generate_phantom(16, 16, 2, seed=1).numpy())
+    fileio.write_cube(str(f["plane"]), random_binary_mask(16, 16, 2).data.data)
+    assert cli.main(["simulate", "--truth", str(f["truth"]), "--mask", str(f["plane"]),
+                     "--out", str(f["meas"])]) == 0
+    f["stack"] = root / "meas.mask.hsic"
+    f["ckpt"] = root / "ckpt.dprm"
+    arch = LnltConfig(base_channels=4, local_window=1, nonlocal_grid=1)
+    fileio.write_params(str(f["ckpt"]), cli.init_pipeline_params(2, arch, seed=7))
+    f["old-ckpt"] = root / "old.dprm"
+    fileio.write_params(str(f["old-ckpt"]),
+                        _pre_fusion_store(fileio.read_params(str(f["ckpt"]))))
+    for kind, corrupt in CUBE_CORRUPTIONS.items():
+        f[f"cube-{kind}"] = root / f"cube-{kind}.hsic"
+        f[f"cube-{kind}"].write_bytes(corrupt(_valid_cube_blob()))
+    for kind, corrupt in PARAM_CORRUPTIONS.items():
+        f[f"ckpt-{kind}"] = root / f"ckpt-{kind}.dprm"
+        f[f"ckpt-{kind}"].write_bytes(corrupt())
+    f["missing"] = root / "missing.hsic"
+    f["directory"] = root
+    return {k: str(v) for k, v in f.items()}
+
+
+# Per setting type, values that run or fail validation, and with them values
+# that do not parse; a quarter of the runs also draw those, so that most runs
+# get past argument parsing.
+FUZZ_VALUES = {int: ["0", "1", "2", "3"], float: ["1e-3", "0", "1e30"], bool: ["true", "false"]}
+FUZZ_JUNK = {int: ["-1", "x"], float: ["-1", "nan", "inf", "x"], bool: ["maybe"]}
+# each input option with the file it names in a run that draws no junk
+FILE_OPTIONS = {"simulate": {"--truth": "truth", "--mask": "plane"},
+                "train": {"--truth": "truth"},
+                "reconstruct": {"--measurement": "meas", "--mask": "stack", "--params": "ckpt",
+                                "--truth": "truth"}}
+
+
+@st.composite
+def cli_runs(draw, command):
+    """(argv with {name} file placeholders, config file bytes or None)."""
+    junk = draw(st.integers(0, 3)) == 0
+    argv = [command]
+    if command == "train":  # a given flag wins over the config file: one or two steps, not 500
+        argv += ["--steps", draw(st.sampled_from(["1", "2"])),
+                 "--warmup", draw(st.sampled_from(["0", "1", "3"]))]
+    for option, usual in FILE_OPTIONS[command].items():
+        if junk:
+            name = draw(st.sampled_from(FUZZ_FILE_NAMES + [None]))
+        else:  # only the learned routes read weights
+            name = draw(st.sampled_from([usual, None])) if option == "--params" else usual
+        if name is not None:
+            argv += [option, "{%s}" % name]
+    config = []
+    for key, kind, _, choices in cli.SETTINGS[command]:
+        if key in ("steps", "warmup"):
+            continue
+        if key == "mask_out":
+            values = ["{out_dir}/m.hsic"] + junk * ["{missing}/m.hsic"]
+        elif choices:
+            values = [*choices] + junk * ["bogus"]
+        else:
+            values = FUZZ_VALUES[kind] + junk * FUZZ_JUNK[kind]
+        where = draw(st.sampled_from(["", "", "", "flag", "config", "both"]))
+        if where in ("flag", "both"):
+            argv += ["--" + key.replace("_", "-"), draw(st.sampled_from(values))]
+        if where in ("config", "both"):
+            config.append(f"{key} = {draw(st.sampled_from(values))}\n".encode())
+    argv += ["--out", "{missing}/out.bin" if junk and draw(st.booleans()) else "{out_dir}/out.bin"]
+    extra = {"reconstruct": ["--trace", "{out_dir}/t.csv"], "train": ["--curve", "{out_dir}/c.csv"]}
+    argv += draw(st.sampled_from([[], extra.get(command, [])] + junk * [["--bogus"]]))
+    if junk:
+        config.append(draw(st.sampled_from([b"", b"bogus = 1\n", b"stages 4\n", NON_UTF8_CONFIG])))
+    return argv, (b"".join(config) if config else None)
+
+
+FUZZ_FILE_NAMES = ["truth", "plane", "meas", "stack", "ckpt", "old-ckpt", "missing", "directory",
+                   *(f"cube-{k}" for k in sorted(CUBE_CORRUPTIONS)),
+                   *(f"ckpt-{k}" for k in sorted(PARAM_CORRUPTIONS))]
+
+
+def _exit_code(argv: list) -> tuple:
+    """cli.main(argv) in-process: (exit code, stderr); argparse exits by SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _run_generated(tmp_path_factory, files, argv, config):
+    out_dir = tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())
+    names = dict(files, out_dir=out_dir)
+    argv = [arg.format(**names) for arg in argv]
+    if config is not None:
+        path = os.path.join(out_dir, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(config.replace(b"{out_dir}", out_dir.encode()))
+        argv += ["--config", path]
+    code, err = _exit_code(argv)
+    assert code in DOCUMENTED_EXIT_CODES, f"{argv} exited {code}: {err}"
+
+
+@pytest.mark.parametrize("command", sorted(FILE_OPTIONS))
+def test_generated_arguments_and_configs_exit_only_with_documented_codes(
+        tmp_path_factory, fuzz_files, command):
+    @settings(max_examples=30)
+    @given(cli_runs(command))
+    def check(run):
+        _run_generated(tmp_path_factory, fuzz_files, *run)
+
+    check()
+
+
+@settings(max_examples=25)
+@given(st.lists(st.sampled_from(["--height", "--width", "--bands", "--seed"]), max_size=4),
+       st.lists(st.sampled_from(FUZZ_VALUES[int] + FUZZ_JUNK[int]), min_size=4, max_size=4),
+       st.sampled_from(["{out_dir}/p.hsic", "{missing}/p.hsic", "{directory}"]))
+def test_generated_phantom_arguments_exit_only_with_documented_codes(
+        tmp_path_factory, fuzz_files, flags, values, out):
+    argv = ["phantom", *(a for flag, value in zip(flags, values) for a in (flag, value)),
+            "--out", out]
+    _run_generated(tmp_path_factory, fuzz_files, argv, None)
+
+
+@pytest.mark.parametrize("argv", [["selftest", "--level", "quick"], ["selftest", "--level", "all"],
+                                  ["selftest", "--bogus"], ["selftest", "--config", "x.cfg"]])
+def test_selftest_arguments_exit_only_with_documented_codes(argv):
+    code, err = _exit_code(argv)
+    assert code in DOCUMENTED_EXIT_CODES, f"{argv} exited {code}: {err}"

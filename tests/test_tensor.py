@@ -27,6 +27,11 @@ def leaf(arr) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
 
 
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a float array, so equality also sees the sign of zero."""
+    return np.ascontiguousarray(a).view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
 # ---------------------------------------------------------------------------
 # forward values
 # ---------------------------------------------------------------------------
@@ -429,6 +434,92 @@ def test_conv2d_strips_are_bit_identical_to_the_whole_plane_sum(h, w, cin, kh, k
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # sign of zero too
 
 
+@pytest.mark.parametrize("h,w,cin,cout", [(1, 1, 1, 1), (3, 5, 4, 6), (6, 2, 7, 3)])
+def test_pointwise_conv_backward_matches_brute_force_sums(h, w, cin, cout):
+    """dx = g W^T, dW = X^T g and the bias gradient, each against its
+    defining sum written as loops."""
+    rng = make_rng(37)
+    x, k, b = (leaf(rng.normal(size=s)) for s in ((h, w, cin), (1, 1, cin, cout), (cout,)))
+    g = rng.normal(size=(h, w, cout))
+    grads = backward(T.conv2d(x, k, b), seed=g)
+    dx = np.zeros((h, w, cin))
+    dw = np.zeros((1, 1, cin, cout))
+    db = np.zeros(cout)
+    for i in range(h):
+        for j in range(w):
+            for o in range(cout):
+                db[o] += g[i, j, o]
+                for c in range(cin):
+                    dx[i, j, c] += g[i, j, o] * k.data[0, 0, c, o]
+                    dw[0, 0, c, o] += x.data[i, j, c] * g[i, j, o]
+    for t, want in ((x, dx), (k, dw), (b, db)):
+        np.testing.assert_allclose(grads[t], want, rtol=1e-12, atol=1e-12)
+
+
+def test_pointwise_conv_gradients_match_finite_differences():
+    rng = make_rng(38)
+    x = Tensor(rng.normal(size=(5, 4, 3)))
+    store = _store_with({"w1": rng.normal(size=(1, 1, 3, 6)) * 0.5, "b1": rng.normal(size=6),
+                         "w2": rng.normal(size=(1, 1, 6, 2)) * 0.5, "b2": rng.normal(size=2),
+                         "probe": rng.normal(size=(5, 4, 2))})
+
+    def f(p):
+        u = T.gelu(T.conv2d(x, p["w1"], p["b1"]))
+        return T.reduce_sum(T.mul(T.conv2d(u, p["w2"], p["b2"]), p["probe"]))
+
+    report = fd_gradcheck(f, store, n_samples=40, seed=39)
+    assert report.passed, f"max rel err {report.max_rel_err:.3e}"
+
+
+@pytest.mark.parametrize("groups,kh", [(1, 1), (1, 3), (4, 3)], ids=["pointwise", "dense", "depthwise"])
+def test_conv2d_backward_computes_no_gradient_for_an_untracked_input(groups, kh):
+    rng = make_rng(40)
+    x = Tensor(rng.normal(size=(5, 6, 4)))
+    out = T.conv2d(x, leaf(rng.normal(size=(kh, kh, 4 // groups, 4))), leaf(np.zeros(4)),
+                   padding=kh // 2, groups=groups)
+    dx, dw, db = out._bwd(rng.normal(size=out.shape))
+    assert dx is None and dw.shape == (kh, kh, 4 // groups, 4) and db.shape == (4,)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gate_equals_gelu_of_the_first_half_times_the_second_bit_for_bit(dtype):
+    """Forward and gradient of the one-op gate equal those of slice, gelu and
+    mul as separate ops, as raw bits, and its gradient is one buffer."""
+    rng = make_rng(41)
+    a = Tensor(rng.normal(size=(5, 6, 8)).astype(dtype), requires_grad=True)
+    seed = rng.normal(size=(5, 6, 4)).astype(dtype)
+    fused = T.gate(a)
+    unfused = T.mul(T.gelu(T.slice_lastdim(a, 0, 4)), T.slice_lastdim(a, 4, 8))
+    assert fused._op == "gate" and fused._parents == (a,)
+    assert fused.data.dtype == dtype
+    np.testing.assert_array_equal(bits(fused.data), bits(unfused.data))
+    got, want = backward(fused, seed=seed)[a], backward(unfused, seed=seed)[a]
+    assert got.shape == a.shape and got.flags.c_contiguous
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("extent", [1, 3])
+def test_gate_refuses_an_odd_channel_count(extent):
+    with pytest.raises(ShapeError, match="gate needs an even"):
+        T.gate(Tensor(np.ones((2, 2, extent))))
+
+
+def test_channel_sums_of_layer_norm_and_conv_bias_match_numpy_sums():
+    """The GEMV sums of gamma's, beta's and a conv bias's gradients agree with
+    numpy's axis sums to rounding."""
+    rng = make_rng(42)
+    x, gamma, beta = (leaf(rng.normal(size=s)) for s in ((6, 5, 4), (4,), (4,)))
+    g = rng.normal(size=(6, 5, 4))
+    grads = backward(T.layer_norm(x, gamma, beta), seed=g)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = (x.data - mu) / np.sqrt(x.data.var(axis=-1, keepdims=True) + T.LAYER_NORM_EPS)
+    np.testing.assert_allclose(grads[gamma], (g * xhat).sum(axis=(0, 1)), rtol=1e-12)
+    np.testing.assert_allclose(grads[beta], g.sum(axis=(0, 1)), rtol=1e-12)
+    b = leaf(np.zeros(4))
+    got = backward(T.conv2d(Tensor(x.data), leaf(np.ones((3, 3, 4, 4))), b, padding=1), seed=g)[b]
+    np.testing.assert_allclose(got, g.sum(axis=(0, 1)), rtol=1e-12)
+
+
 @pytest.mark.parametrize("kh,kw,padding,groups", [(3, 3, 1, 1), (3, 3, 1, 4), (1, 1, 0, 1)],
                          ids=["dense", "depthwise", "pointwise"])
 def test_conv2d_leaves_its_operands_unchanged(kh, kw, padding, groups):
@@ -480,6 +571,7 @@ GRAD_BUILDERS = {
     "mul-div": lambda p: T.reduce_sum(T.div(T.mul(p["a"], p["b"]), T.add(p["b"], 4.0))),
     "relu-clamp": lambda p: T.reduce_sum(T.mul(T.relu(p["a"]), T.clamp(p["b"], -0.5, 0.5))),
     "gelu": lambda p: T.reduce_sum(T.gelu(T.mul(p["a"], p["b"]))),
+    "gate": lambda p: T.reduce_sum(T.mul(T.gate(T.mul(p["a"], p["b"])), T.gate(p["b"]))),
     "softplus-sqrt": lambda p: T.reduce_sum(T.sqrt(T.softplus(p["a"]))),
     "softmax": lambda p: T.reduce_sum(T.mul(T.softmax_lastdim(p["a"]), p["b"])),
     "layer-norm": lambda p: T.reduce_sum(
@@ -929,8 +1021,8 @@ def _op_cases():
         "conv2d-depthwise": _case(lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=1, groups=3),
                                   (5, 6, 3), (3, 3, 1, 3), (3,)),
         "conv-transpose2d": _case(T.conv_transpose2d, (3, 2, 3), (2, 2, 3, 2), (2,)),
-        "attend": _case(lambda q, k, v, pos: attend(q, k, v, pos, 2, 2, False),
-                        (4, 4, 4), (4, 4, 4), (4, 4, 4), (2, 4, 4)),
+        "attend": _case(lambda qkv, pos: attend(qkv, pos, 2, 2, False), (4, 4, 12), (2, 4, 4)),
+        "gate": _case(T.gate, (3, 4, 6)),
         "shift-unshift": _case(lambda a: unshift_cube(T.mul(shift_cube(a, 2), 2.0), 2), (3, 4, 3)),
     }
 

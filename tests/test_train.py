@@ -3,12 +3,13 @@ gradient accumulation across shared stages, and bit-reproducible loops."""
 
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cassikit.cassi import HsiCube, SensingOperator, forward_measure, random_binary_mask
-from cassikit.errors import DivergenceError, ParameterError
+from cassikit.errors import DivergenceError, NumericalError, ParameterError
 from cassikit.degradation import den_forward
 from cassikit.hqs import ReconConfig, data_step, init_estimate, run_hqs
 from cassikit.params import ParamStore
@@ -73,19 +74,29 @@ def test_config_validation():
 # Adam and clipping
 # ---------------------------------------------------------------------------
 
+def _adam(store):
+    """AdamState over `store`, and a step taking {name: gradient}."""
+    state = AdamState(store)
+
+    def step(grads, lr):
+        adam_step(state, np.concatenate([np.ravel(grads[n]) for n in store.names()]), lr)
+
+    return state, step
+
+
 def test_adam_first_two_updates_hand_computed():
     """Constant unit gradient: bias correction makes each update lr-sized."""
     store = ParamStore()
     store.add("p", np.array([1.0]))
-    state = AdamState(store)
+    _, step = _adam(store)
     lr = 1e-2
 
-    adam_step(store, {"p": np.array([1.0])}, state, lr)
+    step({"p": np.array([1.0])}, lr)
     # m=0.1, v=0.001; m_hat=1, v_hat=1 -> step = lr/(1+eps)
     want1 = 1.0 - lr * 1.0 / (1.0 + ADAM_EPS)
     assert store["p"].data[0] == pytest.approx(want1, abs=1e-15)
 
-    adam_step(store, {"p": np.array([1.0])}, state, lr)
+    step({"p": np.array([1.0])}, lr)
     m2 = 0.9 * 0.1 + 0.1 * 1.0
     v2 = 0.999 * 0.001 + 0.001 * 1.0
     m_hat = m2 / (1.0 - 0.9 ** 2)
@@ -97,8 +108,8 @@ def test_adam_first_two_updates_hand_computed():
 def test_adam_direction_follows_gradient_sign():
     store = ParamStore()
     store.add("p", np.array([0.0, 0.0]))
-    state = AdamState(store)
-    adam_step(store, {"p": np.array([2.0, -3.0])}, state, 1e-3)
+    _, step = _adam(store)
+    step({"p": np.array([2.0, -3.0])}, 1e-3)
     assert store["p"].data[0] < 0.0 < store["p"].data[1]
 
 
@@ -106,38 +117,94 @@ def test_adam_zero_gradient_is_a_no_op():
     store = ParamStore()
     store.add("p", np.array([1.5, -2.5]))
     before = store["p"].copy_array()
-    state = AdamState(store)
-    adam_step(store, {"p": np.zeros(2)}, state, 1e-2)
+    _, step = _adam(store)
+    step({"p": np.zeros(2)}, 1e-2)
     np.testing.assert_array_equal(store["p"].data, before)
 
 
 def test_adam_moments_and_updates_follow_float32_weights():
     store = ParamStore.from_arrays({"p": np.array([1.0, -2.0], np.float32)})
-    state = AdamState(store)
-    adam_step(store, {"p": np.array([0.5, -0.25], np.float32)}, state, 1e-2)
-    for arr in (store["p"].data, state.m["p"], state.v["p"]):
+    state, step = _adam(store)
+    step({"p": np.array([0.5, -0.25], np.float32)}, 1e-2)
+    for arr in (store["p"].data, state.weights, state.m, state.v):
         assert arr.dtype == np.float32
 
 
+def _random_float32_store(seed):
+    rng = make_rng(seed)
+    shapes = {"a.w": (3, 3, 2, 4), "a.b": (4,), "pos": (2, 4, 4), "ln.gamma": (5,)}
+    return ParamStore.from_arrays({name: rng.normal(size=shape).astype(np.float32)
+                                   for name, shape in shapes.items()}), rng
+
+
+def test_flat_adam_equals_the_per_tensor_formula_bit_for_bit():
+    """Three steps of the flat in-place update against Adam written per
+    tensor, on float32 weights, moments and gradients."""
+    store, rng = _random_float32_store(130)
+    want = {name: t.copy_array() for name, t in store.items()}
+    m = {name: np.zeros_like(a) for name, a in want.items()}
+    v = {name: np.zeros_like(a) for name, a in want.items()}
+    state, step = _adam(store)
+    for t, lr in enumerate((1e-3, 4e-4, 2e-2), start=1):
+        grads = {name: rng.normal(size=a.shape).astype(np.float32) for name, a in want.items()}
+        step(grads, lr)
+        for name, g in grads.items():
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+            v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+            m_hat = m[name] / (1.0 - 0.9 ** t)
+            v_hat = v[name] / (1.0 - 0.999 ** t)
+            want[name] = want[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for name, t_ in store.items():
+            assert t_.data.dtype == np.float32
+            np.testing.assert_array_equal(t_.data.view(np.uint32), want[name].view(np.uint32))
+    assert state.t == 3 and all(np.shares_memory(t_.data, state.weights) for _, t_ in store.items())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_adam_update_leaves_every_weight_unchanged():
+    store, _ = _random_float32_store(131)
+    before = store.arrays()
+    state, step = _adam(store)
+    grads = {name: np.ones(t.shape, np.float32) for name, t in store.items()}
+    with pytest.raises(NumericalError, match="'assign'"):
+        step(grads, 1e39)  # lr * m_hat overflows float32 in every element
+    for name, t in store.items():
+        np.testing.assert_array_equal(t.data, before[name])
+    assert state.t == 1
+
+
+def test_flat_clip_equals_the_per_tensor_formula():
+    """The flat clip scales a random float32 gradient like the per-tensor
+    clip: the joint norm summed in float64, one scale for every element."""
+    store, rng = _random_float32_store(132)
+    grads = {name: (rng.normal(size=t.shape) * 3.0).astype(np.float32) for name, t in store.items()}
+    flat = np.concatenate([g.ravel() for g in grads.values()])
+    want_norm = math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values()))
+    scale = 1.0 / (want_norm + 1e-12)
+    norm = clip_global_norm(flat, 1.0)
+    assert norm == pytest.approx(want_norm, rel=1e-12)
+    want = np.concatenate([(g * scale).ravel() for g in grads.values()])
+    assert flat.dtype == np.float32
+    np.testing.assert_allclose(flat, want, rtol=1e-6)
+
+
 def test_clip_norm_of_float32_gradients_is_summed_without_overflow():
-    big = np.full(4, 1e20, np.float32)  # its square overflows float32
-    grads = {"a": big.copy()}
+    grads = np.full(4, 1e20, np.float32)  # its square overflows float32
     assert clip_global_norm(grads, 1.0) == pytest.approx(2e20, rel=1e-6)
-    assert grads["a"].dtype == np.float32
-    np.testing.assert_allclose(grads["a"], 0.5, rtol=1e-6)
+    assert grads.dtype == np.float32
+    np.testing.assert_allclose(grads, 0.5, rtol=1e-6)
 
 
 def test_clip_rescales_only_above_the_threshold():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}  # joint norm 5
+    grads = np.array([3.0, 4.0])  # norm 5
     norm = clip_global_norm(grads, max_norm=1.0)
     assert norm == pytest.approx(5.0)
-    clipped = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    assert clipped == pytest.approx(1.0, abs=1e-9)
+    assert math.sqrt(float(grads @ grads)) == pytest.approx(1.0, abs=1e-9)
 
-    grads = {"a": np.array([0.3]), "b": np.array([0.4])}
+    grads = np.array([0.3, 0.4])
     norm = clip_global_norm(grads, max_norm=1.0)
     assert norm == pytest.approx(0.5)
-    np.testing.assert_array_equal(grads["a"], [0.3])
+    np.testing.assert_array_equal(grads, [0.3, 0.4])
 
 
 def test_charbonnier_loss_matches_formula_and_grads_check():
@@ -302,12 +369,16 @@ def desk_step_graph():
     return Graph.from_output(charbonnier_loss(result.z.data, truth.data)).order
 
 
-def test_desk_train_step_records_at_most_875_graph_nodes(desk_step_graph):
-    """Each attention core is one `attend` node: no token cut, merge, softmax
-    or `transpose` is recorded on its own."""
-    assert len(desk_step_graph) <= 875
-    recorded = {node._op for node in desk_step_graph}
-    assert not recorded & {"cut", "merge", "softmax_lastdim", "transpose"}
+def test_desk_train_step_records_at_most_610_graph_nodes(desk_step_graph):
+    """Each attention core is one `attend` node on one fused Q/K/V plane, and
+    each GDFN gate one `gate` node: no token cut, merge, softmax, `transpose`
+    or channel slice is recorded on its own (610 measured; 875 before the
+    q/k/v and GDFN fusion)."""
+    assert len(desk_step_graph) <= 610
+    recorded = Counter(node._op for node in desk_step_graph)
+    assert not set(recorded) & {"cut", "merge", "softmax_lastdim", "transpose"}
+    # 3 stages x 5 blocks; the estimator's head holds the only gelu (one per stage)
+    assert (recorded["attend"], recorded["gate"], recorded["gelu"]) == (30, 15, 3)
 
 
 def test_desk_train_step_graph_holds_at_most_13_8_mib_of_outputs(desk_step_graph):

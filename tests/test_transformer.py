@@ -57,9 +57,12 @@ def np_depthwise3(x, w, b):
     return out + b
 
 
-def np_qkv(x, arrs, name):
-    t = np_pointwise(x, arrs[f"{name}.point.w"], arrs[f"{name}.point.b"])
-    return np_depthwise3(t, arrs[f"{name}.depth.w"], arrs[f"{name}.depth.b"])
+def np_qkv(x, arrs, part):
+    """Q (part 0), K (1) or V (2) on its own, from its channel third of the
+    fused qkv weights."""
+    cs = slice(part * x.shape[-1], (part + 1) * x.shape[-1])
+    t = np_pointwise(x, arrs["qkv.point.w"][..., cs], arrs["qkv.point.b"][cs])
+    return np_depthwise3(t, arrs["qkv.depth.w"][..., cs], arrs["qkv.depth.b"][cs])
 
 
 def np_attend(q, k, v, pos_head, scale):
@@ -75,7 +78,7 @@ def np_attend(q, k, v, pos_head, scale):
 def oracle_local(x, arrs, m, heads):
     h, w, c = x.shape
     d = c // heads
-    q, k, v = (np_qkv(x, arrs, n) for n in ("q", "k", "v"))
+    q, k, v = (np_qkv(x, arrs, part) for part in range(3))
     mixed = np.zeros_like(x)
     for wi in range(0, h, m):
         for wj in range(0, w, m):
@@ -95,7 +98,7 @@ def oracle_nonlocal(x, arrs, n, heads):
     bh, bw = h // n, w // n
     width = bh * bw * c
     d = width // heads
-    q, k, v = (np_qkv(x, arrs, name) for name in ("q", "k", "v"))
+    q, k, v = (np_qkv(x, arrs, part) for part in range(3))
 
     def cells(t):
         return np.stack([t[a * bh:(a + 1) * bh, b * bw:(b + 1) * bw, :].reshape(-1)
@@ -115,19 +118,24 @@ def oracle_nonlocal(x, arrs, n, heads):
     return np_pointwise(mixed, arrs["proj.w"], arrs["proj.b"]) + x
 
 
+def set_identity_values(store, c):
+    """The V third of the fused qkv weights passes x through unchanged."""
+    point, depth = store["msa.qkv.point.w"].copy_array(), store["msa.qkv.depth.w"].copy_array()
+    point[..., 2 * c:] = np.eye(c)
+    depth[..., 2 * c:] = 0.0
+    depth[1, 1, 0, 2 * c:] = 1.0
+    store["msa.qkv.point.w"]._assign(point)
+    store["msa.qkv.depth.w"]._assign(depth)
+
+
 def identity_msa(c, heads, tokens):
     """Zero queries and keys, identity value path, identity projection."""
     store = ParamStore()
     _register_msa(Initializer(store, 0), "msa", c, heads, tokens)
-    eye = np.eye(c)[None, None]
-    delta = np.zeros((3, 3, 1, c))
-    delta[1, 1, 0, :] = 1.0
-    for name in ("q", "k"):
-        store[f"msa.{name}.point.w"]._assign(np.zeros((1, 1, c, c)))
-        store[f"msa.{name}.depth.w"]._assign(np.zeros((3, 3, 1, c)))
-    store["msa.v.point.w"]._assign(eye.copy())
-    store["msa.v.depth.w"]._assign(delta)
-    store["msa.proj.w"]._assign(eye.copy())
+    store["msa.qkv.point.w"]._assign(np.zeros((1, 1, c, 3 * c)))
+    store["msa.qkv.depth.w"]._assign(np.zeros((3, 3, 1, 3 * c)))
+    set_identity_values(store, c)
+    store["msa.proj.w"]._assign(np.eye(c)[None, None])
     return store.scope("msa")
 
 
@@ -186,9 +194,33 @@ def test_qkv_projection_matches_composition():
     rng = make_rng(60)
     store, w = msa_fixture(61, c=4, heads=2, tokens=16)
     x = rng.normal(size=(6, 6, 4))
-    got = qkv_project(Tensor(x), w.scope("q")).data
+    got = qkv_project(Tensor(x), w.scope("qkv")).data
     arrs = msa_arrays(store)
-    np.testing.assert_allclose(got, np_qkv(x, arrs, "q"), atol=1e-12)
+    want = np.concatenate([np_qkv(x, arrs, part) for part in range(3)], axis=2)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_fused_weights_hold_the_draws_of_separate_q_k_v_and_branch_pairs():
+    """The same PCG64 stream, in the same order, as q, k, v (and the two GDFN
+    branches) registered one pointwise + depthwise pair at a time."""
+    c, e = 4, GDFN_EXPANSION * 4
+    store = ParamStore()
+    _register_block(Initializer(store, 5), "blk", c, 2, LnltConfig(base_channels=c))
+    rng = make_rng(5)
+
+    def pair(cout):
+        point = rng.uniform(-1 / np.sqrt(c), 1 / np.sqrt(c), size=(1, 1, c, cout))
+        return point, rng.uniform(-1 / 3, 1 / 3, size=(3, 3, 1, cout))
+
+    for prefix, parts, cout in (("local.qkv", 3, c), ("nonlocal.qkv", 3, c), ("gdfn.in", 2, e)):
+        pairs = [pair(cout) for _ in range(parts)]
+        for i, kind in enumerate(("point", "depth")):
+            want = np.concatenate([p[i] for p in pairs], axis=3)
+            np.testing.assert_array_equal(store[f"blk.{prefix}.{kind}.w"].data, want)
+            np.testing.assert_array_equal(store[f"blk.{prefix}.{kind}.b"].data, 0.0)
+        if prefix.endswith("qkv"):
+            rng.uniform(size=(1, 1, c, c))  # the projection's draw
+    assert not any(".q." in n or ".b1." in n for n in store.names())
 
 
 def oracle_cases(square, other):
@@ -251,20 +283,28 @@ def test_cut_and_merge_are_exact_inverses_and_adjoints(layout, seed):
     assert np.vdot(t, b) == np.vdot(a, merge(b, h, w, mh, mw))
 
 
-def unfused_attend(q, k, v, pos, mh, mw, cell_tokens):
+def unfused_attend(qkv, pos, mh, mw, cell_tokens):
     """The attention core as separate engine ops: a recorded `cut` of each
-    operand (K's transposed), matmul, scale, bias, softmax, matmul and a
-    recorded `merge`."""
-    h, w, c = q.shape
+    channel third Q, K, V of the plane qkv (K's transposed), matmul, scale,
+    bias, softmax, matmul and a recorded `merge`."""
+    h, w, c3 = qkv.shape
+    c = c3 // 3
     heads = pos.shape[0]
     d = (mh * mw * c if cell_tokens else c) // heads
 
-    def tokens(t, axes=(0, 1, 2, 3)):
-        return make_op("cut", cut(t.data, mh, mw, heads, cell_tokens).transpose(axes), (t,),
-                       lambda g: (merge(g.transpose(axes), h, w, mh, mw),))
+    def tokens(part, axes=(0, 1, 2, 3)):
+        third = (..., slice(part * c, (part + 1) * c))
 
-    logits = add(mul(matmul(tokens(q), tokens(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), pos)
-    out = matmul(softmax_lastdim(logits), tokens(v))
+        def bwd(g):
+            full = np.zeros(qkv.shape)
+            full[third] = merge(g.transpose(axes), h, w, mh, mw)
+            return (full,)
+
+        return make_op("cut", cut(qkv.data[third], mh, mw, heads, cell_tokens).transpose(axes),
+                       (qkv,), bwd)
+
+    logits = add(mul(matmul(tokens(0), tokens(1, (0, 1, 3, 2))), 1.0 / math.sqrt(d)), pos)
+    out = matmul(softmax_lastdim(logits), tokens(2))
     return make_op("merge", merge(out.data, h, w, mh, mw), (out,),
                    lambda g: (cut(g, mh, mw, heads, cell_tokens),))
 
@@ -292,26 +332,26 @@ def closure_arrays(fn):
 @example((8, 8, 4, 4, 2, 4, False), 2)  # local: 4x4 windows, two heads of width 2
 @example((8, 12, 4, 4, 4, 8, False), 3)  # local: 2x3 windows, four heads of width 2
 def test_attend_matches_the_unfused_ops_bit_for_bit(layout, seed):
-    """Output, dQ, dK, dV and dpos of the one-op core, whose backward
-    recomputes the softmax, equal those of the separate ops as uint64 bits;
-    the recorded op keeps only its four inputs, and a `no_grad` forward gives
-    the same bits."""
+    """Output, d(QKV) and dpos of the one-op core, whose backward recomputes
+    the softmax, equal those of the separate ops on the same Q/K/V plane as
+    uint64 bits; the recorded op keeps only its two inputs and returns one
+    plane-shaped gradient, and a `no_grad` forward gives the same bits."""
     h, w, mh, mw, heads, c, cell_tokens = layout
     length = (h // mh) * (w // mw) if cell_tokens else mh * mw
     rng = make_rng(seed)
-    q, k, v = (Tensor(rng.normal(size=(h, w, c)), requires_grad=True) for _ in range(3))
+    qkv = Tensor(rng.normal(size=(h, w, 3 * c)), requires_grad=True)
     pos = Tensor(rng.normal(size=(heads, length, length)) * 0.2, requires_grad=True)
     seed_grad = rng.normal(size=(h, w, c))
-    fused = attend(q, k, v, pos, mh, mw, cell_tokens)
-    assert fused._op == "attend" and fused._parents == (q, k, v, pos)
+    fused = attend(qkv, pos, mh, mw, cell_tokens)
+    assert fused._op == "attend" and fused._parents == (qkv, pos)
     assert closure_arrays(fused._bwd) == []
     with no_grad():
-        plain = attend(q, k, v, pos, mh, mw, cell_tokens)
-    unfused = unfused_attend(q, k, v, pos, mh, mw, cell_tokens)
+        plain = attend(qkv, pos, mh, mw, cell_tokens)
+    unfused = unfused_attend(qkv, pos, mh, mw, cell_tokens)
     np.testing.assert_array_equal(bits(fused.data), bits(plain.data))
     np.testing.assert_array_equal(bits(fused.data), bits(unfused.data))
     got, want = backward(fused, seed=seed_grad), backward(unfused, seed=seed_grad)
-    for leaf in (q, k, v, pos):
+    for leaf in (qkv, pos):
         assert got[leaf].shape == leaf.shape
         np.testing.assert_array_equal(bits(got[leaf]), bits(want[leaf]))
 
@@ -349,13 +389,11 @@ def test_attention_rows_are_distributions():
     x = np.broadcast_to(make_rng(69).normal(size=c), (8, 8, c)).copy()
     for seed, tokens, attend in ((68, 16, local_msa), (70, 4, nonlocal_msa)):
         store, w = msa_fixture(seed, c=c, heads=2, tokens=tokens)
-        delta = np.zeros((3, 3, 1, c))
-        delta[1, 1, 0, :] = 1.0
-        store["msa.v.point.w"]._assign(np.eye(c)[None, None])
-        store["msa.v.depth.w"]._assign(delta)
+        set_identity_values(store, c)
         store["msa.proj.w"]._assign(np.eye(c)[None, None])
-        for name in ("msa.v.point.b", "msa.v.depth.b", "msa.proj.b"):
-            store[name]._assign(np.zeros(c))
+        for name in ("msa.qkv.point.b", "msa.qkv.depth.b"):
+            store[name]._assign(np.concatenate([store[name].data[:2 * c], np.zeros(c)]))
+        store["msa.proj.b"]._assign(np.zeros(c))
         np.testing.assert_allclose(attend(Tensor(x), w).data, 2.0 * x, atol=1e-12)
 
 
@@ -389,10 +427,7 @@ def gdfn_fixture(seed, c):
     store = ParamStore()
     init = Initializer(store, seed)
     e = GDFN_EXPANSION * c
-    init.conv("g.b1.point", 1, 1, c, e)
-    init.conv("g.b1.depth", 3, 3, 1, e)
-    init.conv("g.b2.point", 1, 1, c, e)
-    init.conv("g.b2.depth", 3, 3, 1, e)
+    init.stacked_convs(2, ("g.in.point", 1, 1, c, e), ("g.in.depth", 3, 3, 1, e))
     init.conv("g.proj", 1, 1, e, c)
     return store, store.scope("g")
 
@@ -406,11 +441,13 @@ def test_gdfn_matches_manual_composition():
     x = rng.normal(size=(6, 6, 4))
     got = gdfn(Tensor(x), w).data
 
-    def branch(prefix):
-        t = np_pointwise(x, store[f"g.{prefix}.point.w"].data, store[f"g.{prefix}.point.b"].data)
-        return np_depthwise3(t, store[f"g.{prefix}.depth.w"].data, store[f"g.{prefix}.depth.b"].data)
+    def branch(half):
+        """The gated (0) or the gating (1) branch from its channel half of the `in` weights."""
+        cs = slice(half * 8, (half + 1) * 8)
+        t = np_pointwise(x, store["g.in.point.w"].data[..., cs], store["g.in.point.b"].data[cs])
+        return np_depthwise3(t, store["g.in.depth.w"].data[..., cs], store["g.in.depth.b"].data[cs])
 
-    b1, b2 = branch("b1"), branch("b2")
+    b1, b2 = branch(0), branch(1)
     act = 0.5 * b1 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (b1 + 0.044715 * b1 ** 3)))
     want = np_pointwise(act * b2, store["g.proj.w"].data, store["g.proj.b"].data) + x
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -418,7 +455,8 @@ def test_gdfn_matches_manual_composition():
 
 def test_gdfn_expansion_width():
     store, w = gdfn_fixture(76, c=8)
-    assert w["b1.point.w"].shape == (1, 1, 8, 16)
+    assert w["in.point.w"].shape == (1, 1, 8, 32)
+    assert w["in.depth.w"].shape == (3, 3, 1, 32)
     assert w["proj.w"].shape == (1, 1, 16, 8)
 
 
