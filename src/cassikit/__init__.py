@@ -21,7 +21,6 @@ from .metrics import psnr, sam, ssim
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom
 from .priors import total_variation, tv_denoise
-from .selftest import run_selftest
 from .tensor import Graph, Tensor, backward, fd_gradcheck, no_grad
 from .train import TrainConfig, charbonnier_loss, lr_at, train_overfit
 from .transformer import LnltConfig

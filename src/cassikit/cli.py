@@ -33,10 +33,9 @@ from .cassi import (HsiCube, Mask2D, Measurement, SensingOperator,
 from .degradation import register_den_params
 from .errors import (CassikitError, FormatError, MissingParamsError, OutOfMemoryError,
                      ParameterError, ShapeError)
-from .hqs import DENOISERS, ReconConfig, run_hqs, trace_csv
+from .hqs import DENOISERS, ReconConfig, classical_dtype, run_hqs, trace_csv
 from .params import Initializer, ParamStore
 from .phantom import generate_phantom
-from .selftest import format_report, run_selftest
 from .tensor import Tensor, no_grad
 from .train import TrainConfig, curve_csv, train_overfit
 from .transformer import (LnltConfig, attention_layout, register_lnlt_params,
@@ -77,7 +76,7 @@ SETTINGS = {
         ("stages", int, 3, None),
         ("steps", int, 500, None),
         ("lr", float, 4e-4, None),
-        ("warmup", int, 10, None),
+        ("warmup", int, None, None),  # None: min(10, steps)
         ("seed", int, 0, None),
         ("mask_seed", int, 0, None),
         ("step", int, 2, None),
@@ -188,8 +187,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _operator_from_mask_file(path: str, step: int, bands: int | None,
-                             y_shape: tuple) -> SensingOperator:
-    cube = fileio.read_cube(path)
+                             y_shape: tuple, dtype) -> SensingOperator:
+    cube = fileio.read_cube(path).astype(dtype, copy=False)
     if cube.shape[2] == 1:
         if bands is None:
             raise ParameterError("--bands is required with a single-plane mask file")
@@ -227,14 +226,18 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     y_arr = fileio.read_cube(args.measurement)
     if y_arr.shape[2] != 1:
         raise ShapeError(f"measurement must be a single plane, got {y_arr.shape[2]}")
-    y = Measurement(Tensor(y_arr[:, :, 0]))
-    op = _operator_from_mask_file(args.mask, args.step, args.bands, y.shape)
+    cfg = ReconConfig(stages=args.stages, denoiser=args.denoiser, use_den=args.use_den)
+    learned = args.use_den or args.denoiser == "lnlt"
+    # float32, the payload's precision and the learned weights', unless the
+    # classical schedule needs float64
+    dtype = np.float32 if learned else classical_dtype(y_arr, cfg)
+    y = Measurement(Tensor(y_arr[:, :, 0].astype(dtype, copy=False)))
+    op = _operator_from_mask_file(args.mask, args.step, args.bands, y.shape, dtype)
     if y.shape != op.measurement_shape:
         raise ShapeError(f"measurement {y.shape} does not match operator {op.measurement_shape}")
 
-    cfg = ReconConfig(stages=args.stages, denoiser=args.denoiser, use_den=args.use_den)
     params = None
-    if args.use_den or args.denoiser == "lnlt":
+    if learned:
         if args.params is None:
             raise MissingParamsError("learned components need --params CHECKPOINT")
         params = fileio.read_params(args.params)
@@ -255,7 +258,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         _write_text(args.trace, trace_csv(result))
         print(f"trace -> {args.trace}")
     if truth is not None:
-        # the metrics read float64: the learned route's float32 cube widens once, not per metric
+        # SSIM and SAM read float64: a float32 cube widens once, not per metric
         z, t = z.astype(np.float64, copy=False), truth.data.data
         psnr = metrics.psnr(z, t)  # checks the shapes before SSIM reads the extents
         # SSIM's window does not fit a scene under SSIM_WINDOW pixels on a side
@@ -273,7 +276,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                       local_window=args.window, nonlocal_grid=args.grid)
     params = init_pipeline_params(n_bands, arch, args.seed)
     rcfg = ReconConfig(stages=args.stages, denoiser="lnlt", use_den=True)
-    tcfg = TrainConfig(steps=args.steps, lr=args.lr, warmup_steps=args.warmup)
+    warmup = min(10, args.steps) if args.warmup is None else args.warmup
+    tcfg = TrainConfig(steps=args.steps, lr=args.lr, warmup_steps=warmup)
     result = train_overfit(truth, op, params, tcfg, rcfg)
     fileio.write_params(args.out, result.params)
     print(f"params ({result.params.n_values} values) -> {args.out}")
@@ -285,6 +289,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import format_report, run_selftest  # no other command compiles it
     results = run_selftest(args.level)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFTEST

@@ -21,8 +21,9 @@ instances.  Two ways to drive the recurrence:
   eta_k.  One shared parameter store serves every stage, and its dtype sets
   the route's precision: the measurement and the operator are cast to it
   (float32 for the weights `init_pipeline_params` makes and `read_params`
-  loads).  The classical route keeps its inputs' precision, float64 from
-  the CLI.
+  loads).  The classical route keeps its inputs' precision: the CLI builds
+  them in float32, the `.hsic` payload's precision, unless
+  `classical_dtype` finds that the mu schedule needs float64.
 
 The TV denoiser is used as the proximal map of weight * TV at weight
 TV_SCALE / eta_k (larger eta means a tighter data fit and lighter smoothing).
@@ -43,7 +44,7 @@ from .cassi import (HsiCube, Measurement, SensingOperator, adjoint_apply,
 from .degradation import den_forward
 from .errors import MissingParamsError, NumericalError, ParameterError, ShapeError
 from .params import ParamStore
-from .priors import tv_denoise
+from .priors import fits_float32, tv_denoise
 from .tensor import Tensor, add, as_tensor, cast, div, no_grad, sub
 from .transformer import LnltConfig, lnlt_denoise
 
@@ -143,6 +144,19 @@ def _mu_schedule(cfg: ReconConfig, k: int) -> float:
     return cfg.mu_start * cfg.mu_growth ** (k - 1)
 
 
+def classical_dtype(y: np.ndarray, cfg: ReconConfig) -> type:
+    """The classical route's precision on measurement `y`: float32 while each
+    stage's TV prox computes in float32 (`priors.fits_float32`) on a scene
+    as large as y's peak, and float64 otherwise.  The mu schedule is
+    geometric, so its first and last stages bound it."""
+    try:
+        etas = [_mu_schedule(cfg, k) / LAM for k in {1, max(cfg.stages, 1)}]
+    except OverflowError:
+        return np.float64
+    fits = all(eta > 0 and fits_float32(y, TV_SCALE / eta) for eta in etas)
+    return np.float32 if fits else np.float64
+
+
 def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
             params: Optional[ParamStore] = None,
             truth: Optional[HsiCube] = None) -> ReconResult:
@@ -188,9 +202,9 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
         if cfg.denoiser == "identity":
             z = x
         elif cfg.denoiser == "tv":
-            # the prox runs in float64; its output returns to the route's dtype
-            z_tv = tv_denoise(x.data.data, TV_SCALE / eta_f, TV_ITERS)
-            z = HsiCube(Tensor(z_tv.astype(x.data.data.dtype, copy=False)))
+            # the prox returns the route's dtype (tv_denoise: a float32 cube it
+            # cannot hold in float32 computes in float64 and is rounded back)
+            z = HsiCube(Tensor(tv_denoise(x.data.data, TV_SCALE / eta_f, TV_ITERS)))
         else:
             z = lnlt_denoise(x, eta_k, params.scope("lnlt"))
 

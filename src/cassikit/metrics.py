@@ -1,7 +1,7 @@
 """Image-quality metrics for hyperspectral reconstructions.
 
 All metrics take plain numpy arrays (cubes [H, W, N] or single planes) and
-read them in float64.  PSNR and SSIM score cubes normalized to [0, 1], so
+compute in float64.  PSNR and SSIM score cubes normalized to [0, 1], so
 peak and data range are 1; SSIM follows the standard Gaussian-window
 formulation (11x11 window, sigma 1.5, K1 = 0.01, K2 = 0.03) averaged over
 bands; SAM is the mean per-pixel spectral angle in degrees.
@@ -21,9 +21,9 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as arrays of one shape and finite values, each in its own dtype."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ShapeError(f"metric operands differ in shape: {a.shape} vs {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -31,10 +31,17 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _operands(a, b)
+    return a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+
+
 def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB at peak 1; identical inputs give the 99 dB cap."""
-    a, b = _check_pair(a, b)
-    mse = float(np.mean((a - b) ** 2))
+    a, b = _operands(a, b)
+    err = np.subtract(a, b, dtype=np.float64)  # one float64 buffer, no widened operand
+    err *= err
+    mse = float(np.mean(err))
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / mse))

@@ -20,6 +20,14 @@ second reads a zero last column where a row wraps into the next.  gy is the
 flat forward difference with its wrapped last column set back to zero.
 Every op is a contiguous 1-D pass, and an axis of length 1 needs no special
 case: its differences and duals are all zero.
+
+A float32 input is denoised in float32 and a float64 one in float64; any
+other dtype is read as float64.  A float32 input computes in float32 while
+`fits_float32` holds: the weight is a normal float32 number within
+[2^-56, 2^56] and |g|/weight is at most 2^56.  The duals stay within 1, so
+|u| <= |g|/weight + 4 and the squared gradient of u is at most
+8 (2^56 + 4)^2, about 2^115, 2^13 below the largest float32.  Otherwise the
+kernel computes the float32 input in float64 and rounds the result once.
 """
 
 from __future__ import annotations
@@ -31,6 +39,14 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 
 DUAL_STEP = 0.25
+F32_SPAN = 2.0 ** 56  # float32 computes while weight and |g|/weight are within it
+
+
+def fits_float32(x: np.ndarray, weight: float) -> bool:
+    """Whether the prox of float32 x at `weight` computes in float32 (see the
+    module docstring)."""
+    peak = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+    return 1.0 / F32_SPAN <= weight <= F32_SPAN and peak <= F32_SPAN * weight
 
 
 def _grad2d(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,10 +91,10 @@ def _div_flat(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray,
     return out
 
 
-def _tv_bands(x: np.ndarray, weight: float, iters: int, out: np.ndarray) -> None:
-    """Chambolle's dual iteration on each band of x [H, W, N], into out."""
+def _tv_bands(x: np.ndarray, weight: float, iters: int, out: np.ndarray, dtype) -> None:
+    """Chambolle's dual iteration in `dtype` on each band of x [H, W, N], into out."""
     h, w, n = x.shape
-    g, g_w, px, py, gx, gy, u, denom = np.empty((8, h * w))
+    g, g_w, px, py, gx, gy, u, denom = np.empty((8, h * w), dtype=dtype)
     for band in range(n):
         np.copyto(g.reshape(h, w), x[:, :, band])
         np.divide(g, weight, out=g_w)
@@ -108,10 +124,14 @@ def _tv_bands(x: np.ndarray, weight: float, iters: int, out: np.ndarray) -> None
 def tv_denoise(x: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
     """Proximal TV denoising, applied per band for rank-3 inputs.
 
-    weight = 0 short-circuits to the identity.  The output never has larger
-    per-band total variation than the input.
+    A float32 input gives a float32 output; any other input is read, and
+    denoised, as float64.  weight = 0 short-circuits to the identity.  The
+    output never has larger per-band total variation than the input.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    weight = float(weight)  # a Python float takes a float32 input's dtype
     if not math.isfinite(weight):
         raise ParameterError(f"tv weight must be finite, got {weight}")
     if weight < 0:
@@ -122,6 +142,9 @@ def tv_denoise(x: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
         return x.copy()
     if x.ndim not in (2, 3):
         raise ShapeError(f"tv_denoise expects rank 2 or 3, got rank {x.ndim}")
+    dtype = x.dtype
+    if dtype == np.float32 and not fits_float32(x, weight):
+        dtype = np.float64
     out = np.empty_like(x)
-    _tv_bands(np.atleast_3d(x), weight, iters, np.atleast_3d(out))
+    _tv_bands(np.atleast_3d(x), weight, iters, np.atleast_3d(out), dtype)
     return out

@@ -332,18 +332,39 @@ def check_tv_prior() -> float:
     return err
 
 
+def _pnp_scene() -> tuple:
+    """64x64x8 phantom, its step-2 operator and noiseless measurement."""
+    truth = generate_phantom(64, 64, 8, seed=5)
+    op = SensingOperator.from_mask(random_binary_mask(64, 64, 6), 8, 2)
+    return truth, op, forward_measure(truth, op)
+
+
 def check_pnp_improvement() -> float:
     """PSNR must improve over the init, and the stage residual must shrink
     from the first recorded stage to the last."""
-    truth = generate_phantom(64, 64, 8, seed=5)
-    op = SensingOperator.from_mask(random_binary_mask(64, 64, 6), 8, 2)
-    y = forward_measure(truth, op)
+    truth, op, y = _pnp_scene()
     cfg = ReconConfig(stages=9, denoiser="tv")
     trace = run_hqs(y, op, cfg, truth=truth).trace
     init, first, final = trace[0], trace[1], trace[-1]
     err = max(0.0, init.psnr_vs_truth - final.psnr_vs_truth)
     err = max(err, (final.residual_norm - first.residual_norm) / first.residual_norm)
     return max(0.0, err)
+
+
+def check_tv_route_f32() -> float:
+    """The TV route on float32 inputs, as the CLI runs it, against the same
+    route in float64: the largest difference over the float64 peak, and any
+    PSNR the float32 route loses against its own initialization."""
+    truth, op, y = _pnp_scene()
+    cfg = ReconConfig(stages=9, denoiser="tv")
+    z64 = run_hqs(y, op, cfg).z.data.data
+    y32 = Measurement(Tensor(y.data.data.astype(np.float32)))
+    r32 = run_hqs(y32, op.astype(np.float32), cfg, truth=truth)
+    z32 = r32.z.data.data
+    if z32.dtype != np.float32:
+        return float("inf")
+    err = float(np.abs(z32 - z64).max() / np.abs(z64).max())
+    return max(err, r32.trace[0].psnr_vs_truth - r32.trace[-1].psnr_vs_truth)
 
 
 CHECKS = (
@@ -358,6 +379,7 @@ CHECKS = (
     ("grad-den", check_grad_den, 1e-3, "quick"),
     ("metrics", check_metrics, 1e-9, "quick"),
     ("tv-prior", check_tv_prior, 1e-12, "quick"),
+    ("tv-route-f32", check_tv_route_f32, 1e-6, "quick"),
     ("pnp-improvement", check_pnp_improvement, 1e-12, "full"),
 )
 

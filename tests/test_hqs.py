@@ -12,8 +12,8 @@ from cassikit.cassi import (HsiCube, Measurement, SensingOperator,
                             forward_measure, materialize_dense,
                             random_binary_mask, shift_cube)
 from cassikit.errors import MissingParamsError, ParameterError, ShapeError
-from cassikit.hqs import (ReconConfig, data_step, init_estimate, run_hqs,
-                          trace_csv)
+from cassikit.hqs import (ReconConfig, classical_dtype, data_step, init_estimate,
+                          run_hqs, trace_csv)
 from cassikit.phantom import generate_phantom
 from cassikit.tensor import Tensor
 
@@ -172,6 +172,33 @@ def test_tv_reconstruction_improves_psnr_and_residual():
     np.testing.assert_allclose(mus, 1e-4 * 3.0 ** np.arange(9), rtol=1e-12)
     etas = [r.eta for r in trace[1:]]
     np.testing.assert_allclose(etas, np.asarray(mus) / 1e-4, rtol=1e-12)
+
+
+def test_tv_route_in_float32_reads_acceptance_08s_margin():
+    """Acceptance 08's scene with its measurement and operator in float32,
+    as the CLI builds them: the route stays float32 and its PSNR margin
+    (6.729367 dB in float64) moves by less than 1e-4 dB."""
+    truth = generate_phantom(64, 64, 8, seed=5)
+    op = SensingOperator.from_mask(random_binary_mask(64, 64, 6), 8, 2)
+    y = Measurement(Tensor(forward_measure(truth, op).data.data.astype(np.float32)))
+    result = run_hqs(y, op.astype(np.float32), ReconConfig(stages=9, denoiser="tv"), truth=truth)
+    assert result.z.data.data.dtype == np.float32
+    margin = result.trace[-1].psnr_vs_truth - result.trace[0].psnr_vs_truth
+    assert abs(margin - 6.729367) <= 1e-4
+
+
+def test_classical_dtype_follows_the_schedule_and_the_measurement_scale():
+    y = np.full((4, 6), 3.0)
+    assert classical_dtype(y, ReconConfig()) == np.float32
+    assert classical_dtype(y, ReconConfig(stages=0)) == np.float32
+    # eta_k = 3^(k-1) passes 2^56 / 3 at stage 36 (weight 1/eta against a peak of 3)
+    assert classical_dtype(y, ReconConfig(stages=35)) == np.float32
+    for cfg in (ReconConfig(stages=36), ReconConfig(stages=120),
+                ReconConfig(stages=1000),  # mu_growth ** 999 overflows a Python float
+                ReconConfig(mu_start=1e-40), ReconConfig(mu_growth=1e-3)):
+        assert classical_dtype(y, cfg) == np.float64, cfg
+    assert classical_dtype(y * 1e30, ReconConfig(stages=1)) == np.float64
+    assert classical_dtype(np.zeros((4, 6)), ReconConfig(stages=35)) == np.float32
 
 
 def test_learned_pipeline_runs_and_traces(square_operator):

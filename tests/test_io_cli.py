@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cassikit import cli, errors, fileio, metrics
-from cassikit.cassi import (Measurement, SensingOperator, forward_measure,
+from cassikit.cassi import (HsiCube, Measurement, SensingOperator, forward_measure,
                             random_binary_mask)
 from cassikit.errors import CassikitError, FormatError, ShapeError
 from cassikit.hqs import ReconConfig, run_hqs, trace_csv
@@ -646,6 +646,74 @@ def test_training_with_zero_stages_exits_2_before_any_step(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: training needs at least one stage, got stages=0\n"
     assert not (tmp_path / "w.dprm").exists()
+
+
+def test_train_warmup_defaults_to_at_most_the_step_count(tmp_path, capsys):
+    """Without --warmup, two steps warm up over both (lr 0, then lr/2); a
+    warmup that is given is checked against the step count."""
+    truth, curve, cfg = tmp_path / "tiny.hsic", tmp_path / "c.csv", tmp_path / "w.cfg"
+    fileio.write_cube(str(truth), generate_phantom(8, 8, 2, seed=2).numpy())
+    argv = ["train", "--truth", str(truth), "--stages", "1", "--steps", "2", "--lr", "1e-4",
+            "--channels", "4", "--window", "1", "--grid", "1", "--out", str(tmp_path / "w.dprm")]
+    assert cli.main(argv + ["--curve", str(curve)]) == 0
+    assert [float(row.split(",")[1]) for row in curve.read_text().splitlines()[1:]] == [0.0, 5e-5]
+    cfg.write_text("warmup = 3\n")
+    for extra in (["--warmup", "3"], ["--config", str(cfg)]):
+        capsys.readouterr()
+        assert cli.main(argv + extra) == 2
+        assert capsys.readouterr().err == "error: warmup 3 invalid for 2 steps\n"
+
+
+def test_only_the_selftest_command_imports_the_battery():
+    probe = "import sys, cassikit.cli; print('cassikit.selftest' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    proc = run_cli("selftest")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("all checks passed")
+
+
+def _float64_route(workbench, stages, denoiser):
+    """run_hqs on the workbench files read in float64, the precision the CLI
+    falls back to."""
+    y = Measurement(Tensor(fileio.read_cube(str(workbench["meas"]))[:, :, 0]))
+    op = SensingOperator(Tensor(fileio.read_cube(str(workbench["mask"]))), 2)
+    truth = HsiCube(Tensor(fileio.read_cube(str(workbench["truth"]))))
+    return run_hqs(y, op, ReconConfig(stages=stages, denoiser=denoiser), truth=truth)
+
+
+def _reconstruct(workbench, tmp_path, stages, denoiser):
+    out, trace = tmp_path / f"{denoiser}{stages}.hsic", tmp_path / f"{denoiser}{stages}.csv"
+    assert cli.main(["reconstruct", "--measurement", str(workbench["meas"]),
+                     "--mask", str(workbench["mask"]), "--stages", str(stages),
+                     "--denoiser", denoiser, "--truth", str(workbench["truth"]),
+                     "--out", str(out), "--trace", str(trace)]) == 0
+    return out, trace
+
+
+@pytest.mark.parametrize("denoiser", ["tv", "identity"])
+def test_classical_reconstruct_in_float32_stays_near_the_float64_route(workbench, tmp_path,
+                                                                       denoiser):
+    """The CLI builds the measurement and the operator in float32: the cube
+    moves by at most 1e-6 of the peak and each trace PSNR by at most 1e-5 dB."""
+    out, trace = _reconstruct(workbench, tmp_path, 9, denoiser)
+    ref = _float64_route(workbench, 9, denoiser)
+    z64 = ref.z.data.data
+    assert np.abs(fileio.read_cube(str(out)) - z64).max() <= 1e-6 * np.abs(z64).max()
+    rows = [row.split(",") for row in trace.read_text().splitlines()[1:]]
+    assert len(rows) == len(ref.trace)
+    for row, want in zip(rows, ref.trace):
+        assert abs(float(row[4]) - want.psnr_vs_truth) <= 1e-5
+
+
+@pytest.mark.parametrize("stages", [90, 120])
+def test_long_classical_schedules_run_in_float64_byte_identically(workbench, tmp_path, stages):
+    """eta = 3^(k-1) outgrows the prox's float32 range, so these runs keep
+    float64 from start to end: the same cube and trace as a float64 run."""
+    out, trace = _reconstruct(workbench, tmp_path, stages, "tv")
+    ref = _float64_route(workbench, stages, "tv")
+    assert out.read_bytes() == fileio.cube_bytes(ref.z.data.data)
+    assert trace.read_text() == trace_csv(ref)
 
 
 def test_undefined_metric_exits_8_after_writing_the_reconstruction(workbench, tmp_path):

@@ -12,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from cassikit.errors import MetricError, ParameterError, ShapeError
 from cassikit.metrics import PSNR_CAP_DB, SSIM_SIGMA, SSIM_WINDOW, psnr, sam, ssim
-from cassikit.priors import (DUAL_STEP, _div_flat, _grad_flat, total_variation,
-                             tv_denoise)
+from cassikit.priors import (DUAL_STEP, F32_SPAN, _div_flat, _grad_flat, fits_float32,
+                             total_variation, tv_denoise)
 from cassikit.tensor import Tensor
 from cassikit.train import charbonnier_loss
 
@@ -115,6 +115,82 @@ def test_tv_kernel_matches_the_2d_reference_bit_for_bit(case):
         assert_same_bits(tv_denoise(cube[:, :, band], weight, iters), want)
         assert_same_bits(tv_denoise(cube[:, :, band].T, weight, iters),
                          ref_tv_plane(np.ascontiguousarray(cube[:, :, band].T), weight, iters))
+
+
+# float32 entries: exact signed zeros, float32 subnormals and ordinary values
+_tv_entries_f32 = st.one_of(
+    st.sampled_from([float(np.float32(v)) for v in (0.0, -0.0, 1e-45, -1e-45, 1e-40, -1e-40)]),
+    st.floats(-4.0, 4.0, width=32, allow_nan=False, allow_subnormal=False))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 12), st.integers(2, 12), st.integers(1, 3), st.data())
+def test_tv_kernel_matches_the_2d_reference_bit_for_bit_in_float32(h, w, n, data):
+    """The same reference run on float32 planes: every op, the Python-float
+    weight included, then rounds to float32 as the kernel's do."""
+    cube = data.draw(hnp.arrays(np.float32, (h, w, n), elements=_tv_entries_f32))
+    weight = data.draw(st.floats(1e-3, 10.0))
+    iters = data.draw(st.integers(1, 30))
+    out = tv_denoise(cube, weight, iters)
+    assert out.dtype == np.float32
+    for band in range(n):
+        want = ref_tv_plane(np.ascontiguousarray(cube[:, :, band]), weight, iters)
+        assert want.dtype == np.float32
+        assert_same_bits(out[:, :, band], want)
+        assert_same_bits(tv_denoise(cube[:, :, band].T, weight, iters),
+                         ref_tv_plane(np.ascontiguousarray(cube[:, :, band].T), weight, iters))
+
+
+@pytest.mark.parametrize("dtype,want", [(np.float32, np.float32), (np.float64, np.float64),
+                                        (np.float16, np.float64), (np.int64, np.float64)])
+def test_tv_denoise_keeps_float32_and_reads_any_other_dtype_as_float64(dtype, want):
+    g = (make_rng(112).random((6, 7, 2)) * 4).astype(dtype)
+    for weight in (0.0, 0.2):
+        out = tv_denoise(g, weight)
+        assert out.dtype == want
+        if want == np.float64:
+            assert_same_bits(out, tv_denoise(g.astype(np.float64), weight))
+
+
+def test_float32_range_rule_edges():
+    lo, hi = 1.0 / F32_SPAN, F32_SPAN
+
+    def fits(peak, weight):
+        return fits_float32(np.array([0.5 * peak, -peak], dtype=np.float32), weight)
+
+    assert fits(1.0, lo) and fits(0.0, hi) and fits(hi * hi, hi)
+    assert not fits(1.0, lo / 2) and not fits(2.0, lo) and not fits(0.0, 2 * hi)
+    assert not fits_float32(np.array([np.nan, 1.0], dtype=np.float32), 1.0)
+    assert fits_float32(np.zeros((0, 3), dtype=np.float32), 1.0)
+
+
+@pytest.mark.parametrize("scale,weight", [(1.0, 1e-30), (1.0, 1e-40), (1.0, 1e-72), (1.0, 1e40),
+                                          (1.0, 2.0 ** -56), (1.0, 2.0 ** 56), (1e30, 1.0),
+                                          (3e38, 2.0 ** 56)])
+def test_float32_prox_at_extreme_weights_stays_finite_and_near_float64(scale, weight):
+    """Outside the float32 range rule the kernel computes in float64 and
+    rounds once; inside it float32 holds every intermediate.  Either way no
+    overflow (a RuntimeWarning fails the test) and float32 rounding only."""
+    g = (make_rng(113).random((12, 12, 2)) * scale).astype(np.float32)
+    out = tv_denoise(g, weight)
+    assert out.dtype == np.float32 and np.isfinite(out).all()
+    want = tv_denoise(g.astype(np.float64), weight)
+    assert np.abs(out - want).max() <= 1e-6 * scale
+
+
+def test_tv_denoise_never_raises_total_variation_in_float32():
+    g = make_rng(102).random((16, 16)).astype(np.float32)
+    for weight in (0.05, 0.2, 1.0):
+        assert total_variation(tv_denoise(g, weight)) <= total_variation(g)
+
+
+def test_tv_denoise_decreases_rof_energy_in_float32():
+    g = make_rng(103).random((16, 16)).astype(np.float32)
+    w = 0.3
+    out = tv_denoise(g, w, iters=50).astype(np.float64)
+    e_in = w * total_variation(g)
+    e_out = 0.5 * float(np.sum((out - g) ** 2)) + w * total_variation(out)
+    assert e_out < e_in
 
 
 def test_total_variation_hand_case():
@@ -238,6 +314,38 @@ def test_psnr_rejects_bad_pairs():
         psnr(np.zeros((2, 2)), np.zeros((3, 3)))
     with pytest.raises(MetricError):
         psnr(np.array([np.nan]), np.array([0.0]))
+    with pytest.raises(MetricError):
+        psnr(np.zeros(2, dtype=np.float32), np.array([0.0, np.inf], dtype=np.float32))
+
+
+def _psnr_on_widened_copies(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / float(np.mean((a - b) ** 2))))
+
+
+@pytest.mark.parametrize("da,db", [(np.float32, np.float64), (np.float64, np.float32),
+                                   (np.float64, np.float64), (np.float32, np.float32)])
+def test_psnr_equals_the_widened_formula_bit_for_bit(da, db):
+    rng = make_rng(114)
+    a = rng.random((20, 24, 3))
+    b = a + 0.05 * rng.normal(size=a.shape)
+    # contiguous, and band-major as read_cube lays a cube out
+    for a_, b_ in ((a, b), (a.transpose(2, 0, 1).copy().transpose(1, 2, 0), b)):
+        a_, b_ = a_.astype(da), b_.astype(db)
+        assert psnr(a_, b_) == _psnr_on_widened_copies(a_, b_)
+
+
+def test_psnr_of_float32_cubes_allocates_one_float64_buffer():
+    rng = make_rng(115)
+    a = rng.random((128, 128, 8)).astype(np.float32)
+    b = rng.random((128, 128, 8)).astype(np.float32)
+    tracemalloc.start()
+    psnr(a, b)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the float64 error plus the ufunc's fixed cast buffers (two of 8,192
+    # float64 values); widened operands would add two more cube-sized buffers
+    assert peak <= a.size * 8 + 256 * 1024
 
 
 # ---------------------------------------------------------------------------

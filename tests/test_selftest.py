@@ -24,6 +24,7 @@ QUICK_NAMES = [
     "grad-den",
     "metrics",
     "tv-prior",
+    "tv-route-f32",
 ]
 
 
