@@ -13,9 +13,14 @@ diagonal as an H x W' image, and the data-consistency step in hqs.py relies
 on it.  `forward_measure` applies Phi only; `apply_shot_noise` is the
 separate noise step.
 
-The shear and its inverse are recorded as differentiable primitives so that
-learned operator corrections can flow gradients through measurement and
-adjoint applications; both wrap one numpy shear pair.
+`forward_measure` and `adjoint_apply` are each one recorded differentiable
+op, so learned operator corrections can flow gradients through them; both
+compute in the promoted dtype of their operands.  The measurement shears x
+into one [H, W', N] buffer, multiplies it by the mask in place and sums over
+bands; that sum, like the one in the adjoint's y gradient, reads the
+off-window zeros too, which fixes the order of its additions.  The adjoint
+multiplies the mask's band view by a strided band view of y straight into
+[H, W, N].  `shift_cube` and `unshift_cube` record the shear pair alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OperatorError, OracleCapError, ParameterError, ShapeError
-from .tensor import Tensor, as_tensor, cast, make_op, mul, reduce_sum, reshape, seeded_rng
+from .tensor import Tensor, as_tensor, cast, make_op, mul, reduce_sum, seeded_rng
 
 DENSE_CAP = 50_000  # largest row or column count materialize_dense builds
 
@@ -98,10 +103,17 @@ def _band_view(a: np.ndarray, w: int, step: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(a, (h, w, n), (s0, s1, step * s1 + s2))
 
 
-def _shear(a: np.ndarray, step: int) -> np.ndarray:
-    """[H, W, N] -> [H, W + step*(N-1), N]; band b (from 0) moves right by step*b."""
+def _plane_band_view(a: np.ndarray, w: int, n: int, step: int) -> np.ndarray:
+    """[H, W, N] view of an [H, W'] plane: band b reads the plane's W columns
+    from column step*b on (`_band_view` of the plane repeated over bands)."""
+    return _band_view(np.broadcast_to(a[:, :, None], (*a.shape, n)), w, step)
+
+
+def _shear(a: np.ndarray, step: int, dtype=None) -> np.ndarray:
+    """[H, W, N] -> [H, W + step*(N-1), N]; band b (from 0) moves right by step*b.
+    The result holds `dtype` (default a's)."""
     h, w, n = a.shape
-    out = np.zeros((h, w + step * (n - 1), n), dtype=a.dtype)
+    out = np.zeros((h, w + step * (n - 1), n), dtype=dtype or a.dtype)
     _band_view(out, w, step)[...] = a
     return out
 
@@ -170,6 +182,7 @@ class SensingOperator:
         self.step = step
         self.h, self.w, self.wp, self.n_bands = h, w, wp, n
         self.support = dispersion_support(h, w, n, step)
+        self._gram = None  # phi_gram_diag's cache, kept while the mask records no graph
         if np.any(sm.data[~self.support] != 0.0):
             raise OperatorError("shifted mask has energy outside the dispersion support")
         if sm.data.min() < 0:
@@ -180,8 +193,9 @@ class SensingOperator:
         mask = mask if isinstance(mask, Mask2D) else Mask2D(as_tensor(mask))
         if n_bands < 1:
             raise ParameterError(f"n_bands must be >= 1, got {n_bands}")
-        planes = np.repeat(mask.data.data[:, :, None], n_bands, axis=2)
-        return cls(shift_cube(Tensor(planes), step), step)
+        plane = mask.data.data
+        planes = np.broadcast_to(plane[:, :, None], (*plane.shape, n_bands))  # a view
+        return cls(Tensor(_shear(planes, step)), step)
 
     def astype(self, dtype) -> "SensingOperator":
         """This operator with its mask stack in `dtype`; itself if it holds it."""
@@ -220,25 +234,60 @@ def apply_shot_noise(clean: np.ndarray, bits: int, seed: int) -> np.ndarray:
 
 
 def forward_measure(x: HsiCube, op: SensingOperator) -> Measurement:
-    """Apply the operator: modulate, shear, integrate over bands."""
+    """Apply the operator: modulate, shear, integrate over bands (one op)."""
     if x.shape != op.scene_shape:
         raise ShapeError(f"scene {x.shape} does not match operator scene {op.scene_shape}")
-    xs = shift_cube(x.data, op.step)
-    return Measurement(reduce_sum(mul(op.shifted_mask, xs), axis=2))
+    xt, mt, step = x.data, op.shifted_mask, op.step
+    w, n = op.w, op.n_bands
+    dtype = np.promote_types(xt.data.dtype, mt.data.dtype)
+    prod = _shear(xt.data, step, dtype)
+    prod *= mt.data
+
+    def bwd(g):
+        gm = gx = None
+        if mt._tracked():
+            gm = _shear(xt.data, step, dtype)
+            gm *= g[:, :, None]
+        if xt._tracked():
+            gx = np.empty(xt.data.shape, dtype)
+            np.multiply(_plane_band_view(g, w, n, step), _band_view(mt.data, w, step), out=gx)
+        return gm, gx
+
+    return Measurement(make_op("measure", prod.sum(axis=2), (mt, xt), bwd))
 
 
 def adjoint_apply(y: Measurement, op: SensingOperator) -> HsiCube:
-    """Apply Phi^T: broadcast over bands, re-weight by the mask, unshear."""
+    """Apply Phi^T: each band reads y on its shifted window, re-weighted by the
+    mask (one op, with no [H, W', N] intermediate)."""
     if y.shape != op.measurement_shape:
         raise ShapeError(f"measurement {y.shape} does not match operator {op.measurement_shape}")
-    ybc = reshape(y.data, (op.h, op.wp, 1))
-    cube = unshift_cube(mul(op.shifted_mask, ybc), op.step)
-    return HsiCube(cube)
+    yt, mt, step = y.data, op.shifted_mask, op.step
+    w, n = op.w, op.n_bands
+    out = np.empty(op.scene_shape, np.promote_types(yt.data.dtype, mt.data.dtype))
+    np.multiply(_band_view(mt.data, w, step), _plane_band_view(yt.data, w, n, step), out=out)
+
+    def bwd(g):
+        gs = _shear(g, step)
+        gy = (gs * mt.data).sum(axis=2) if yt._tracked() else None
+        if not mt._tracked():
+            return None, gy
+        gs *= yt.data[:, :, None]
+        return gs, gy
+
+    return HsiCube(make_op("adjoint", out, (mt, yt), bwd))
 
 
 def phi_gram_diag(op: SensingOperator) -> Tensor:
-    """Diagonal of Phi Phi^T as an [H, W'] image: sum_n mask_n^2."""
-    return reduce_sum(mul(op.shifted_mask, op.shifted_mask), axis=2)
+    """Diagonal of Phi Phi^T as an [H, W'] image: sum_n mask_n^2.
+
+    Computed once per operator whose mask records no graph (the classical
+    route's fixed operator); a mask on a gradient path gets a fresh node."""
+    if op._gram is not None:
+        return op._gram
+    gram = reduce_sum(mul(op.shifted_mask, op.shifted_mask), axis=2)
+    if not gram._tracked():
+        op._gram = gram
+    return gram
 
 
 def materialize_dense(op: SensingOperator) -> np.ndarray:

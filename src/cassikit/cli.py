@@ -166,12 +166,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mask is not None:
         _refuse_unused(args, ("mask_seed",), "draws a mask, so it does not apply with --mask")
 
+    # the measurement is computed in float64: the float32 truth widens inside
+    # forward_measure, against a float64 mask stack
     truth = HsiCube(Tensor(fileio.read_cube(args.truth)))
     h, w, n_bands = truth.shape
     if args.mask is None:
         mask = random_binary_mask(h, w, args.mask_seed)
     else:
-        mask = Mask2D(Tensor(fileio.read_plane(args.mask)))
+        mask = Mask2D(Tensor(fileio.read_plane(args.mask).astype(np.float64)))
     op = SensingOperator.from_mask(mask, n_bands, args.step)
     y = forward_measure(truth, op).data.data
     if args.noise == "shot":
@@ -258,8 +260,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         _write_text(args.trace, trace_csv(result))
         print(f"trace -> {args.trace}")
     if truth is not None:
-        # SSIM and SAM read float64: a float32 cube widens once, not per metric
-        z, t = z.astype(np.float64, copy=False), truth.data.data
+        # the metrics widen what they read piece by piece: no float64 cube here
+        t = truth.data.data
         psnr = metrics.psnr(z, t)  # checks the shapes before SSIM reads the extents
         # SSIM's window does not fit a scene under SSIM_WINDOW pixels on a side
         fits = min(z.shape[:2]) >= metrics.SSIM_WINDOW

@@ -15,7 +15,10 @@ Parameter checkpoint ("DPRM"):
             rank extents u32 LE, payload float64 LE row-major
 
 Entries serialize in store order, so save/load preserves registration
-order.  Cube payloads are float32 (images are stored at sensor precision).
+order.  Cube payloads are float32 (images are stored at sensor precision),
+and `read_cube` returns them as float32, read straight into the array it
+returns: the values are exact, and code that computes in float64 widens
+only what it uses.
 Checkpoint payloads are float64, but `read_params` loads them as float32,
 the learned route's precision: widening float32 to float64 is exact, so a
 float32 store round-trips byte for byte, while a checkpoint written from
@@ -42,7 +45,8 @@ HSIC_VERSION = 1
 DPRM_VERSION = 1
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, *chunks) -> None:
+    """Write the chunks (bytes or contiguous arrays), in order, as one file."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -50,7 +54,8 @@ def _atomic_write(path: str, payload: bytes) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -68,7 +73,8 @@ def _read_blob(path: str) -> bytes:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def cube_bytes(arr: np.ndarray) -> bytes:
+def _cube_parts(arr: np.ndarray) -> tuple:
+    """The container's header bytes and its float32 payload array."""
     arr = np.asarray(arr)
     if arr.dtype != np.float32:  # float32 is the payload's type: no wider copy
         arr = arr.astype(np.float64, copy=False)
@@ -84,44 +90,56 @@ def cube_bytes(arr: np.ndarray) -> bytes:
     if not np.isfinite(payload).all():
         raise NumericalError("cube holds a value that is not finite as float32 "
                              f"(|x| > {np.finfo(np.float32).max:.8g} or NaN/Inf)")
-    return b"".join((header, payload))  # joins the array buffer: no tobytes copy
+    return header, payload
 
 
 def write_cube(path: str, arr: np.ndarray) -> None:
     """Write a cube (or a single plane) to an HSIC container atomically.
 
     Raises NumericalError, and writes nothing, when a value is not finite
-    as float32: `read_cube` would reject the file."""
+    as float32: `read_cube` would reject the file.  The payload is written
+    from its array, with no joined copy of it."""
     try:
-        blob = cube_bytes(arr)
+        header, payload = _cube_parts(arr)
     except NumericalError as exc:
         raise NumericalError(f"cannot write {path}: {exc}") from exc
-    _atomic_write(path, blob)
+    _atomic_write(path, header, payload)
 
 
 def read_cube(path: str) -> np.ndarray:
-    """Read an HSIC container; returns float64 [H, W, C]."""
-    blob = _read_blob(path)
-    if len(blob) < 20:
-        raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != HSIC_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    version, h, w, c = struct.unpack("<IIII", blob[4:20])
-    if version != HSIC_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if h < 1 or w < 1 or c < 1:
-        raise FormatError(f"{path}: invalid extents {(h, w, c)}")
-    expected = 20 + 4 * h * w * c
-    if len(blob) != expected:
-        raise FormatError(f"{path}: payload is {len(blob) - 20} bytes, expected {expected - 20}")
-    flat = np.frombuffer(blob, dtype="<f4", offset=20)
+    """Read an HSIC container; returns float32 [H, W, C], the payload's values.
+
+    The payload is read straight into the array's buffer, which holds it
+    band-major: the result is a transposed view of that buffer."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(20)
+            if len(head) < 20:
+                raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
+            if head[:4] != HSIC_MAGIC:
+                raise FormatError(f"{path}: bad magic {head[:4]!r}")
+            version, h, w, c = struct.unpack("<IIII", head[4:20])
+            if version != HSIC_VERSION:
+                raise FormatError(f"{path}: unsupported version {version}")
+            if h < 1 or w < 1 or c < 1:
+                raise FormatError(f"{path}: invalid extents {(h, w, c)}")
+            expected = 20 + 4 * h * w * c
+            if size != expected:
+                raise FormatError(f"{path}: payload is {size - 20} bytes, expected {expected - 20}")
+            flat = np.empty(h * w * c, dtype="<f4")
+            got = fh.readinto(flat)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    if got != flat.nbytes:
+        raise FormatError(f"{path}: payload is {got} bytes, expected {flat.nbytes}")
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: payload contains non-finite values")
-    return flat.reshape(c, h, w).transpose(1, 2, 0).astype(np.float64)
+    return flat.reshape(c, h, w).transpose(1, 2, 0)
 
 
 def read_plane(path: str) -> np.ndarray:
-    """Read a single-plane container as a 2D array."""
+    """Read a single-plane container as a 2D float32 array."""
     cube = read_cube(path)
     if cube.shape[2] != 1:
         raise FormatError(f"{path}: expected one plane, found {cube.shape[2]}")

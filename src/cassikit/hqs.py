@@ -68,7 +68,8 @@ class ReconConfig:
     """Everything `run_hqs` needs besides the data and the weights.
 
     The geometric mu schedule applies only when `use_den` is off; with the
-    estimator on, (mu_k, eta_k) are predicted per stage.
+    estimator on, (mu_k, eta_k) are predicted per stage.  `validate` refuses
+    a schedule whose last mu is not a finite float > 0 before any stage runs.
     """
 
     stages: int = 9
@@ -86,6 +87,15 @@ class ReconConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ParameterError(f"{key} must be finite and > 0, got {value}")
+        if not self.use_den:
+            try:
+                last = _mu_schedule(self, max(self.stages, 1))
+            except OverflowError:
+                last = math.inf
+            if not (math.isfinite(last) and last > 0):
+                raise ParameterError(
+                    f"stages {self.stages} with mu_growth {self.mu_growth} take the last mu "
+                    f"to {last} (mu_start {self.mu_start}); it must be a finite float > 0")
 
 
 @dataclass(frozen=True)
@@ -148,11 +158,10 @@ def classical_dtype(y: np.ndarray, cfg: ReconConfig) -> type:
     """The classical route's precision on measurement `y`: float32 while each
     stage's TV prox computes in float32 (`priors.fits_float32`) on a scene
     as large as y's peak, and float64 otherwise.  The mu schedule is
-    geometric, so its first and last stages bound it."""
-    try:
-        etas = [_mu_schedule(cfg, k) / LAM for k in {1, max(cfg.stages, 1)}]
-    except OverflowError:
-        return np.float64
+    geometric, so its first and last stages bound it; `cfg` is validated
+    first, so both are finite."""
+    cfg.validate()
+    etas = [_mu_schedule(cfg, k) / LAM for k in {1, max(cfg.stages, 1)}]
     fits = all(eta > 0 and fits_float32(y, TV_SCALE / eta) for eta in etas)
     return np.float32 if fits else np.float64
 
@@ -198,6 +207,10 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
             raise NumericalError(f"non-positive mu/eta at stage {k}: mu={mu_f}, eta={eta_f}")
 
         x = data_step(z, y, phi_k, mu_k)
+        # drop each iterate after its last read: unless a graph holds them, the
+        # previous estimate is freed before the denoiser runs and the data
+        # step's output before the trace reads the new estimate
+        del z
 
         if cfg.denoiser == "identity":
             z = x
@@ -207,6 +220,7 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
             z = HsiCube(Tensor(tv_denoise(x.data.data, TV_SCALE / eta_f, TV_ITERS)))
         else:
             z = lnlt_denoise(x, eta_k, params.scope("lnlt"))
+        del x
 
         trace.append(row(k, mu_f, eta_f, z, phi_k))
 

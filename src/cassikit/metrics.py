@@ -1,7 +1,10 @@
 """Image-quality metrics for hyperspectral reconstructions.
 
 All metrics take plain numpy arrays (cubes [H, W, N] or single planes) and
-compute in float64.  PSNR and SSIM score cubes normalized to [0, 1], so
+compute in float64, widening a float32 operand piece by piece: PSNR forms
+one float64 difference, SSIM widens one contiguous band pair at a time and
+SAM one chunk of rows at a time, so no whole-cube float64 copy of an
+operand is made.  PSNR and SSIM score cubes normalized to [0, 1], so
 peak and data range are 1; SSIM follows the standard Gaussian-window
 formulation (11x11 window, sigma 1.5, K1 = 0.01, K2 = 0.03) averaged over
 bands; SAM is the mean per-pixel spectral angle in degrees.
@@ -20,6 +23,8 @@ SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
+SAM_CHUNK = 1 << 15  # values per widened chunk of rows in `sam` (256 KiB in float64)
+
 
 def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     """a and b as arrays of one shape and finite values, each in its own dtype."""
@@ -29,11 +34,6 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise MetricError("metric operands contain non-finite values")
     return a, b
-
-
-def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _operands(a, b)
-    return a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
 
 
 def psnr(a, b) -> float:
@@ -85,17 +85,19 @@ def _ssim_plane(a: np.ndarray, b: np.ndarray) -> float:
 
 def ssim(a, b) -> float:
     """Mean structural similarity at data range 1; cubes average the per-band values."""
-    a, b = _check_pair(a, b)
+    a, b = _operands(a, b)
     if a.ndim == 2:
-        planes = [(a, b)]
-    elif a.ndim == 3:
-        planes = [(a[:, :, i], b[:, :, i]) for i in range(a.shape[2])]
-    else:
+        a, b = a[:, :, None], b[:, :, None]
+    elif a.ndim != 3:
         raise ShapeError(f"ssim expects rank 2 or 3, got rank {a.ndim}")
-    h, w = planes[0][0].shape
+    h, w = a.shape[:2]
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ShapeError(f"ssim needs extents >= {SSIM_WINDOW}, got {(h, w)}")
-    return float(np.mean([_ssim_plane(pa, pb) for pa, pb in planes]))
+
+    def plane(x, i):  # one band, contiguous, in float64
+        return np.ascontiguousarray(x[:, :, i], dtype=np.float64)
+
+    return float(np.mean([_ssim_plane(plane(a, i), plane(b, i)) for i in range(a.shape[2])]))
 
 
 def sam(a, b) -> float:
@@ -105,17 +107,27 @@ def sam(a, b) -> float:
     skipped.  All pixels skipped means the metric is undefined and raises
     MetricError.
     """
-    a, b = _check_pair(a, b)
+    a, b = _operands(a, b)
     if a.ndim != 3:
         raise ShapeError(f"sam expects rank-3 cubes, got rank {a.ndim}")
-    flat_a = a.reshape(-1, a.shape[2])
-    flat_b = b.reshape(-1, b.shape[2])
-    na = np.linalg.norm(flat_a, axis=1)
-    nb = np.linalg.norm(flat_b, axis=1)
-    valid = (na > 0) & (nb > 0)
-    if not np.any(valid):
+    h, w, n = a.shape
+    rows = max(1, SAM_CHUNK // (w * n))
+    angles = np.empty(h * w)
+    count = 0
+    for r in range(0, h, rows):
+        # astype keeps each operand's memory order (a band-major cube from
+        # read_cube sums its norms band by band) and the product is C-ordered,
+        # so each sum runs in the order it runs over the whole widened cube
+        ca = a[r:r + rows].astype(np.float64).reshape(-1, n)
+        cb = b[r:r + rows].astype(np.float64).reshape(-1, n)
+        na = np.linalg.norm(ca, axis=1)
+        nb = np.linalg.norm(cb, axis=1)
+        valid = (na > 0) & (nb > 0)
+        dots = np.multiply(ca, cb, order="C").sum(axis=1)[valid]
+        cosines = np.clip(dots / (na[valid] * nb[valid]), -1.0, 1.0)
+        k = len(cosines)
+        angles[count:count + k] = np.degrees(np.arccos(cosines))
+        count += k
+    if count == 0:
         raise MetricError("sam undefined: every pixel has a zero spectrum")
-    dots = np.sum(flat_a[valid] * flat_b[valid], axis=1)
-    cosines = np.clip(dots / (na[valid] * nb[valid]), -1.0, 1.0)
-    return float(np.mean(np.degrees(np.arccos(cosines))))
-
+    return float(np.mean(angles[:count]))

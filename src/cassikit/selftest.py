@@ -147,6 +147,12 @@ def dense_data_step(z: np.ndarray, y: np.ndarray, op: SensingOperator, mu: float
     zs = _np_vec(_np_shift(z, op.step))
     rhs = a.T @ y.reshape(-1) + mu * zs
     xs = np.linalg.solve(a.T @ a + mu * np.eye(a.shape[1]), rhs)
+    return _np_unvec(xs, op)
+
+
+def _np_unvec(xs: np.ndarray, op: SensingOperator) -> np.ndarray:
+    """Scene [H, W, N] from a band-major sheared vector (inverse of
+    `_np_vec(_np_shift(...))` on its range)."""
     cube = xs.reshape(op.n_bands, op.h, op.wp).transpose(1, 2, 0)
     out = np.empty((op.h, op.w, op.n_bands))
     for band in range(op.n_bands):
@@ -219,6 +225,28 @@ def check_operator_dense() -> float:
     off = gram - np.diag(np.diag(gram))
     err = max(err, float(np.abs(off).max()))
     err = max(err, float(np.abs(np.diag(gram) - phi_gram_diag(op).data.reshape(-1)).max()))
+    return err
+
+
+def check_operator_f32() -> float:
+    """The measurement and the adjoint on float32 inputs against the dense
+    operator in float64, on the 4x5x3 step-2 operator: the largest difference
+    over the oracle's peak, within float32 rounding; a result that is not
+    float32 fails."""
+    rng = _rng(29)
+    op = SensingOperator.from_mask(random_binary_mask(4, 5, 3), 3, 2).astype(np.float32)
+    a = materialize_dense(op)
+    err = 0.0
+    for _ in range(5):
+        x = rng.normal(size=op.scene_shape).astype(np.float32)
+        y = rng.normal(size=op.measurement_shape).astype(np.float32)
+        fx = forward_measure(HsiCube(Tensor(x)), op).data.data
+        aty = adjoint_apply(Measurement(Tensor(y)), op).data.data
+        if fx.dtype != np.float32 or aty.dtype != np.float32:
+            return float("inf")
+        for got, want in ((fx.reshape(-1), a @ _np_vec(_np_shift(x, op.step))),
+                          (aty, _np_unvec(a.T @ y.reshape(-1), op))):
+            err = max(err, float(np.abs(got - want).max() / np.abs(want).max()))
     return err
 
 
@@ -372,6 +400,7 @@ CHECKS = (
     ("shear-roundtrip", check_shear_roundtrip, 1e-12, "quick"),
     ("operator-adjoint", check_operator_adjoint, 1e-5, "quick"),
     ("operator-dense", check_operator_dense, 1e-10, "quick"),
+    ("operator-f32", check_operator_f32, 1e-6, "quick"),
     ("data-step-dense", check_data_step_dense, 1e-6, "quick"),
     ("attention-local", check_attention_local, 1e-5, "quick"),
     ("attention-nonlocal", check_attention_nonlocal, 1e-5, "quick"),

@@ -12,7 +12,8 @@ from cassikit.cassi import (HsiCube, _shear, _unshear, Mask2D, Measurement, Sens
                             random_binary_mask, shift_cube, unshift_cube)
 from cassikit.errors import (OperatorError, OracleCapError, ParameterError,
                              ShapeError)
-from cassikit.tensor import Tensor, backward
+from cassikit.params import ParamStore
+from cassikit.tensor import Tensor, add, backward, fd_gradcheck, mul, reduce_sum, reshape
 
 from conftest import make_rng
 
@@ -160,6 +161,112 @@ def test_shape_mismatches_rejected(square_operator):
         forward_measure(HsiCube(Tensor(np.ones((8, 8, 8)))), square_operator)
     with pytest.raises(ShapeError):
         adjoint_apply(Measurement(Tensor(np.ones((16, 16)))), square_operator)
+
+
+# ---------------------------------------------------------------------------
+# the fused measurement and adjoint ops
+# ---------------------------------------------------------------------------
+
+def _chain_measure(x, mask, step):
+    """forward_measure as the shift_cube, mul and reduce_sum chain it fuses."""
+    return reduce_sum(mul(mask, shift_cube(x, step)), axis=2)
+
+
+def _chain_adjoint(y, mask, step):
+    """adjoint_apply as the reshape, mul and unshift_cube chain it fuses."""
+    h, wp, _ = mask.shape
+    return unshift_cube(mul(mask, reshape(y, (h, wp, 1))), step)
+
+
+@pytest.mark.parametrize("x_dtype,mask_dtype", [
+    (np.float32, np.float32), (np.float64, np.float64),
+    (np.float32, np.float64), (np.float64, np.float32)], ids=["f32", "f64", "f32-f64", "f64-f32"])
+@pytest.mark.parametrize("shape,step", [((5, 7, 3), 2), ((6, 4, 5), 1), ((4, 4, 2), 0),
+                                        ((3, 5, 1), 2)])
+@pytest.mark.parametrize("track_mask", [True, False], ids=["mask-grad", "fixed-mask"])
+def test_fused_ops_match_the_chains_they_replace_bit_for_bit(shape, step, x_dtype, mask_dtype,
+                                                               track_mask):
+    """Values and gradients, in the promoted dtype, C-ordered, with the same
+    bytes as the op chains; each application records one node."""
+    rng = make_rng(40)
+    h, w, n = shape
+    stack = _shear(rng.random(shape) + 0.1, step).astype(mask_dtype)
+    x = rng.normal(size=shape).astype(x_dtype)
+    y = rng.normal(size=(h, w + step * (n - 1))).astype(x_dtype)
+    out_dtype = np.promote_types(x_dtype, mask_dtype)
+    seed_y = rng.normal(size=y.shape).astype(out_dtype)
+    seed_x = rng.normal(size=shape).astype(out_dtype)
+
+    def run(fused):
+        m1, m2 = (Tensor(stack, requires_grad=track_mask) for _ in range(2))
+        xt, yt = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+        if fused:
+            fx = forward_measure(HsiCube(xt), SensingOperator(m1, step)).data
+            aty = adjoint_apply(Measurement(yt), SensingOperator(m2, step)).data
+            assert (fx._op, fx._parents) == ("measure", (m1, xt))
+            assert (aty._op, aty._parents) == ("adjoint", (m2, yt))
+        else:
+            fx, aty = _chain_measure(xt, m1, step), _chain_adjoint(yt, m2, step)
+        g1, g2 = backward(fx, seed=seed_y), backward(aty, seed=seed_x)
+        if not track_mask:
+            assert m1 not in g1 and m2 not in g2
+            return [fx.data, g1[xt], aty.data, g2[yt]]
+        return [fx.data, g1[m1], g1[xt], aty.data, g2[m2], g2[yt]]
+
+    fused = run(True)
+    assert fused[0].dtype == out_dtype
+    for got, want in zip(fused, run(False)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fused_ops_pass_the_finite_difference_check():
+    """Gradients of the measurement and the adjoint with respect to the scene,
+    the measurement and the mask (kept on its support by shift_cube)."""
+    rng = make_rng(41)
+    h, w, n, step = 4, 5, 3, 2
+    wp = w + step * (n - 1)
+    store = ParamStore.from_arrays({"planes": rng.random((h, w, n)) + 0.5,
+                                    "x": rng.normal(size=(h, w, n)),
+                                    "y": rng.normal(size=(h, wp))})
+    probe_y, probe_x = Tensor(rng.normal(size=(h, wp))), Tensor(rng.normal(size=(h, w, n)))
+
+    def f(p):
+        op = SensingOperator(shift_cube(p["planes"], step), step)
+        fx = forward_measure(HsiCube(p["x"]), op).data
+        aty = adjoint_apply(Measurement(p["y"]), op).data
+        return add(reduce_sum(mul(mul(fx, fx), probe_y)), reduce_sum(mul(mul(aty, aty), probe_x)))
+
+    report = fd_gradcheck(f, store, n_samples=60, seed=42)
+    assert report.passed, f"max rel err {report.max_rel_err:.3e}"
+    assert {row.name for row in report.rows} == {"planes", "x", "y"}
+
+
+def test_a_float32_scene_against_a_float64_mask_computes_in_float64(square_operator):
+    """Promotion, as numpy does it: simulate keeps its float64 measurement."""
+    rng = make_rng(43)
+    x32 = rng.random(square_operator.scene_shape).astype(np.float32)
+    y32 = rng.random(square_operator.measurement_shape).astype(np.float32)
+    pairs = [(forward_measure(HsiCube(Tensor(x32)), square_operator),
+              forward_measure(HsiCube(Tensor(x32.astype(np.float64))), square_operator)),
+             (adjoint_apply(Measurement(Tensor(y32)), square_operator),
+              adjoint_apply(Measurement(Tensor(y32.astype(np.float64))), square_operator))]
+    for got, want in pairs:
+        assert got.data.data.dtype == np.float64
+        assert got.data.data.tobytes() == want.data.data.tobytes()
+
+
+def test_gram_diagonal_is_computed_once_per_fixed_operator(tiny_operator):
+    first = phi_gram_diag(tiny_operator)
+    assert phi_gram_diag(tiny_operator) is first
+    np.testing.assert_array_equal(first.data, (tiny_operator.shifted_mask.data ** 2).sum(axis=2))
+    # a mask on a gradient path gets a fresh node on every call
+    tracked = SensingOperator(Tensor(tiny_operator.shifted_mask.data, requires_grad=True),
+                              tiny_operator.step)
+    a, b = phi_gram_diag(tracked), phi_gram_diag(tracked)
+    assert a is not b and a._tracked() and b._tracked()
+    assert a.data.tobytes() == first.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

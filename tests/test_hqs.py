@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cassikit import cassi, hqs
 from cassikit.cassi import (HsiCube, Measurement, SensingOperator,
                             forward_measure, materialize_dense,
                             random_binary_mask, shift_cube)
@@ -194,9 +195,10 @@ def test_classical_dtype_follows_the_schedule_and_the_measurement_scale():
     # eta_k = 3^(k-1) passes 2^56 / 3 at stage 36 (weight 1/eta against a peak of 3)
     assert classical_dtype(y, ReconConfig(stages=35)) == np.float32
     for cfg in (ReconConfig(stages=36), ReconConfig(stages=120),
-                ReconConfig(stages=1000),  # mu_growth ** 999 overflows a Python float
                 ReconConfig(mu_start=1e-40), ReconConfig(mu_growth=1e-3)):
         assert classical_dtype(y, cfg) == np.float64, cfg
+    with pytest.raises(ParameterError, match="stages 1000 with mu_growth 3.0"):
+        classical_dtype(y, ReconConfig(stages=1000))  # mu_growth ** 999 overflows a Python float
     assert classical_dtype(y * 1e30, ReconConfig(stages=1)) == np.float64
     assert classical_dtype(np.zeros((4, 6)), ReconConfig(stages=35)) == np.float32
 
@@ -261,6 +263,38 @@ def test_config_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ParameterError, match=f"^{key} must be finite and > 0"):
                 ReconConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("cfg", [
+    ReconConfig(stages=700, denoiser="identity"),  # 3.0 ** 699 overflows a Python float
+    ReconConfig(stages=700, denoiser="tv"),
+    ReconConfig(stages=648, denoiser="identity"),  # the first stage past the last finite mu
+    ReconConfig(stages=3, mu_start=1e300, mu_growth=1e10),  # the product rounds to inf
+    ReconConfig(stages=400, mu_growth=1e-3),  # underflows to 0
+], ids=["identity-700", "tv-700", "identity-648", "inf-product", "underflow"])
+def test_a_schedule_whose_last_mu_leaves_the_floats_is_refused_before_any_stage(cfg, monkeypatch):
+    truth, op, y = _phantom_problem()
+    stages_run = []
+    monkeypatch.setattr(hqs, "data_step", lambda *args: stages_run.append(args))
+    with pytest.raises(ParameterError,
+                       match=rf"^stages {cfg.stages} with mu_growth {cfg.mu_growth} take"):
+        run_hqs(y, op, cfg)
+    assert stages_run == []
+
+
+def test_the_last_finite_mu_of_the_default_schedule_and_the_learned_route_pass():
+    ReconConfig(stages=647, denoiser="identity").validate()  # mu = 1e-4 * 3.0 ** 646
+    ReconConfig(stages=700, denoiser="lnlt", use_den=True).validate()  # no schedule runs
+
+
+def test_the_classical_route_computes_the_gram_diagonal_once(monkeypatch):
+    """One fixed operator: init_estimate and nine data steps share one gram."""
+    truth, op, y = _phantom_problem()
+    products = []
+    real_mul = cassi.mul
+    monkeypatch.setattr(cassi, "mul", lambda a, b: products.append(1) or real_mul(a, b))
+    run_hqs(y, op, ReconConfig(stages=9, denoiser="tv"))
+    assert len(products) == 1
 
 
 def test_trace_csv_layout():

@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,9 +38,18 @@ from conftest import make_rng
 # cube container
 # ---------------------------------------------------------------------------
 
+def cube_file_bytes(arr) -> bytes:
+    """The bytes `write_cube` writes for `arr`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cube.hsic")
+        fileio.write_cube(path, arr)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 def test_cube_header_layout():
     cube = np.arange(6.0).reshape(2, 3, 1)
-    blob = fileio.cube_bytes(cube)
+    blob = cube_file_bytes(cube)
     assert blob[:4] == b"HSIC"
     assert struct.unpack("<IIII", blob[4:20]) == (1, 2, 3, 1)
     assert len(blob) == 20 + 4 * 6
@@ -48,7 +58,7 @@ def test_cube_header_layout():
 def test_cube_payload_is_band_major_float32():
     cube = np.array([[[1.0, 5.0], [2.0, 6.0]],
                      [[3.0, 7.0], [4.0, 8.0]]])
-    blob = fileio.cube_bytes(cube)
+    blob = cube_file_bytes(cube)
     payload = np.frombuffer(blob, dtype="<f4", offset=20)
     # plane 0 row-major, then plane 1
     np.testing.assert_array_equal(payload, [1, 2, 3, 4, 5, 6, 7, 8])
@@ -59,7 +69,7 @@ def test_cube_roundtrip_is_exact_for_float32_values(tmp_path):
     path = str(tmp_path / "cube.hsic")
     fileio.write_cube(path, values)
     back = fileio.read_cube(path)
-    assert back.dtype == np.float64
+    assert back.dtype == np.float32  # the payload's precision: no widened copy
     np.testing.assert_array_equal(back, values)
 
 
@@ -76,14 +86,14 @@ def test_cube_bytes_are_the_same_for_equal_values_of_any_dtype(dtype):
     values = make_rng(8).integers(0, 200, size=(5, 6, 3)) / 8.0  # exact in every float type
     if np.dtype(dtype).kind in "iu":
         values = np.floor(values)
-    assert fileio.cube_bytes(values.astype(dtype)) == fileio.cube_bytes(values)
+    assert cube_file_bytes(values.astype(dtype)) == cube_file_bytes(values)
 
 
 def test_cube_bytes_rejects_bad_rank():
     with pytest.raises(ShapeError):
-        fileio.cube_bytes(np.zeros(4))
+        cube_file_bytes(np.zeros(4))
     with pytest.raises(ShapeError):
-        fileio.cube_bytes(np.zeros((2, 2, 2, 2)))
+        cube_file_bytes(np.zeros((2, 2, 2, 2)))
 
 
 def test_write_cube_refuses_values_beyond_float32_and_writes_nothing(tmp_path):
@@ -102,8 +112,42 @@ def test_read_plane_rejects_multiband(tmp_path):
         fileio.read_plane(path)
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_cube_returns_the_payload_as_float32_in_one_buffer(tmp_path):
+    """No widened copy and no copy of the file's bytes: the payload is read
+    into the float32 array it returns (plus a finiteness mask, 1 byte a value)."""
+    cube = make_rng(9).random((32, 40, 28)).astype(np.float32)
+    path = str(tmp_path / "cube.hsic")
+    fileio.write_cube(path, cube)
+    back, peak = _traced_peak(fileio.read_cube, path)
+    assert back.dtype == np.float32 and back.flags.writeable
+    np.testing.assert_array_equal(back, cube)
+    assert peak < 1.5 * cube.nbytes
+    fileio.write_cube(path, cube[:, :, 0])
+    assert fileio.read_plane(path).dtype == np.float32
+
+
+def test_write_cube_writes_the_payload_without_a_joined_copy(tmp_path):
+    cube = make_rng(10).random((64, 118, 28)).astype(np.float32)
+    path = tmp_path / "cube.hsic"
+    _, peak = _traced_peak(fileio.write_cube, str(path), cube)
+    header = b"HSIC" + struct.pack("<IIII", 1, 64, 118, 28)
+    assert path.read_bytes() == header + cube.transpose(2, 0, 1).astype("<f4").tobytes()
+    # the band-major payload and its finiteness mask; joining the header and
+    # the payload into one bytes object would add another payload
+    assert peak < 1.5 * cube.nbytes
+
+
 def _valid_cube_blob() -> bytes:
-    return fileio.cube_bytes(np.arange(4.0).reshape(2, 2, 1))
+    return cube_file_bytes(np.arange(4.0).reshape(2, 2, 1))
 
 
 def _with_header_field(blob: bytes, offset: int, value: int) -> bytes:
@@ -674,10 +718,10 @@ def test_only_the_selftest_command_imports_the_battery():
 
 
 def _float64_route(workbench, stages, denoiser):
-    """run_hqs on the workbench files read in float64, the precision the CLI
-    falls back to."""
-    y = Measurement(Tensor(fileio.read_cube(str(workbench["meas"]))[:, :, 0]))
-    op = SensingOperator(Tensor(fileio.read_cube(str(workbench["mask"]))), 2)
+    """run_hqs on the workbench files widened to float64, the precision the
+    CLI falls back to (read_cube returns the payload's float32)."""
+    y = Measurement(Tensor(fileio.read_cube(str(workbench["meas"]))[:, :, 0].astype(np.float64)))
+    op = SensingOperator(Tensor(fileio.read_cube(str(workbench["mask"])).astype(np.float64)), 2)
     truth = HsiCube(Tensor(fileio.read_cube(str(workbench["truth"]))))
     return run_hqs(y, op, ReconConfig(stages=stages, denoiser=denoiser), truth=truth)
 
@@ -712,8 +756,37 @@ def test_long_classical_schedules_run_in_float64_byte_identically(workbench, tmp
     float64 from start to end: the same cube and trace as a float64 run."""
     out, trace = _reconstruct(workbench, tmp_path, stages, "tv")
     ref = _float64_route(workbench, stages, "tv")
-    assert out.read_bytes() == fileio.cube_bytes(ref.z.data.data)
+    assert out.read_bytes() == cube_file_bytes(ref.z.data.data)
     assert trace.read_text() == trace_csv(ref)
+
+
+@pytest.mark.parametrize("denoiser", ["identity", "tv"])
+def test_an_overflowing_mu_schedule_exits_2_before_any_stage(workbench, tmp_path, capsys, denoiser):
+    """mu = 1e-4 * 3^(k-1) leaves the float range after stage 647."""
+    out = tmp_path / "out.hsic"
+    assert cli.main(["reconstruct", "--measurement", str(workbench["meas"]),
+                     "--mask", str(workbench["mask"]), "--denoiser", denoiser,
+                     "--stages", "700", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stages 700 with mu_growth 3.0 take the last mu to inf")
+    assert not out.exists()
+
+
+def test_tv_reconstruct_with_truth_holds_few_float32_cubes(tmp_path):
+    """A 64x64x28 TV reconstruct --truth, run through cli.main, peaks below 8
+    float32 cubes under tracemalloc (7.05 measured; 11.8 when the truth and
+    the mask were read in float64 and the report widened the cubes): the
+    inputs stay float32, and the metrics widen one band or chunk at a time."""
+    f = {k: str(tmp_path / f"{k}.hsic") for k in ("truth", "meas")}
+    assert cli.main(["phantom", "--height", "64", "--width", "64", "--bands", "28",
+                     "--seed", "4", "--out", f["truth"]]) == 0
+    assert cli.main(["simulate", "--truth", f["truth"], "--out", f["meas"],
+                     "--noise", "shot", "--seed", "2"]) == 0
+    argv = ["reconstruct", "--measurement", f["meas"], "--mask", str(tmp_path / "meas.mask.hsic"),
+            "--truth", f["truth"], "--out", str(tmp_path / "recon.hsic")]
+    code, peak = _traced_peak(cli.main, argv)
+    assert code == 0
+    assert peak < 8 * (64 * 64 * 28 * 4), f"{peak / (64 * 64 * 28 * 4):.2f} float32 cubes"
 
 
 def test_undefined_metric_exits_8_after_writing_the_reconstruction(workbench, tmp_path):
@@ -759,7 +832,7 @@ def test_learned_reconstruct_matches_tracked_in_process_run(tmp_path):
     cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True)
     result = run_hqs(y, op, cfg, params=fileio.read_params(str(files["ckpt"])))
     assert result.z.data._tracked()
-    assert out.read_bytes() == fileio.cube_bytes(result.z.numpy())
+    assert out.read_bytes() == cube_file_bytes(result.z.numpy())
     assert trace.read_text() == trace_csv(result)
 
 
@@ -791,7 +864,7 @@ def test_block_count_comes_from_the_checkpoint(tmp_path):
     op = SensingOperator(Tensor(fileio.read_cube(str(files["mask"]))), 2)
     cfg = ReconConfig(stages=2, denoiser="lnlt", use_den=True)
     result = run_hqs(y, op, cfg, params=fileio.read_params(str(files["ckpt"])))
-    assert out.read_bytes() == fileio.cube_bytes(result.z.numpy())
+    assert out.read_bytes() == cube_file_bytes(result.z.numpy())
 
 
 @pytest.mark.parametrize("flag,value,stored", [

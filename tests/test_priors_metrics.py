@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cassikit import metrics
 from cassikit.errors import MetricError, ParameterError, ShapeError
 from cassikit.metrics import PSNR_CAP_DB, SSIM_SIGMA, SSIM_WINDOW, psnr, sam, ssim
 from cassikit.priors import (DUAL_STEP, F32_SPAN, _div_flat, _grad_flat, fits_float32,
@@ -447,6 +448,56 @@ def test_sam_skips_zero_spectra_and_counts_them():
 def test_sam_requires_cubes():
     with pytest.raises(ShapeError):
         sam(np.ones((4, 4)), np.ones((4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# SSIM and SAM on float32 cubes: no whole-cube float64 copy, same bits
+# ---------------------------------------------------------------------------
+
+def _ssim_on_widened_cubes(a, b):
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+    return float(np.mean([metrics._ssim_plane(a[:, :, i], b[:, :, i])
+                          for i in range(a.shape[2])]))
+
+
+def _sam_on_widened_cubes(a, b):
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+    flat_a, flat_b = a.reshape(-1, a.shape[2]), b.reshape(-1, b.shape[2])
+    na, nb = np.linalg.norm(flat_a, axis=1), np.linalg.norm(flat_b, axis=1)
+    valid = (na > 0) & (nb > 0)
+    dots = np.sum(flat_a[valid] * flat_b[valid], axis=1)
+    cosines = np.clip(dots / (na[valid] * nb[valid]), -1.0, 1.0)
+    return float(np.mean(np.degrees(np.arccos(cosines))))
+
+
+@pytest.mark.parametrize("shape", [(16, 20, 3), (40, 300, 28)])  # one chunk; many, the last short
+@pytest.mark.parametrize("da,db", [(np.float32, np.float32), (np.float32, np.float64),
+                                   (np.float64, np.float64)])
+def test_ssim_and_sam_equal_the_whole_cube_formulas_bit_for_bit(shape, da, db):
+    rng = make_rng(116)
+    a = rng.random(shape)
+    b = np.clip(a + 0.05 * rng.normal(size=shape), 0.0, 1.0)
+    a[0, :2] = 0.0  # zero spectra, skipped by SAM
+    # contiguous, and band-major as read_cube lays a cube out
+    for a_, b_ in ((a, b), (a.transpose(2, 0, 1).copy().transpose(1, 2, 0), b),
+                   (a, b.transpose(2, 0, 1).copy().transpose(1, 2, 0))):
+        a_, b_ = a_.astype(da), b_.astype(db)
+        assert ssim(a_, b_) == _ssim_on_widened_cubes(a_, b_)
+        assert sam(a_, b_) == _sam_on_widened_cubes(a_, b_)
+
+
+@pytest.mark.parametrize("metric", [ssim, sam])
+def test_ssim_and_sam_of_float32_cubes_allocate_less_than_one_float64_cube(metric):
+    rng = make_rng(117)
+    a = rng.random((128, 128, 28)).astype(np.float32)
+    b = rng.random((128, 128, 28)).astype(np.float32)
+    tracemalloc.start()
+    metric(a, b)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # one band pair (SSIM) or one chunk of rows (SAM) is widened at a time;
+    # widening both operands whole would take two of these
+    assert peak < a.size * 8
 
 
 # ---------------------------------------------------------------------------

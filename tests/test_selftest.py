@@ -17,6 +17,7 @@ QUICK_NAMES = [
     "shear-roundtrip",
     "operator-adjoint",
     "operator-dense",
+    "operator-f32",
     "data-step-dense",
     "attention-local",
     "attention-nonlocal",

@@ -381,6 +381,18 @@ def test_desk_train_step_records_at_most_610_graph_nodes(desk_step_graph):
     assert (recorded["attend"], recorded["gate"], recorded["gelu"]) == (30, 15, 3)
 
 
+def test_desk_train_step_records_one_node_per_operator_application(desk_step_graph):
+    """Each stage's measurement and adjoint is one `measure` and one `adjoint`
+    node, with no sheared product recorded: 599 nodes holding 13.01 MiB (610
+    and 13.17 MiB with the shift_cube, mul and reduce_sum chains)."""
+    recorded = Counter(node._op for node in desk_step_graph)
+    assert (recorded["measure"], recorded["adjoint"]) == (3, 3)
+    assert "unshift_cube" not in recorded
+    assert len(desk_step_graph) <= 599
+    held = sum(node.data.nbytes for node in desk_step_graph if node._bwd is not None)
+    assert held <= 13.01 * 2**20
+
+
 def test_desk_train_step_graph_holds_at_most_13_8_mib_of_outputs(desk_step_graph):
     """The recorded ops' outputs, which stay alive until backward, are float32
     and fit in 13.8 MiB (13.78 measured): a graph that held float64 again would
