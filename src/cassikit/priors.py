@@ -9,17 +9,28 @@ Chambolle (fixed dual step 0.25, isotropic TV, forward differences with
 replicated far edges).  Twenty dual iterations is the plug-and-play default;
 the solution tightens monotonically with more iterations.
 
-The kernel copies each band once into a contiguous plane and runs every
-iteration on flat row-major buffers allocated once per call, writing each
-op in place.  It rests on one invariant: the gradient is zero at the far
-edge (gx on the last row, gy on the last column), so the duals px and py
-stay exactly zero there.  The divergence is then px minus px shifted down
-one row plus py minus py shifted one element along the flattened plane:
-the first shift reads a zero last row where a row has no successor, the
-second reads a zero last column where a row wraps into the next.  gy is the
-flat forward difference with its wrapped last column set back to zero.
-Every op is a contiguous 1-D pass, and an axis of length 1 needs no special
-case: its differences and duals are all zero.
+The kernel divides each band once by the weight into a contiguous plane and
+runs every iteration on flat row-major buffers, writing each op in place.
+It rests on one invariant: the gradient is zero at the far edge (gx on the
+last row, gy on the last column), so the duals px and py stay exactly zero
+there.  The divergence is then px minus px shifted down one row plus py
+minus py shifted one element along the flattened plane: the first shift
+reads a zero last row where a row has no successor, the second reads a zero
+last column where a row wraps into the next.  gy is the flat forward
+difference with its wrapped last column set back to zero.  Every op is a
+contiguous 1-D pass, and an axis of length 1 needs no special case: its
+differences and duals are all zero.
+
+Bands are split over one worker per core (`os.sched_getaffinity`): worker k
+takes bands k, k + workers, ...  The calling thread is worker 0 and plain
+threads run the others.  Before `tv_denoise` returns they have all ended,
+and the first error any of them raised is raised again.  The calling thread
+allocates 7 planes per worker up front; no worker allocates per iteration.
+Every worker runs the same ops in the same order on its own bands, so the
+output has the same bits for any worker count.  A 2-D input, a single band,
+a 1-core host or a plane under 2^16 pixels (256x256) runs on the calling
+thread alone: on smaller planes each op is so short that handing numpy's
+released GIL between threads costs more than the second core gains.
 
 A float32 input is denoised in float32 and a float64 one in float64; any
 other dtype is read as float64.  A float32 input computes in float32 while
@@ -33,6 +44,8 @@ kernel computes the float32 input in float64 and rounds the result once.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -40,6 +53,7 @@ from .errors import ParameterError, ShapeError
 
 DUAL_STEP = 0.25
 F32_SPAN = 2.0 ** 56  # float32 computes while weight and |g|/weight are within it
+_THREADED_PLANE = 1 << 16  # pixels; on smaller planes GIL hand-offs cost more than a core gains
 
 
 def fits_float32(x: np.ndarray, weight: float) -> bool:
@@ -91,13 +105,23 @@ def _div_flat(px: np.ndarray, py: np.ndarray, w: int, out: np.ndarray,
     return out
 
 
-def _tv_bands(x: np.ndarray, weight: float, iters: int, out: np.ndarray, dtype) -> None:
-    """Chambolle's dual iteration in `dtype` on each band of x [H, W, N], into out."""
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _tv_worker(x: np.ndarray, weight: float, iters: int, out: np.ndarray,
+               planes: np.ndarray, first: int) -> None:
+    """Chambolle's dual iteration in the planes' dtype on bands first,
+    first + workers, ... of x [H, W, N], into out."""
     h, w, n = x.shape
-    g, g_w, px, py, gx, gy, u, denom = np.empty((8, h * w), dtype=dtype)
-    for band in range(n):
-        np.copyto(g.reshape(h, w), x[:, :, band])
-        np.divide(g, weight, out=g_w)
+    g_w, px, py, gx, gy, u, denom = planes[first]
+    for band in range(first, n, len(planes)):
+        g = x[:, :, band]
+        np.divide(g, weight, out=g_w.reshape(h, w), dtype=g_w.dtype)
         for buf in (px, py, gx, gy):
             buf.fill(0.0)
         for _ in range(iters):
@@ -118,15 +142,44 @@ def _tv_bands(x: np.ndarray, weight: float, iters: int, out: np.ndarray, dtype) 
             np.divide(gy, denom, out=py)
         _div_flat(px, py, w, u, denom)
         u *= weight
-        np.subtract(g.reshape(h, w), u.reshape(h, w), out=out[:, :, band])
+        np.subtract(g, u.reshape(h, w), out=out[:, :, band], dtype=g_w.dtype)
+
+
+def _tv_bands(x: np.ndarray, weight: float, iters: int, out: np.ndarray, dtype) -> None:
+    """The prox in `dtype` of each band of x [H, W, N], into out, on one
+    worker per core; the calling thread is worker 0 and waits for the rest."""
+    h, w, n = x.shape
+    workers = min(_cores(), n) if h * w >= _THREADED_PLANE else 1
+    planes = np.empty((workers, 7, h * w), dtype=dtype)
+    errors: list[BaseException] = []
+
+    def work(first: int) -> None:
+        try:
+            _tv_worker(x, weight, iters, out, planes, first)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=work, args=(first,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def tv_denoise(x: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
     """Proximal TV denoising, applied per band for rank-3 inputs.
 
     A float32 input gives a float32 output; any other input is read, and
-    denoised, as float64.  weight = 0 short-circuits to the identity.  The
-    output never has larger per-band total variation than the input.
+    denoised, as float64.  weight = 0 and an empty input short-circuit to a
+    copy, after the rank is checked.  The output never has larger per-band
+    total variation than the input.
     """
     x = np.asarray(x)
     if x.dtype != np.float32:
@@ -138,10 +191,10 @@ def tv_denoise(x: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
         raise ParameterError(f"tv weight must be >= 0, got {weight}")
     if iters < 1:
         raise ParameterError(f"tv iters must be >= 1, got {iters}")
-    if weight == 0.0:
-        return x.copy()
     if x.ndim not in (2, 3):
         raise ShapeError(f"tv_denoise expects rank 2 or 3, got rank {x.ndim}")
+    if weight == 0.0 or x.size == 0:
+        return x.copy()
     dtype = x.dtype
     if dtype == np.float32 and not fits_float32(x, weight):
         dtype = np.float64

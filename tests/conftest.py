@@ -3,6 +3,8 @@
 import os
 import shutil
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import cassikit
+from cassikit import priors
 from cassikit.cassi import SensingOperator, random_binary_mask
 
 # CLI tests run `python -m cassikit` in child processes, some with a changed
@@ -51,3 +54,22 @@ def tiny_operator() -> SensingOperator:
 def square_operator() -> SensingOperator:
     """16x16 scene, 8 bands, step 2: the adjointness workhorse."""
     return SensingOperator.from_mask(random_binary_mask(16, 16, 0), 8, 2)
+
+
+@pytest.fixture
+def failing_tv_worker(monkeypatch):
+    """Two TV workers on any plane, and `_div_flat` runs out of memory on
+    the bands of the worker that is not the calling thread.  It fails late,
+    after worker 0 is done, so a caller that did not wait would return."""
+    div = priors._div_flat
+    caller = threading.current_thread()
+
+    def failing(*args):
+        if threading.current_thread() is not caller:
+            time.sleep(0.05)
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        return div(*args)
+
+    monkeypatch.setattr(priors, "_div_flat", failing)
+    monkeypatch.setattr(priors, "_cores", lambda: 2)
+    monkeypatch.setattr(priors, "_THREADED_PLANE", 0)

@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1001,6 +1002,19 @@ def test_running_out_of_memory_exits_9_naming_the_command(tmp_path, monkeypatch,
         "error: phantom ran out of memory: Unable to allocate 74.5 GiB for an array with "
         "shape (100000, 100000, 100) and data type float64\n")
     assert not (tmp_path / "p.hsic").exists()
+
+
+def test_a_tv_worker_running_out_of_memory_exits_9_naming_reconstruct(workbench, tmp_path,
+                                                                      failing_tv_worker, capsys):
+    before = threading.active_count()
+    out = tmp_path / "out.hsic"
+    code = cli.main(["reconstruct", "--measurement", str(workbench["meas"]),
+                     "--mask", str(workbench["mask"]), "--denoiser", "tv", "--out", str(out)])
+    assert code == 9
+    assert capsys.readouterr().err == (
+        "error: reconstruct ran out of memory: Unable to allocate 1.00 TiB\n")
+    assert threading.active_count() == before
+    assert not out.exists()
 
 
 def test_tiny_training_run_writes_checkpoint_and_curve(tmp_path):

@@ -2,6 +2,8 @@
 contract, a plain 2-D reference and frozen references, plus the quality
 metrics against hand formulas and loop oracles."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cassikit import metrics
+from cassikit import metrics, priors
 from cassikit.errors import MetricError, ParameterError, ShapeError
 from cassikit.metrics import PSNR_CAP_DB, SSIM_SIGMA, SSIM_WINDOW, psnr, sam, ssim
 from cassikit.priors import (DUAL_STEP, F32_SPAN, _div_flat, _grad_flat, fits_float32,
@@ -266,8 +268,10 @@ def test_tv_denoise_input_validation():
         tv_denoise(np.ones((4, 4)), weight=-0.1)
     with pytest.raises(ParameterError):
         tv_denoise(np.ones((4, 4)), weight=0.1, iters=0)
-    with pytest.raises(ShapeError):
-        tv_denoise(np.ones(16), weight=0.1)
+    for bad in (np.ones(16), np.ones((2, 2, 2, 2))):
+        for weight in (0.1, 0.0):  # weight 0 checks the rank before it returns a copy
+            with pytest.raises(ShapeError, match="rank 2 or 3"):
+                tv_denoise(bad, weight=weight)
     for weight in (np.nan, np.inf, -np.inf):
         with pytest.raises(ParameterError, match="finite"):
             tv_denoise(np.ones((4, 4)), weight=weight)
@@ -284,15 +288,94 @@ def test_tv_denoise_on_a_single_row_or_column():
     np.testing.assert_array_equal(tv_denoise(cube, weight=0.2)[:, :, 0], out)
 
 
-def test_tv_denoise_allocates_nothing_per_iteration():
-    g = make_rng(107).random((64, 64))
-    peaks = []
-    for iters in (1, 200):
-        tracemalloc.start()
-        tv_denoise(g, weight=0.1, iters=iters)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) <= 4096
+@pytest.mark.parametrize("shape", [(0, 4, 3), (4, 4, 0), (0, 5)])
+def test_tv_denoise_of_an_empty_input_is_an_empty_copy(shape):
+    for dtype in (np.float32, np.float64):
+        g = np.ones(shape, dtype=dtype)
+        out = tv_denoise(g, weight=0.1)
+        assert out.shape == shape and out.dtype == dtype and out is not g
+
+
+def test_tv_denoise_allocates_nothing_per_iteration(monkeypatch):
+    """tracemalloc sees every thread's allocations: per call, the caller's
+    7 planes per worker and the output, and nothing per iteration."""
+    monkeypatch.setattr(priors, "_THREADED_PLANE", 0)
+    for shape, workers in (((64, 64), 1), ((64, 64, 4), 2)):
+        monkeypatch.setattr(priors, "_cores", lambda: workers)
+        g = make_rng(107).random(shape)
+        peaks = []
+        for iters in (1, 200):
+            tracemalloc.start()
+            tv_denoise(g, weight=0.1, iters=iters)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 4096
+        assert peaks[1] <= (7 * workers * 64 * 64 + g.size) * 8 + 16384
+
+
+@pytest.mark.parametrize("weight", [1e-40, 1e40, 1e-72, 2.0 ** -57])
+def test_float32_prox_outside_the_range_rule_is_the_rounded_float64_prox(weight):
+    """The float64 fallback divides the float32 band in float64 and rounds
+    once at the end: bit for bit the float64 prox, signs of zero included."""
+    g = (make_rng(114).random((9, 11, 3)) - 0.5).astype(np.float32)
+    g[0, :3, 0] = [0.0, -0.0, 0.0]
+    assert not fits_float32(g, weight)
+    assert_same_bits(tv_denoise(g, weight),
+                     tv_denoise(g.astype(np.float64), weight).astype(np.float32))
+
+
+def count_thread_starts(monkeypatch) -> list:
+    """Record every thread that priors starts."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(priors.threading, "Thread", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tv_bands_have_the_same_bits_for_any_worker_count(monkeypatch, dtype):
+    """More workers than cores, switching threads every microsecond: a band
+    lost or written twice would change the bits."""
+    g = (make_rng(115).random((12, 10, 5)) * 3).astype(dtype)
+    want = np.stack([tv_denoise(g[:, :, band], 0.2) for band in range(5)], axis=2)
+    started = count_thread_starts(monkeypatch)
+    monkeypatch.setattr(priors, "_THREADED_PLANE", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 3, 7):
+            monkeypatch.setattr(priors, "_cores", lambda: cores)
+            del started[:]
+            assert_same_bits(tv_denoise(g, 0.2), want)
+            assert len(started) == min(cores, 5) - 1
+            assert not any(thread.is_alive() for thread in started)
+            del started[:]
+            tv_denoise(g[:, :, :1], 0.2)  # one band: no thread
+            tv_denoise(g[:, :, 0], 0.2)
+            assert started == []
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_tv_bands_stay_on_the_calling_thread_below_the_threaded_plane_size(monkeypatch):
+    started = count_thread_starts(monkeypatch)
+    monkeypatch.setattr(priors, "_cores", lambda: 4)
+    tv_denoise(np.ones((255, 257, 4), dtype=np.float32), 0.2, iters=1)
+    assert started == []
+    tv_denoise(np.ones((256, 256, 4), dtype=np.float32), 0.2, iters=1)
+    assert len(started) == 3
+
+
+def test_a_worker_error_is_raised_in_the_caller_after_every_worker_ends(failing_tv_worker):
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="1.00 TiB"):
+        tv_denoise(make_rng(116).random((8, 8, 4)), 0.2)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
