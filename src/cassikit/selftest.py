@@ -360,6 +360,30 @@ def check_tv_prior() -> float:
     return err
 
 
+def _bit_gap(a, b) -> float:
+    """0 when a and b hold the same bits, else their largest difference (inf
+    when only the signs of zeros differ, or a NaN is involved)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)):
+        return 0.0
+    gap = float(np.abs(a - b).max())
+    return gap if gap > 0.0 else float("inf")
+
+
+def check_band_layout() -> float:
+    """The TV prox of a C-ordered cube and of its band-major copy, which must
+    come back band-major, and SSIM on 1 and 2 workers: bit for bit."""
+    rng = _rng(95)
+    g = (rng.random((16, 14, 5)) - 0.3).astype(np.float32)
+    band_major = np.ascontiguousarray(g.transpose(2, 0, 1)).transpose(1, 2, 0)
+    outs = [tv_denoise(x, weight=0.2) for x in (g, band_major)]
+    if not all(out.transpose(2, 0, 1).flags.c_contiguous for out in outs):
+        return float("inf")
+    b = np.clip(g + 0.1 * rng.normal(size=g.shape), 0.0, 1.0)
+    return max(_bit_gap(*outs), _bit_gap(*(metrics._ssim_bands(g, b, workers)
+                                            for workers in (1, 2))))
+
+
 def _pnp_scene() -> tuple:
     """64x64x8 phantom, its step-2 operator and noiseless measurement."""
     truth = generate_phantom(64, 64, 8, seed=5)
@@ -409,6 +433,7 @@ CHECKS = (
     ("metrics", check_metrics, 1e-9, "quick"),
     ("tv-prior", check_tv_prior, 1e-12, "quick"),
     ("tv-route-f32", check_tv_route_f32, 1e-6, "quick"),
+    ("band-layout", check_band_layout, 0.0, "quick"),
     ("pnp-improvement", check_pnp_improvement, 1e-12, "full"),
 )
 

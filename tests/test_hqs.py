@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cassikit import cassi, hqs
+from cassikit import cassi, hqs, metrics
 from cassikit.cassi import (HsiCube, Measurement, SensingOperator,
                             forward_measure, materialize_dense,
                             random_binary_mask, shift_cube)
@@ -295,6 +295,57 @@ def test_the_classical_route_computes_the_gram_diagonal_once(monkeypatch):
     monkeypatch.setattr(cassi, "mul", lambda a, b: products.append(1) or real_mul(a, b))
     run_hqs(y, op, ReconConfig(stages=9, denoiser="tv"))
     assert len(products) == 1
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record each call of module.name made through the module's binding."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("denoiser", ["tv", "identity"])
+def test_the_classical_route_measures_one_residual_per_stage(monkeypatch, denoiser):
+    """Trace row k's residual y - Phi z_k feeds the data step of stage k + 1:
+    nine stages measure 10 residuals, not 19, data_step still runs once a
+    stage, and every bit is the one a data step measuring its own gives."""
+    truth, op, y = _phantom_problem()
+    cfg = ReconConfig(stages=9, denoiser=denoiser)
+    real_step = hqs.data_step
+    with monkeypatch.context() as patch:
+        patch.setattr(hqs, "data_step", lambda z, y, op, mu, resid=None: real_step(z, y, op, mu))
+        want = run_hqs(y, op, cfg, truth=truth)
+    measures = _count_calls(monkeypatch, hqs, "forward_measure")
+    steps = _count_calls(monkeypatch, hqs, "data_step")
+    got = run_hqs(y, op, cfg, truth=truth)
+    assert (len(measures), len(steps)) == (10, 9)
+    assert got.trace == want.trace
+    assert np.array_equal(got.z.numpy(), want.z.numpy())
+
+
+def test_the_learned_route_measures_a_residual_in_each_data_step(monkeypatch, square_operator):
+    """Its operator changes every stage: two stages measure 1 + 2 * 2
+    residuals through hqs, as before."""
+    from cassikit.cli import init_pipeline_params
+    from cassikit.transformer import LnltConfig
+    params = init_pipeline_params(8, LnltConfig(base_channels=8, local_window=4,
+                                                nonlocal_grid=4), seed=0)
+    y = forward_measure(generate_phantom(16, 16, 8, seed=2), square_operator)
+    measures = _count_calls(monkeypatch, hqs, "forward_measure")
+    steps = _count_calls(monkeypatch, hqs, "data_step")
+    for use_den in (True, False):
+        del measures[:], steps[:]
+        run_hqs(y, square_operator, ReconConfig(stages=2, denoiser="lnlt", use_den=use_den),
+                params=params)
+        assert (len(measures), len(steps)) == (5, 2)
+
+
+def test_the_last_trace_row_scores_the_returned_estimate():
+    truth, op, y = _phantom_problem()
+    for stages in (0, 3):
+        result = run_hqs(y, op, ReconConfig(stages=stages, denoiser="tv"), truth=truth)
+        assert result.trace[-1].psnr_vs_truth == metrics.psnr(result.z.numpy(), truth.numpy())
 
 
 def test_trace_csv_layout():

@@ -384,6 +384,21 @@ def test_reconstruct_pipeline_outputs(workbench):
     assert lines[1].startswith("0,,")
 
 
+def test_the_report_prints_the_psnr_of_the_written_cube_from_the_trace(workbench, monkeypatch,
+                                                                       capsys):
+    out = workbench["root"] / "report.hsic"
+    calls = []
+    real_psnr = metrics.psnr
+    monkeypatch.setattr(metrics, "psnr", lambda a, b: calls.append(1) or real_psnr(a, b))
+    code = cli.main(["reconstruct", "--measurement", str(workbench["meas"]),
+                     "--mask", str(workbench["mask"]), "--stages", "3",
+                     "--truth", str(workbench["truth"]), "--out", str(out)])
+    assert code == 0
+    assert len(calls) == 4  # one per trace row, none for the report
+    z, truth = fileio.read_cube(str(out)), fileio.read_cube(str(workbench["truth"]))
+    assert f"psnr {real_psnr(z, truth):.4f} dB" in capsys.readouterr().out
+
+
 def test_repeat_runs_are_byte_identical(workbench):
     root = workbench["root"]
     pairs = []

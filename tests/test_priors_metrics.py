@@ -4,7 +4,9 @@ metrics against hand formulas and loop oracles."""
 
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis.extra import numpy as hnp
 
 from cassikit import metrics, priors
 from cassikit.errors import MetricError, ParameterError, ShapeError
-from cassikit.metrics import PSNR_CAP_DB, SSIM_SIGMA, SSIM_WINDOW, psnr, sam, ssim
+from cassikit.metrics import (PSNR_CAP_DB, SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW, psnr,
+                              sam, ssim)
 from cassikit.priors import (DUAL_STEP, F32_SPAN, _div_flat, _grad_flat, fits_float32,
                              total_variation, tv_denoise)
 from cassikit.tensor import Tensor
@@ -298,11 +301,21 @@ def test_tv_denoise_of_an_empty_input_is_an_empty_copy(shape):
 
 def test_tv_denoise_allocates_nothing_per_iteration(monkeypatch):
     """tracemalloc sees every thread's allocations: per call, the caller's
-    7 planes per worker and the output, and nothing per iteration."""
+    7 planes per worker and the output, and nothing per iteration.  The
+    band-major copy, all that weight 0 runs, goes in strips of 4 KB here
+    (2 rows of a C-ordered cube) and allocates nothing beside the output."""
     monkeypatch.setattr(priors, "_THREADED_PLANE", 0)
-    for shape, workers in (((64, 64), 1), ((64, 64, 4), 2)):
+    monkeypatch.setattr(priors, "_STRIP_BYTES", 4096)
+    cube = make_rng(107).random((64, 64, 4))
+    for g, workers in ((cube[:, :, 0].copy(), 1), (cube, 2), (band_major(cube), 2),
+                       (cube[:, ::2], 2)):
         monkeypatch.setattr(priors, "_cores", lambda: workers)
-        g = make_rng(107).random(shape)
+        h, w = g.shape[:2]
+        tracemalloc.start()
+        tv_denoise(g, weight=0.0)
+        copy_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert copy_peak <= g.size * 8 + 1024
         peaks = []
         for iters in (1, 200):
             tracemalloc.start()
@@ -310,7 +323,7 @@ def test_tv_denoise_allocates_nothing_per_iteration(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 4096
-        assert peaks[1] <= (7 * workers * 64 * 64 + g.size) * 8 + 16384
+        assert peaks[1] <= (7 * workers * h * w + g.size) * 8 + 16384
 
 
 @pytest.mark.parametrize("weight", [1e-40, 1e40, 1e-72, 2.0 ** -57])
@@ -378,6 +391,59 @@ def test_a_worker_error_is_raised_in_the_caller_after_every_worker_ends(failing_
     assert threading.active_count() == before
 
 
+def band_major(x):
+    """x's values in a band-major buffer, seen as [H, W, N], as read_cube
+    and tv_denoise lay a cube out."""
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def is_band_major(x) -> bool:
+    return x.transpose(2, 0, 1).flags.c_contiguous
+
+
+LAYOUTS = {"C": lambda x: x, "band-major": band_major,
+           "strided": lambda x: np.repeat(x, 2, axis=1)[:, 1::2]}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("dtype,weight", [(np.float32, 0.2), (np.float64, 0.2),
+                                          (np.float32, 1e-40), (np.float32, 1e40)])
+def test_tv_denoise_returns_band_major_cubes_with_the_reference_bits(monkeypatch, layout,
+                                                                     dtype, weight):
+    """Every input layout, float32, float64 and the float64 fallback of a
+    float32 input, on 1, 2, 3 and 7 workers: each band's plane comes back
+    contiguous, with the 2-D reference's bits (rounded once to float32 in
+    the fallback)."""
+    g = ((make_rng(118).random((12, 10, 5)) - 0.3) * 3).astype(dtype)
+    g[0, :3, 1] = [0.0, -0.0, 0.0]
+    wide = dtype == np.float32 and not fits_float32(g, weight)
+    assert wide == (weight != 0.2)
+    ref = g.astype(np.float64) if wide else g
+    want = np.stack([ref_tv_plane(ref[:, :, band], weight, 20) for band in range(5)], axis=2)
+    want = want.astype(dtype)
+    x = LAYOUTS[layout](g)
+    assert np.array_equal(x, g) and (layout == "C") == x.flags.c_contiguous
+    started = count_thread_starts(monkeypatch)
+    monkeypatch.setattr(priors, "_THREADED_PLANE", 0)
+    for cores in (1, 2, 3, 7):
+        monkeypatch.setattr(priors, "_cores", lambda: cores)
+        del started[:]
+        out = tv_denoise(x, weight)
+        assert out.dtype == dtype and is_band_major(out)
+        assert_same_bits(out, want)
+        assert len(started) == min(cores, 5) - 1
+
+
+def test_a_2d_input_gives_a_row_major_plane():
+    g = make_rng(119).random((9, 7)).astype(np.float32)
+    for x in (g, g.T.copy().T, np.repeat(g, 2, axis=1)[:, ::2]):
+        for weight in (0.3, 0.0):
+            out = tv_denoise(x, weight)
+            assert out.shape == (9, 7) and out.flags.c_contiguous
+            assert_same_bits(out, ref_tv_plane(g, weight, 20) if weight else g)
+    assert is_band_major(tv_denoise(np.ones((4, 4, 3)), 0.0))
+
+
 # ---------------------------------------------------------------------------
 # PSNR
 # ---------------------------------------------------------------------------
@@ -402,6 +468,15 @@ def test_psnr_rejects_bad_pairs():
         psnr(np.zeros(2, dtype=np.float32), np.array([0.0, np.inf], dtype=np.float32))
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 3), (4, 4, 0), (0,), (0, 5)])
+def test_metrics_refuse_empty_operands_without_a_warning(shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric in (psnr, ssim, sam):
+            with pytest.raises(ShapeError, match="empty"):
+                metric(np.zeros(shape), np.zeros(shape))
+
+
 def _psnr_on_widened_copies(a, b):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / float(np.mean((a - b) ** 2))))
@@ -419,17 +494,49 @@ def test_psnr_equals_the_widened_formula_bit_for_bit(da, db):
         assert psnr(a_, b_) == _psnr_on_widened_copies(a_, b_)
 
 
-def test_psnr_of_float32_cubes_allocates_one_float64_buffer():
+@pytest.mark.parametrize("shape", [(24, 20, 28), (3, 300, 28)])  # chunks of 3 rows; of 1
+@pytest.mark.parametrize("da,db", [(np.float32, np.float32), (np.float64, np.float32)])
+def test_psnr_of_band_major_pairs_equals_the_c_order_formula_bit_for_bit(monkeypatch, da, db,
+                                                                         shape):
+    """The squared errors are row-major whatever the operands' layout, so
+    the mean sums in one order: a band-major pair, as the TV route scores
+    its prox output against a cube from read_cube, reads the C-order value
+    on 1, 2, 3 and 7 workers.  Unit noise puts the MSE near 1, where PSNR
+    is near 0 dB and the last bit of the MSE shows in the result."""
+    rng = make_rng(120)
+    a = rng.random(shape)
+    b = a + rng.normal(size=a.shape)
+    a, b = a.astype(da), b.astype(db)
+    want = _psnr_on_widened_copies(np.ascontiguousarray(a), np.ascontiguousarray(b))
+    started = count_thread_starts(monkeypatch)
+    monkeypatch.setattr(metrics, "CHUNK", 2000)
+    monkeypatch.setattr(priors, "_THREADED_PLANE", 0)
+    for cores in (1, 2, 3, 7):
+        monkeypatch.setattr(priors, "_cores", lambda: cores)
+        for a_, b_ in ((a, b), (band_major(a), band_major(b)), (band_major(a), b),
+                       (LAYOUTS["strided"](a), band_major(b))):
+            del started[:]
+            assert psnr(a_, b_) == want
+            assert len(started) == (0 if a_ is a else cores - 1)
+
+
+def test_psnr_of_float32_cubes_allocates_one_float64_buffer(monkeypatch):
     rng = make_rng(115)
     a = rng.random((128, 128, 8)).astype(np.float32)
     b = rng.random((128, 128, 8)).astype(np.float32)
-    tracemalloc.start()
-    psnr(a, b)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    # the float64 error plus the ufunc's fixed cast buffers (two of 8,192
-    # float64 values); widened operands would add two more cube-sized buffers
-    assert peak <= a.size * 8 + 256 * 1024
+    monkeypatch.setattr(priors, "_cores", lambda: 2)
+    monkeypatch.setattr(priors, "_THREADED_PLANE", 0)
+    for a_, b_, workers in ((a, b, 1), (band_major(a), band_major(b), 2)):
+        tracemalloc.start()
+        psnr(a_, b_)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the float64 errors plus, per worker, the ufunc's fixed cast buffers
+        # (two of 8,192 float64 values) and, for band-major cubes, one chunk
+        # of CHUNK float64 values; widened operands would add two more
+        # cube-sized buffers
+        chunk = 0 if workers == 1 else metrics.CHUNK * 8
+        assert peak <= a.size * 8 + workers * (256 * 1024 + chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +567,38 @@ def ssim_loops(a, b, data_range=1.0):
             den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
             vals.append(num / den)
     return float(np.mean(vals))
+
+
+def ssim_formula(a, b):
+    """The per-plane SSIM formula in float64, one band after another, each
+    expression on whole arrays: the serial computation `ssim` must match
+    bit for bit on any number of workers."""
+    taps = metrics._gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
+    k = len(taps)
+
+    def filt(img):
+        h, w = img.shape
+        rows = taps[0] * img[:h - k + 1]
+        for i in range(1, k):
+            rows += taps[i] * img[i:h - k + 1 + i]
+        out = taps[0] * rows[:, :w - k + 1]
+        for j in range(1, k):
+            out += taps[j] * rows[:, j:w - k + 1 + j]
+        return out
+
+    def plane(x, y):
+        mu_x, mu_y, e_xx, e_yy, e_xy = (filt(img) for img in (x, y, x * x, y * y, x * y))
+        var_x = e_xx - mu_x * mu_x
+        var_y = e_yy - mu_y * mu_y
+        cov = e_xy - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + SSIM_K1 ** 2) * (2.0 * cov + SSIM_K2 ** 2)
+        den = (mu_x * mu_x + mu_y * mu_y + SSIM_K1 ** 2) * (var_x + var_y + SSIM_K2 ** 2)
+        return float(np.mean(num / den))
+
+    a, b = np.atleast_3d(a), np.atleast_3d(b)
+    return float(np.mean([plane(np.ascontiguousarray(a[:, :, i], dtype=np.float64),
+                                np.ascontiguousarray(b[:, :, i], dtype=np.float64))
+                          for i in range(a.shape[2])]))
 
 
 def test_ssim_identical_is_one():
@@ -494,6 +633,66 @@ def test_ssim_input_validation():
     small = np.ones((8, 8))
     with pytest.raises(ShapeError):
         ssim(small, small)  # below the 11x11 window
+
+
+@pytest.mark.parametrize("da,db", [(np.float32, np.float32), (np.float64, np.float32)])
+def test_ssim_has_the_serial_formulas_bits_on_any_number_of_workers(monkeypatch, da, db):
+    """More workers than cores, switching threads every microsecond: a band
+    scored twice, lost, or averaged out of order would change the bits."""
+    rng = make_rng(121)
+    a = rng.random((20, 17, 5))
+    b = np.clip(a + 0.1 * rng.normal(size=a.shape), 0.0, 1.0)
+    a, b = a.astype(da), band_major(b.astype(db))
+    want = ssim_formula(a, b)
+    started = count_thread_starts(monkeypatch)
+    monkeypatch.setattr(priors, "_THREADED_PLANE", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 3, 7):
+            monkeypatch.setattr(priors, "_cores", lambda: cores)
+            del started[:]
+            assert ssim(a, b) == want
+            assert len(started) == min(cores, 5) - 1
+            assert not any(thread.is_alive() for thread in started)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_ssim_worker_error_is_raised_in_the_caller_after_every_worker_ends(monkeypatch):
+    """The worker that is not the calling thread runs out of memory late,
+    after worker 0 is done, so a caller that did not wait would return."""
+    gaussian_filter = metrics._gaussian_filter
+    caller = threading.current_thread()
+
+    def failing(*args):
+        if threading.current_thread() is not caller:
+            time.sleep(0.05)
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        return gaussian_filter(*args)
+
+    monkeypatch.setattr(metrics, "_gaussian_filter", failing)
+    monkeypatch.setattr(priors, "_cores", lambda: 2)
+    monkeypatch.setattr(priors, "_THREADED_PLANE", 0)
+    a = make_rng(122).random((16, 16, 4))
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="1.00 TiB"):
+        ssim(a, a)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("metric", [ssim, psnr])
+def test_ssim_and_psnr_stay_on_the_calling_thread_below_the_threaded_plane_size(monkeypatch,
+                                                                              metric):
+    started = count_thread_starts(monkeypatch)
+    monkeypatch.setattr(priors, "_cores", lambda: 4)
+    small = band_major(np.ones((255, 257, 4), dtype=np.float32))
+    metric(small, small)
+    metric(np.ones((64, 64)), np.ones((64, 64)))
+    assert started == []
+    big = band_major(np.ones((256, 256, 4), dtype=np.float32))
+    metric(big, big)
+    assert len(started) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +736,6 @@ def test_sam_requires_cubes():
 # SSIM and SAM on float32 cubes: no whole-cube float64 copy, same bits
 # ---------------------------------------------------------------------------
 
-def _ssim_on_widened_cubes(a, b):
-    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
-    return float(np.mean([metrics._ssim_plane(a[:, :, i], b[:, :, i])
-                          for i in range(a.shape[2])]))
-
-
 def _sam_on_widened_cubes(a, b):
     a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
     flat_a, flat_b = a.reshape(-1, a.shape[2]), b.reshape(-1, b.shape[2])
@@ -565,21 +758,25 @@ def test_ssim_and_sam_equal_the_whole_cube_formulas_bit_for_bit(shape, da, db):
     for a_, b_ in ((a, b), (a.transpose(2, 0, 1).copy().transpose(1, 2, 0), b),
                    (a, b.transpose(2, 0, 1).copy().transpose(1, 2, 0))):
         a_, b_ = a_.astype(da), b_.astype(db)
-        assert ssim(a_, b_) == _ssim_on_widened_cubes(a_, b_)
+        assert ssim(a_, b_) == ssim_formula(a_, b_)
         assert sam(a_, b_) == _sam_on_widened_cubes(a_, b_)
 
 
+@pytest.mark.parametrize("side,cores", [(128, 1), (256, 2)])
 @pytest.mark.parametrize("metric", [ssim, sam])
-def test_ssim_and_sam_of_float32_cubes_allocate_less_than_one_float64_cube(metric):
+def test_ssim_and_sam_of_float32_cubes_allocate_less_than_one_float64_cube(monkeypatch, metric,
+                                                                           side, cores):
+    monkeypatch.setattr(priors, "_cores", lambda: cores)
     rng = make_rng(117)
-    a = rng.random((128, 128, 28)).astype(np.float32)
-    b = rng.random((128, 128, 28)).astype(np.float32)
+    a = rng.random((side, side, 28)).astype(np.float32)
+    b = rng.random((side, side, 28)).astype(np.float32)
     tracemalloc.start()
     metric(a, b)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    # one band pair (SSIM) or one chunk of rows (SAM) is widened at a time;
-    # widening both operands whole would take two of these
+    # one band pair per SSIM worker, each in SSIM_PLANES planes, or one
+    # chunk of rows (SAM) is widened at a time; widening both operands
+    # whole would take two of these
     assert peak < a.size * 8
 
 

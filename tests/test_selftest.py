@@ -26,6 +26,7 @@ QUICK_NAMES = [
     "metrics",
     "tv-prior",
     "tv-route-f32",
+    "band-layout",
 ]
 
 
@@ -90,6 +91,15 @@ def test_corrupted_kernel_fails_exactly_the_named_check(monkeypatch, check, kern
     for name, r in by_name.items():
         if name != check:
             assert r.passed, f"corrupted {kernel} leaked into {name}"
+
+
+def test_workers_that_never_start_fail_exactly_the_band_layout_check(monkeypatch):
+    """Only band-layout runs on two workers: if the second never runs, SSIM
+    averages scratch it never wrote."""
+    monkeypatch.setattr(cassikit.metrics, "run_workers", lambda work, workers: work(0))
+    by_name = {r.name: r for r in run_selftest("quick")}
+    assert not by_name["band-layout"].passed
+    assert [name for name, r in by_name.items() if not r.passed] == ["band-layout"]
 
 
 def test_report_lists_every_check_and_the_verdict(quick_results):
