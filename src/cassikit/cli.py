@@ -300,7 +300,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def cmd_phantom(args: argparse.Namespace) -> int:
     cube = generate_phantom(args.height, args.width, args.bands, seed=args.seed)
-    fileio.write_cube(args.out, cube.numpy())
+    fileio.write_cube(args.out, cube.data.data)
     print(f"phantom {args.height}x{args.width}x{args.bands} -> {args.out}")
     return EXIT_OK
 

@@ -18,7 +18,12 @@ Entries serialize in store order, so save/load preserves registration
 order.  Cube payloads are float32 (images are stored at sensor precision),
 and `read_cube` returns them as float32, read straight into the array it
 returns: the values are exact, and code that computes in float64 widens
-only what it uses.
+only what it uses.  `write_cube` writes a band-major little-endian float32
+cube (what `read_cube` and `priors.tv_denoise` return) as it is, with no
+copy; any other cube it casts into a band-major float32 payload a strip of
+about 256 KB of input rows at a time (`priors.copy_rows`), checking each
+strip, while it is in cache, for values not finite as float32.  No writer
+joins its chunks into one copy of the file.
 Checkpoint payloads are float64, but `read_params` loads them as float32,
 the learned route's precision: widening float32 to float64 is exact, so a
 float32 store round-trips byte for byte, while a checkpoint written from
@@ -38,6 +43,7 @@ import numpy as np
 
 from .errors import FormatError, NumericalError, ShapeError
 from .params import ParamStore
+from .priors import copy_rows
 
 HSIC_MAGIC = b"HSIC"
 DPRM_MAGIC = b"DPRM"
@@ -45,8 +51,9 @@ HSIC_VERSION = 1
 DPRM_VERSION = 1
 
 
-def _atomic_write(path: str, *chunks) -> None:
-    """Write the chunks (bytes or contiguous arrays), in order, as one file."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write an iterable of chunks (bytes or contiguous arrays), in order, as
+    one file; each chunk is made only when the previous one is written."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -74,7 +81,11 @@ def _read_blob(path: str) -> bytes:
 
 
 def _cube_parts(arr: np.ndarray) -> tuple:
-    """The container's header bytes and its float32 payload array."""
+    """The container's header bytes and its float32 payload array, [C, H, W].
+
+    A band-major little-endian float32 cube is its own payload; any other is
+    cast into a new one a strip of rows at a time.  Each strip (or plane of
+    a payload written as it is) is checked for values not finite as float32."""
     arr = np.asarray(arr)
     if arr.dtype != np.float32:  # float32 is the payload's type: no wider copy
         arr = arr.astype(np.float64, copy=False)
@@ -82,28 +93,40 @@ def _cube_parts(arr: np.ndarray) -> tuple:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise ShapeError(f"cube container expects rank 2 or 3, got rank {arr.ndim}")
+    if arr.size == 0:
+        raise ShapeError(f"cube container expects extents >= 1, got {arr.shape}")
     h, w, c = arr.shape
     header = HSIC_MAGIC + struct.pack("<IIII", HSIC_VERSION, h, w, c)
-    # a value beyond the float32 range casts to inf, which is tested just below
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(arr.transpose(2, 0, 1), dtype="<f4")
-    if not np.isfinite(payload).all():
+    payload = arr.transpose(2, 0, 1)
+    if payload.dtype == "<f4" and payload.flags.c_contiguous:
+        for plane in payload:
+            _check_finite32(plane)
+    else:
+        payload = np.empty((c, h, w), dtype="<f4")
+        # a value beyond the float32 range casts to inf, which the strip check finds
+        with np.errstate(over="ignore"):
+            copy_rows(payload.transpose(1, 2, 0), arr, each=_check_finite32)
+    return header, payload
+
+
+def _check_finite32(strip: np.ndarray) -> None:
+    if not np.isfinite(strip).all():
         raise NumericalError("cube holds a value that is not finite as float32 "
                              f"(|x| > {np.finfo(np.float32).max:.8g} or NaN/Inf)")
-    return header, payload
 
 
 def write_cube(path: str, arr: np.ndarray) -> None:
     """Write a cube (or a single plane) to an HSIC container atomically.
 
-    Raises NumericalError, and writes nothing, when a value is not finite
-    as float32: `read_cube` would reject the file.  The payload is written
-    from its array, with no joined copy of it."""
+    Raises ShapeError for an empty cube and NumericalError for a value that
+    is not finite as float32, and writes nothing: `read_cube` would reject
+    the file.  The payload is written from its array, with no joined copy
+    of it."""
     try:
         header, payload = _cube_parts(arr)
     except NumericalError as exc:
         raise NumericalError(f"cannot write {path}: {exc}") from exc
-    _atomic_write(path, header, payload)
+    _atomic_write(path, (header, payload))
 
 
 def read_cube(path: str) -> np.ndarray:
@@ -146,22 +169,20 @@ def read_plane(path: str) -> np.ndarray:
     return cube[:, :, 0]
 
 
-def params_bytes(store: ParamStore) -> bytes:
-    chunks = [DPRM_MAGIC + struct.pack("<II", DPRM_VERSION, len(store))]
+def _params_chunks(store: ParamStore):
+    yield DPRM_MAGIC + struct.pack("<II", DPRM_VERSION, len(store))
     for name, tensor in store.items():
         encoded = name.encode("utf-8")
         arr = np.ascontiguousarray(tensor.data, dtype="<f8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    return b"".join(chunks)
+        yield struct.pack("<I", len(encoded)) + encoded + struct.pack(
+            f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+        yield arr
 
 
 def write_params(path: str, store: ParamStore) -> None:
-    """Write a parameter checkpoint atomically."""
-    _atomic_write(path, params_bytes(store))
+    """Write a parameter checkpoint atomically, an entry at a time, with no
+    joined copy of the entries."""
+    _atomic_write(path, _params_chunks(store))
 
 
 def read_params(path: str) -> ParamStore:

@@ -12,9 +12,10 @@ the solution tightens monotonically with more iterations.
 `tv_denoise` returns a rank-3 input's prox as a band-major cube: an
 [H, W, N] view of an [N, H, W] buffer, the `.hsic` payload's layout.  It
 copies its input into that buffer a strip of about 256 KB of rows at a
-time (`_STRIP_BYTES`), so each strip's transpose stays in cache, and then
-denoises every band in place on its contiguous plane.  A 2-D input gives a
-row-major plane.
+time (`copy_rows`, `_STRIP_BYTES`), so each strip's transpose stays in
+cache, and then denoises every band in place on its contiguous plane.  A
+2-D input gives a row-major plane.  `phantom` and `fileio.write_cube`
+make their transposing copies with `copy_rows` too.
 
 The kernel divides each band once by the weight into a plane of its own and
 runs every iteration on flat row-major buffers, writing each op in place.
@@ -155,14 +156,23 @@ def run_workers(work, workers: int) -> None:
         raise errors[0]
 
 
+def copy_rows(out: np.ndarray, x: np.ndarray, each=None) -> None:
+    """out[...] = x for arrays of one shape, cast to out's dtype, a strip of
+    about _STRIP_BYTES of x's rows (its first axis) at a time, so that a
+    transposing copy's strip stays in cache.  each(strip), when given, is
+    called on each strip of out once it is written, while it is in cache."""
+    rows = max(1, _STRIP_BYTES // max(1, x[:1].nbytes))
+    for r in range(0, len(x), rows):
+        out[r:r + rows] = x[r:r + rows]
+        if each is not None:
+            each(out[r:r + rows])
+
+
 def _band_major(x: np.ndarray) -> np.ndarray:
-    """A copy of x [H, W, N] as a band-major [N, H, W] array, made a strip of
-    rows at a time so that each strip's transpose stays in cache."""
+    """A copy of x [H, W, N] as a band-major [N, H, W] array."""
     h, w, n = x.shape
     out = np.empty((n, h, w), dtype=x.dtype)
-    rows = max(1, _STRIP_BYTES // max(1, w * n * x.itemsize))
-    for r in range(0, h, rows):
-        out[:, r:r + rows] = x[r:r + rows].transpose(2, 0, 1)
+    copy_rows(out.transpose(1, 2, 0), x)
     return out
 
 

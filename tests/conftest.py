@@ -44,6 +44,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def band_major(x: np.ndarray) -> np.ndarray:
+    """x's values in a band-major buffer, seen as [H, W, N], as read_cube
+    and tv_denoise lay a cube out."""
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
 @pytest.fixture
 def tiny_operator() -> SensingOperator:
     """4x5 scene, 3 bands, step 2: small enough for dense oracles."""

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cassikit import cli, errors, fileio, metrics
+from cassikit import cli, errors, fileio, metrics, priors
 from cassikit.cassi import (HsiCube, Measurement, SensingOperator, forward_measure,
                             random_binary_mask)
 from cassikit.errors import CassikitError, FormatError, ShapeError
@@ -32,7 +32,7 @@ from cassikit.phantom import generate_phantom
 from cassikit.tensor import Tensor
 from cassikit.transformer import LnltConfig
 
-from conftest import make_rng
+from conftest import band_major, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +136,72 @@ def test_read_cube_returns_the_payload_as_float32_in_one_buffer(tmp_path):
     assert fileio.read_plane(path).dtype == np.float32
 
 
+def _hsic(arr: np.ndarray) -> bytes:
+    """The container's bytes for a rank-3 cube, from its documented layout."""
+    return (b"HSIC" + struct.pack("<IIII", 1, *arr.shape)
+            + arr.transpose(2, 0, 1).astype("<f4").tobytes())
+
+
 def test_write_cube_writes_the_payload_without_a_joined_copy(tmp_path):
     cube = make_rng(10).random((64, 118, 28)).astype(np.float32)
     path = tmp_path / "cube.hsic"
     _, peak = _traced_peak(fileio.write_cube, str(path), cube)
-    header = b"HSIC" + struct.pack("<IIII", 1, 64, 118, 28)
-    assert path.read_bytes() == header + cube.transpose(2, 0, 1).astype("<f4").tobytes()
-    # the band-major payload and its finiteness mask; joining the header and
-    # the payload into one bytes object would add another payload
+    assert path.read_bytes() == _hsic(cube)
+    # the band-major payload and one strip's finiteness mask; joining the
+    # header and the payload into one bytes object would add another payload
     assert peak < 1.5 * cube.nbytes
+
+
+def _writer_inputs() -> dict:
+    values = make_rng(21).random((13, 11, 5)) * 100.0
+    return {
+        "c-float64": values,
+        "c-float32": values.astype(np.float32),
+        "band-major-float32": band_major(values.astype(np.float32)),
+        "band-major-float64": band_major(values),
+        "strided": values[:, ::2],
+        "integer": np.floor(values).astype(np.int64),
+        "plane": values[:, :, 0],
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_writer_inputs()))
+def test_write_cube_bytes_follow_the_layout_across_strips(monkeypatch, kind):
+    # 256-byte strips: one or two rows each, so every copied payload spans several
+    monkeypatch.setattr(priors, "_STRIP_BYTES", 256)
+    arr = _writer_inputs()[kind]
+    assert cube_file_bytes(arr) == _hsic(arr.reshape(*arr.shape[:2], -1))
+
+
+@pytest.mark.parametrize("kind", ["c-float64", "c-float32", "band-major-float32", "strided"])
+def test_write_cube_finds_a_non_finite_value_in_the_last_strip(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(priors, "_STRIP_BYTES", 256)
+    arr = _writer_inputs()[kind]
+    arr[-1, -1, -1] = np.inf if arr.dtype == np.float32 else 1e39  # beyond float32
+    out = tmp_path / "cube.hsic"
+    with pytest.raises(errors.NumericalError, match="^" + re.escape(f"cannot write {out}: ")):
+        fileio.write_cube(str(out), arr)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_cube_peaks_at_the_payload_plus_strips_and_copies_no_band_major_cube(tmp_path):
+    path = tmp_path / "cube.hsic"
+    cube = make_rng(22).random((64, 118, 28))
+    payload = cube.size * 4
+    _, peak = _traced_peak(fileio.write_cube, str(path), cube)
+    assert peak < payload + 2 * priors._STRIP_BYTES
+    ready = band_major(cube.astype(np.float32))
+    _, peak = _traced_peak(fileio.write_cube, str(path), ready)
+    assert peak < payload / 8  # one plane's finiteness mask at a time
+    assert path.read_bytes() == _hsic(ready)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (4, 4, 0), (0, 5)])
+def test_write_cube_refuses_an_empty_cube_and_writes_nothing(tmp_path, shape):
+    out = tmp_path / "empty.hsic"
+    with pytest.raises(ShapeError, match="extents >= 1"):
+        fileio.write_cube(str(out), np.zeros(shape))
+    assert list(tmp_path.iterdir()) == []
 
 
 def _valid_cube_blob() -> bytes:
@@ -207,8 +264,17 @@ def _demo_store() -> ParamStore:
     return store
 
 
+def params_file_bytes(store: ParamStore) -> bytes:
+    """The bytes `write_params` writes for `store`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "params.dprm")
+        fileio.write_params(path, store)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 def test_params_header_layout():
-    blob = fileio.params_bytes(_demo_store())
+    blob = params_file_bytes(_demo_store())
     assert blob[:4] == b"DPRM"
     assert struct.unpack("<II", blob[4:12]) == (1, 3)
 
@@ -225,7 +291,7 @@ def test_params_roundtrip_keeps_order_values_and_bytes(tmp_path):
     for name in store.names():
         assert back[name].data.dtype == np.float32
         np.testing.assert_array_equal(back[name].data, store[name].data)
-    assert fileio.params_bytes(back) == fileio.params_bytes(store)
+    assert params_file_bytes(back) == params_file_bytes(store)
 
 
 def test_float64_checkpoint_loads_rounded_to_float32(tmp_path):
@@ -264,11 +330,11 @@ def _params_blob(count: int, body: bytes) -> bytes:
 
 
 PARAM_CORRUPTIONS = {
-    "bad-magic": lambda: b"XPRM" + fileio.params_bytes(_demo_store())[4:],
+    "bad-magic": lambda: b"XPRM" + params_file_bytes(_demo_store())[4:],
     "bad-version": lambda: b"DPRM" + struct.pack("<II", 9, 0),
     "short-header": lambda: b"DPRM" + b"\x01",
-    "truncated-entry": lambda: fileio.params_bytes(_demo_store())[:-8],
-    "trailing-bytes": lambda: fileio.params_bytes(_demo_store()) + b"\x00",
+    "truncated-entry": lambda: params_file_bytes(_demo_store())[:-8],
+    "trailing-bytes": lambda: params_file_bytes(_demo_store()) + b"\x00",
     "duplicate-name": lambda: _params_blob(
         2, _entry(b"w", np.ones(2)) + _entry(b"w", np.ones(2))),
     "undecodable-name": lambda: _params_blob(1, _entry(b"\xff\xfe", np.ones(1))),
@@ -316,7 +382,7 @@ def test_any_bytes_parse_as_config_or_raise_format_error(tmp_path_factory, blob)
 @settings(max_examples=150)
 @given(st.binary(max_size=96) | st.binary(max_size=96).map(DPRM_HEADER.__add__))
 @example(PARAM_CORRUPTIONS["overflowing-extents"]())
-@example(fileio.params_bytes(ParamStore()))
+@example(params_file_bytes(ParamStore()))
 def test_any_bytes_read_as_checkpoint_or_raise_format_error(tmp_path_factory, blob):
     _parses_or_format_error(fileio.read_params, tmp_path_factory.getbasetemp(), blob)
 

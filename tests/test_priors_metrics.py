@@ -23,7 +23,7 @@ from cassikit.priors import (DUAL_STEP, F32_SPAN, _div_flat, _grad_flat, fits_fl
 from cassikit.tensor import Tensor
 from cassikit.train import charbonnier_loss
 
-from conftest import make_rng
+from conftest import band_major, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +389,6 @@ def test_a_worker_error_is_raised_in_the_caller_after_every_worker_ends(failing_
     with pytest.raises(MemoryError, match="1.00 TiB"):
         tv_denoise(make_rng(116).random((8, 8, 4)), 0.2)
     assert threading.active_count() == before
-
-
-def band_major(x):
-    """x's values in a band-major buffer, seen as [H, W, N], as read_cube
-    and tv_denoise lay a cube out."""
-    return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def is_band_major(x) -> bool:
